@@ -274,7 +274,10 @@ def cmd_evaluate(args):
     surf_path = out / "surface.bin"
     if not surf_path.exists():
         raise ConfigError(f"no solved surface in {out}: run solve first")
-    surface = ValueSurface.load(surf_path, model)
+    try:
+        surface = ValueSurface.load(surf_path, model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     eps = args.eps if args.eps is not None else 0.01
     n_paths = args.paths or 10000
     report = sim.evaluate_policy(model, surface, eps, info["initial"],

@@ -177,7 +177,7 @@ class FlowPropagator:
 
 
 # ---------------------------------------------------------------------------
-# CSV import/export for arrival records and trajectories
+# CSV import/export for arrival records
 # ---------------------------------------------------------------------------
 
 def events_to_csv(events, path):
@@ -198,12 +198,3 @@ def events_from_csv(path):
             out.append(ArrivalEvent(float(t), float(y)))
     return out
 
-
-def trajectory_to_csv(traj, times, path):
-    """Sample a belief trajectory on a time grid and write (t, pi...) rows."""
-    n = len(traj.segments[0][1])
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"pi{i + 1}" for i in range(n)) + "\n")
-        for t in times:
-            pi = traj.evaluate(t)
-            fh.write(f"{t:.17g}," + ",".join(f"{p:.17g}" for p in pi) + "\n")

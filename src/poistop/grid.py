@@ -106,6 +106,9 @@ def _compositions(n, R):
 def _barycentric(grid, pts):
     n, R = grid.n, grid.R
     m = pts.shape[0]
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite point: {pts[np.argmin(finite)]}")
     if np.any(pts < -1e-9) or np.any(np.abs(pts.sum(axis=1) - 1.0) > 1e-9):
         bad = np.argmax(np.abs(pts.sum(axis=1) - 1.0))
         raise ValueError(f"point outside the simplex: {pts[bad]}")

@@ -294,7 +294,8 @@ def check_belief(pi, n=None, tol=1e-9):
     pi = np.asarray(pi, dtype=float)
     if n is not None and pi.shape != (n,):
         raise ValueError(f"belief: expected {n} components, got {pi.shape}")
-    if np.any(pi < -tol) or abs(pi.sum() - 1.0) > max(tol, 1e-9):
+    if not np.isfinite(pi).all() or np.any(pi < -tol) \
+            or abs(pi.sum() - 1.0) > max(tol, 1e-9):
         raise ValueError(f"belief outside the simplex: {pi}")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()

@@ -34,24 +34,6 @@ class StoppingRegion:
         """Node indices labeled with the given action at knot k."""
         return np.nonzero(self.labels[k] == action)[0]
 
-    def hulls(self, k):
-        """Per-action convex hull vertices (belief coordinates) at knot k."""
-        from scipy.spatial import ConvexHull, QhullError
-        grid = self.surface.grid
-        out = {}
-        for a in range(self.surface.model.n_actions):
-            pts = grid.nodes[self.labels[k] == a]
-            if len(pts) == 0:
-                out[a] = np.zeros((0, grid.n))
-                continue
-            proj = pts[:, : grid.n - 1]
-            try:
-                hull = ConvexHull(proj)
-                out[a] = pts[hull.vertices]
-            except (QhullError, IndexError, ValueError):
-                out[a] = pts
-        return out
-
     def to_csv(self, path):
         grid = self.surface.grid
         cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
@@ -87,42 +69,46 @@ def continuation_interval(model, grid, values, eps_tol, n_bisect=60):
     by bisection of V - H - eps_tol between the bracketing grid nodes.
     Returns (nan, nan) when no node continues.
     """
+    lo, hi = _continuation_intervals(model, grid, np.atleast_2d(values),
+                                     eps_tol, n_bisect)[0]
+    return float(lo), float(hi)
+
+
+def _continuation_intervals(model, grid, V, eps_tol, n_bisect=60):
+    """continuation_interval for every row of V (K, N) -> (K, 2); the
+    endpoints of all rows are bisected together, one lookup per step."""
     if model.n != 2:
         raise ValueError("continuation_interval is defined for n = 2 only")
-    p2 = grid.nodes[:, 1]
-    order = np.argsort(p2)
+    order = np.argsort(grid.nodes[:, 1])
+    p2s = grid.nodes[order, 1]
     H = terminal_reward_nodes(model, grid.nodes)
-    gap = values - H
-    cont = gap[order] > eps_tol
-    if not cont.any():
-        return float("nan"), float("nan")
-    p2s = p2[order]
+    cont = (V - H)[:, order] > eps_tol
+    out = np.full((len(V), 2), np.nan)
+    rows = np.nonzero(cont.any(axis=1))[0]
+    first = np.argmax(cont[rows], axis=1)
+    last = cont.shape[1] - 1 - np.argmax(cont[rows, ::-1], axis=1)
+    out[rows, 0], out[rows, 1] = p2s[first], p2s[last]
+    # endpoints with a stopping neighbour: bisect g(a) <= 0 < g(b) or
+    # vice versa between the bracketing nodes
+    lo, hi = first > 0, last < len(p2s) - 1
+    k = np.concatenate([rows[lo], rows[hi]])
+    col = np.repeat([0, 1], [lo.sum(), hi.sum()])
+    a = p2s[np.concatenate([first[lo] - 1, last[hi] + 1])]
+    b = p2s[np.concatenate([first[lo], last[hi]])]
 
-    def g(q2):
-        pi = np.array([1.0 - q2, q2])
-        return (grid.interpolate(values, pi)
-                - terminal_reward(model, pi)[0] - eps_tol)
+    def g_nonpos(q2):
+        pts = np.stack([1.0 - q2, q2], axis=1)
+        idx, w = grid.barycentric(pts)
+        return (np.sum(V[k[:, None], idx] * w, axis=1)
+                - terminal_reward_nodes(model, pts) - eps_tol) <= 0.0
 
-    def refine(a, b):
-        # g(a) <= 0 < g(b) or vice versa; bisect the sign change
-        fa = g(a)
-        for _ in range(n_bisect):
-            mid = 0.5 * (a + b)
-            if (g(mid) <= 0.0) == (fa <= 0.0):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    first = int(np.argmax(cont))
-    last = len(cont) - 1 - int(np.argmax(cont[::-1]))
-    lower = p2s[first]
-    if first > 0:
-        lower = refine(p2s[first - 1], p2s[first])
-    upper = p2s[last]
-    if last < len(cont) - 1:
-        upper = refine(p2s[last + 1], p2s[last])
-    return float(lower), float(upper)
+    fa = g_nonpos(a)
+    for _ in range(n_bisect):
+        mid = 0.5 * (a + b)
+        same = g_nonpos(mid) == fa
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    out[k, col] = 0.5 * (a + b)
+    return out
 
 
 def boundary_curve(surface, eps_tol=None):
@@ -132,12 +118,8 @@ def boundary_curve(surface, eps_tol=None):
     """
     if eps_tol is None:
         eps_tol = 10.0 * surface.meta.get("tol", 1e-4)
-    rows = []
-    for k, s in enumerate(surface.knots):
-        lo, hi = continuation_interval(surface.model, surface.grid,
-                                       surface.values[k], eps_tol)
-        rows.append((float(s), lo, hi))
-    return np.array(rows)
+    return np.column_stack([surface.knots, _continuation_intervals(
+        surface.model, surface.grid, surface.values, eps_tol)])
 
 
 def boundary_curve_to_csv(curve, path):

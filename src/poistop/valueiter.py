@@ -131,15 +131,19 @@ class ValueSurface:
             magic = fh.read(8)
             if magic != b"PSTSURF1":
                 raise ValueError(f"{path}: not a value-surface file")
-            n, R, nk, N = struct.unpack("<4q", fh.read(32))
-            if n != model.n:
-                raise ValueError(f"{path}: surface has n={n}, model has "
-                                 f"n={model.n}")
-            knots = np.frombuffer(fh.read(8 * nk), dtype="<f8").copy()
-            values = np.frombuffer(fh.read(8 * nk * N), dtype="<f8")
-            values = values.reshape(nk, N).copy()
-            (mlen,) = struct.unpack("<q", fh.read(8))
-            meta = json.loads(fh.read(mlen).decode())
+            try:
+                n, R, nk, N = struct.unpack("<4q", fh.read(32))
+                knots = np.frombuffer(fh.read(8 * nk), dtype="<f8").copy()
+                values = np.frombuffer(fh.read(8 * nk * N), dtype="<f8")
+                values = values.reshape(nk, N).copy()
+                (mlen,) = struct.unpack("<q", fh.read(8))
+                meta = json.loads(fh.read(mlen).decode())
+            except (struct.error, ValueError) as exc:
+                raise ValueError(f"{path}: truncated or corrupt "
+                                 f"value-surface file ({exc})") from exc
+        if n != model.n:
+            raise ValueError(f"{path}: surface has n={n}, model has "
+                             f"n={model.n}")
         grid = build_grid(model.n, R)
         return cls(model=model, grid=grid, knots=knots, values=values,
                    meta=meta)
@@ -292,7 +296,7 @@ def richardson_check(model, grid=None, L=None, R=24, tol=1e-4):
 
 
 # ---------------------------------------------------------------------------
-# pointwise operators (reference implementations for arbitrary beliefs)
+# pointwise operators for arbitrary beliefs
 # ---------------------------------------------------------------------------
 
 def mark_operator(model, grid, w_slice, i, pi):
@@ -310,58 +314,69 @@ def mark_operator(model, grid, w_slice, i, pi):
     return total
 
 
+def _j_path(model, surface, s, pi, h, n):
+    """Jw(k h, s, pi) for k = 0..n from one no-arrival flow path of step h.
+
+    The integrand at u_j = j h does not depend on the waiting time, so every
+    J(k h) is its head term plus a cumulative trapezoid of the same phi.  All
+    post-jump beliefs (u_j, mark r) are interpolated in one batched lookup.
+    """
+    P = expm(h * model.flow_generator())
+    M = np.empty((n + 1, model.n))
+    M[0] = pi
+    for j in range(n):
+        M[j + 1] = np.clip(M[j] @ P, 0.0, None)
+    sv = M.sum(axis=1)
+    X = M / sv[:, None]
+    u = h * np.arange(n + 1)
+    Z = X[:, None, :] * (model.lam[:, None] * model.marks.density).T
+    zs = Z.sum(axis=2)
+    live = zs > 0
+    w = np.zeros(zs.shape)
+    w[live] = surface.value_at_batch(np.broadcast_to(s - u[:, None],
+                                                     zs.shape)[live],
+                                     Z[live] / zs[live][:, None])
+    omega = M @ (model.lam[:, None] * model.marks.weights)
+    disc = np.exp(-model.rho * u)
+    phi = disc * (M @ model.effective_cost_rates()
+                  + np.sum(omega * w, axis=1))
+    head = sv * disc * terminal_reward_nodes(model, X)
+    return head + np.concatenate(
+        [[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
+
+
 def apply_J(model, surface, t, s, pi, min_substeps=8):
     """Jw(t, s, pi) against the stored surface w, for arbitrary pi.
 
-    The inner integral uses composite trapezoid on a uniform subdivision of
-    [0, t] compatible with the surface's time step.
+    The inner integral uses composite trapezoid on max(min_substeps,
+    round(t / dt)) uniform substeps of [0, t], dt the surface's time step.
     """
     if t > s + 1e-12:
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
     pi = check_belief(pi, model.n)
-    H = lambda q: terminal_reward(model, q)[0]
     if t <= 0:
-        return H(pi)
-    dt_surface = surface.dt if surface.L else t
-    n_sub = max(min_substeps, int(round(t / dt_surface)) if dt_surface else 1)
-    h = t / n_sub
-    P = expm(h * model.flow_generator())
-    lam_w = model.lam[:, None] * model.marks.weights
-    lam_d = model.lam[:, None] * model.marks.density
-    cost_rates = model.effective_cost_rates()
-    m = pi.copy()
-    phi = np.empty(n_sub + 1)
-    for j in range(n_sub + 1):
-        u = j * h
-        sv = m.sum()
-        x = m / sv
-        omega = m @ lam_w
-        g = 0.0
-        for r in range(model.marks.n_marks):
-            wgt = x * lam_d[:, r]
-            zs = wgt.sum()
-            if zs <= 0:
-                continue
-            g += omega[r] * surface.value_at(s - u, wgt / zs)
-        phi[j] = np.exp(-model.rho * u) * (float(cost_rates @ m) + g)
-        if j < n_sub:
-            m = np.clip(m @ P, 0.0, None)
-    sv_t = m.sum()
-    head = sv_t * np.exp(-model.rho * t) * H(m / sv_t)
-    return float(head + h * (0.5 * phi[0] + phi[1:-1].sum() + 0.5 * phi[-1]))
+        return terminal_reward(model, pi)[0]
+    n_sub = max(min_substeps, int(round(t / surface.dt)) if surface.L else 1)
+    return float(_j_path(model, surface, s, pi, t / n_sub, n_sub)[-1])
 
 
 def apply_J0(model, surface, s, pi):
-    """sup over grid times t in [0, s] of apply_J; returns (value, argmax t)."""
+    """sup over grid times t in [0, s] of apply_J; returns (value, argmax t).
+
+    Knots k >= 8 use apply_J's substep dt, so one flow path serves them all;
+    shorter knots and an off-knot t = s each get their own short path.
+    """
+    pi = check_belief(pi, model.n)
     ts = [float(t) for t in surface.knots if t <= s + 1e-12]
+    k = len(ts)
     if not ts or abs(ts[-1] - s) > 1e-12:
         ts.append(float(s))
-    best_v, best_t = -np.inf, 0.0
-    for t in ts:
-        val = apply_J(model, surface, t, s, pi)
-        if val > best_v:
-            best_v, best_t = val, t
-    return best_v, best_t
+    shared = _j_path(model, surface, s, pi, surface.dt, k - 1) \
+        if k > 8 else None
+    vals = [shared[i] if 8 <= i < k else apply_J(model, surface, t, s, pi)
+            for i, t in enumerate(ts)]
+    best = int(np.argmax(vals))
+    return float(vals[best]), ts[best]
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,20 @@ def test_evaluate_after_solve(out):
     assert 0.4 < ev["mean"] < 1.0
     assert ev["rng_algorithm"] == "philox4x64"
     assert (out / "manifest_evaluate.json").exists()
+
+
+@pytest.mark.parametrize("cut", ["header", "values", "metadata"])
+def test_evaluate_truncated_surface_is_config_error(out, capsys, cut):
+    assert run(["solve", "--example", "regime", "--R", "20", "--L", "20",
+                "--out", str(out)]) == 0
+    path = out / "surface.bin"
+    blob = path.read_bytes()
+    at = {"header": 20, "values": 8 + 32 + 8 * 21 + 100,
+          "metadata": len(blob) - 3}[cut]
+    path.write_bytes(blob[:at])
+    capsys.readouterr()
+    assert run(["evaluate", "--example", "regime", "--paths", "10",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "surface.bin: truncated" in err
+    assert "Traceback" not in err

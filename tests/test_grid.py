@@ -108,6 +108,17 @@ def test_point_outside_simplex_rejected():
         g.barycentric(np.array([[-0.2, 1.2]]))
 
 
+@pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0],
+                                 [np.inf, 0.0], [-np.inf, 1.0]])
+def test_non_finite_point_rejected(bad):
+    g = build_grid(2, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        g.barycentric(np.array([bad]))
+    # one bad row in a batch of good ones is caught too
+    with pytest.raises(ValueError, match="non-finite"):
+        g.barycentric(np.array([[0.5, 0.5], bad, [1.0, 0.0]]))
+
+
 def test_interp_matrix_matches_interpolate():
     g = build_grid(3, 9)
     rng = np.random.default_rng(21)

@@ -14,6 +14,7 @@ from poistop import (
 )
 from poistop.model import (
     ModelError,
+    check_belief,
     discrete_marks,
     gamma_marks,
     load_model,
@@ -207,3 +208,10 @@ def test_model_from_dict_unknown_marks():
     with pytest.raises(ModelError):
         model_from_dict({"n": 1, "Q": [[0.0]], "lambda": [1.0],
                          "mu": [[1.0]], "marks": {"kind": "weird"}})
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.nan, np.nan],
+                                 [np.inf, 0.0]])
+def test_check_belief_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="outside the simplex"):
+        check_belief(bad, 2)

@@ -17,8 +17,10 @@ from poistop import (
     make_model,
     recommend,
     solve_finite,
+    solve_infinite,
     two_hypothesis_diagnostics,
 )
+from poistop.model import terminal_reward, terminal_reward_nodes
 from poistop.policy import CONTINUE, boundary_curve_to_csv
 
 
@@ -113,6 +115,71 @@ def test_boundary_curve_csv(tmp_path, regime):
     boundary_curve_to_csv(curve, path)
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
     assert data.shape == (surf.L + 1, 3)
+
+
+def reference_interval(model, grid, values, eps_tol, n_bisect=60):
+    """Slow oracle: one slice, one scalar interpolation per bisection step."""
+    p2 = grid.nodes[:, 1]
+    order = np.argsort(p2)
+    gap = values - terminal_reward_nodes(model, grid.nodes)
+    cont = gap[order] > eps_tol
+    if not cont.any():
+        return float("nan"), float("nan")
+    p2s = p2[order]
+
+    def g(q2):
+        pi = np.array([1.0 - q2, q2])
+        return (grid.interpolate(values, pi)
+                - terminal_reward(model, pi)[0] - eps_tol)
+
+    def refine(a, b):
+        fa = g(a)
+        for _ in range(n_bisect):
+            mid = 0.5 * (a + b)
+            if (g(mid) <= 0.0) == (fa <= 0.0):
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    first = int(np.argmax(cont))
+    last = len(cont) - 1 - int(np.argmax(cont[::-1]))
+    lower = p2s[first]
+    if first > 0:
+        lower = refine(p2s[first - 1], p2s[first])
+    upper = p2s[last]
+    if last < len(cont) - 1:
+        upper = refine(p2s[last + 1], p2s[last])
+    return float(lower), float(upper)
+
+
+@pytest.fixture(scope="module")
+def regime_small():
+    model, _ = load_preset("regime")
+    grid = build_grid(2, 50)
+    return model, solve_finite(model, grid=grid, L=60, tol=1e-4)
+
+
+# eps 0.3 leaves some knots without continuation nodes, eps -1 makes every
+# node continue (no endpoint to refine), eps 10 makes every node stop
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 0.3, -1.0, 10.0])
+def test_boundary_curve_matches_scalar_bisection(regime_small, eps):
+    model, surf = regime_small
+    curve = boundary_curve(surf, eps)
+    ref = np.array([(s, *reference_interval(model, surf.grid, v, eps))
+                    for s, v in zip(surf.knots, surf.values)])
+    assert curve.shape == ref.shape
+    assert np.array_equal(curve, ref, equal_nan=True)
+
+
+def test_continuation_interval_stationary_slice():
+    model, _ = load_preset("regime")
+    grid = build_grid(2, 60)
+    stat = solve_infinite(model, grid=grid, tol=1e-6)
+    assert stat.values.ndim == 1
+    lo, hi = continuation_interval(model, grid, stat.values, 1e-6)
+    assert (lo, hi) == reference_interval(model, grid, stat.values, 1e-6)
+    assert 0.0 < lo < 0.5 < hi < 1.0
 
 
 # -- recommendations and stop times -----------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
 from poistop import (
     FiniteHorizonSolver,
@@ -23,7 +24,8 @@ from poistop import (
     truncated_rule_slack,
     uniform_error_bound,
 )
-from poistop.model import discrete_marks, terminal_reward_nodes
+from poistop.model import (discrete_marks, terminal_reward,
+                           terminal_reward_nodes)
 from poistop.valueiter import default_knot_count
 
 
@@ -126,6 +128,21 @@ def test_surface_save_load_round_trip(tmp_path, regime_surface):
     assert np.array_equal(back.values, surf.values)
     assert np.array_equal(back.knots, surf.knots)
     assert back.meta["iterations"] == surf.meta["iterations"]
+
+
+@pytest.mark.parametrize("part", ["header", "values", "metadata"])
+def test_surface_load_truncated(tmp_path, regime_surface, part):
+    model, surf = regime_surface
+    path = tmp_path / "surface.bin"
+    surf.save(path)
+    blob = path.read_bytes()
+    header = 8 + 32
+    cut = {"header": 20,
+           "values": header + 8 * len(surf.knots) + 8 * surf.values.size // 2,
+           "metadata": len(blob) - 3}[part]
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ValueError, match="surface.bin: truncated"):
+        ValueSurface.load(path, model)
 
 
 def test_surface_csv_header(tmp_path, regime_surface):
@@ -231,6 +248,106 @@ def test_apply_J0_dominates_apply_J(regime_surface):
     v0, _ = apply_J0(model, surf, s, pi)
     for t in (0.0, 0.25, 0.5, 1.0):
         assert v0 >= apply_J(model, surf, t, s, pi) - 1e-12
+
+
+# -- pointwise J against the per-point reference loop ------------------------
+
+def reference_J(model, surface, t, s, pi, min_substeps=8):
+    """Slow oracle: Jw(t, s, pi) with one scalar interpolation per substep
+    and mark, stepping the survival weights in a Python loop."""
+    pi = np.asarray(pi, dtype=float)
+    H = lambda q: terminal_reward(model, q)[0]
+    if t <= 0:
+        return H(pi)
+    dt_surface = surface.dt if surface.L else t
+    n_sub = max(min_substeps, int(round(t / dt_surface)) if dt_surface else 1)
+    h = t / n_sub
+    P = expm(h * model.flow_generator())
+    lam_w = model.lam[:, None] * model.marks.weights
+    lam_d = model.lam[:, None] * model.marks.density
+    cost_rates = model.effective_cost_rates()
+    m = pi.copy()
+    phi = np.empty(n_sub + 1)
+    for j in range(n_sub + 1):
+        u = j * h
+        sv = m.sum()
+        x = m / sv
+        omega = m @ lam_w
+        g = 0.0
+        for r in range(model.marks.n_marks):
+            wgt = x * lam_d[:, r]
+            zs = wgt.sum()
+            if zs <= 0:
+                continue
+            g += omega[r] * surface.value_at(s - u, wgt / zs)
+        phi[j] = np.exp(-model.rho * u) * (float(cost_rates @ m) + g)
+        if j < n_sub:
+            m = np.clip(m @ P, 0.0, None)
+    sv_t = m.sum()
+    head = sv_t * np.exp(-model.rho * t) * H(m / sv_t)
+    return float(head + h * (0.5 * phi[0] + phi[1:-1].sum() + 0.5 * phi[-1]))
+
+
+def reference_waits(surface, s):
+    """The candidate waits of J0: knots in [0, s], plus s if off-knot."""
+    ts = [float(t) for t in surface.knots if t <= s + 1e-12]
+    if not ts or abs(ts[-1] - s) > 1e-12:
+        ts.append(float(s))
+    return ts
+
+
+@pytest.fixture(scope="module")
+def insurance_small():
+    model, info = load_preset("insurance")
+    assert model.n == 3 and model.marks.n_marks == 24
+    grid = build_grid(3, 6)
+    return model, solve_finite(model, grid=grid, L=24, tol=1e-4)
+
+
+@pytest.fixture(scope="module")
+def regime_flat():
+    # L = 0: the surface holds only the maturity slice H
+    model, _ = load_preset("regime")
+    grid = build_grid(2, 50)
+    H = terminal_reward_nodes(model, grid.nodes)
+    return model, ValueSurface(model=model, grid=grid, knots=np.zeros(1),
+                               values=H[None, :], meta={})
+
+
+@pytest.mark.parametrize("case, s, pi", [
+    ("regime", 1.0, [0.5, 0.5]),          # knot, interior maximiser
+    ("regime", 1.2345, [0.7, 0.3]),       # off-knot s
+    ("regime", 0.05, [0.5, 0.5]),         # s < 8 dt
+    ("insurance", None, None),            # full horizon, 24 marks, n = 3
+    ("insurance", 0.437, None),           # off-knot s
+    ("insurance", 0.1, None),             # s < 8 dt
+    ("flat", 0.3, [0.45, 0.55]),          # L = 0 surface
+])
+def test_apply_J_and_J0_match_reference(case, s, pi, regime_surface,
+                                        insurance_small, regime_flat):
+    model, surf = {"regime": regime_surface, "insurance": insurance_small,
+                   "flat": regime_flat}[case]
+    if s is None:
+        s = model.horizon
+    if pi is None:
+        pi = load_preset("insurance")[1]["initial"]
+    ts = reference_waits(surf, s)
+    ref = np.array([reference_J(model, surf, t, s, pi) for t in ts])
+    fast = np.array([apply_J(model, surf, t, s, pi) for t in ts])
+    assert np.max(np.abs(fast - ref)) <= 1e-12
+    v, wait = apply_J0(model, surf, s, pi)
+    assert abs(v - ref.max()) <= 1e-12
+    assert wait in ts
+    assert ref[ts.index(wait)] >= ref.max() - 1e-12
+
+
+def test_apply_J0_interior_wait(regime_surface):
+    # the reference cases above include a strictly positive maximiser, so
+    # the argmax check is not satisfied trivially by t = 0
+    model, surf = regime_surface
+    v, wait = apply_J0(model, surf, 1.0, [0.5, 0.5])
+    assert 0.0 < wait < 1.0
+    assert v > terminal_reward(model, [0.5, 0.5])[0]
 
 
 def test_one_arrival_value_against_quadrature():
