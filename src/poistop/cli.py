@@ -16,15 +16,18 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, policy, sim, valueiter
 from .grid import build_grid
-from .model import ModelError, load_model, model_to_dict
+from .model import (ModelError, load_model, model_from_dict, model_hash,
+                    model_to_dict)
 from .presets import load_preset, preset_names
 from .valueiter import NumericalError, ValueSurface
 
@@ -104,7 +107,7 @@ def _apply_overrides(model, overrides):
     return model
 
 
-def _resolve(args, need_model=True):
+def _resolve(args):
     """Model, preset info and output directory from parsed arguments."""
     info = {"R": 40, "initial": None, "description": ""}
     name = None
@@ -126,11 +129,15 @@ def _resolve(args, need_model=True):
             model = load_model(path)
         except (ModelError, KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    elif need_model:
-        raise ConfigError("one of --example or --model is required")
     else:
-        return None, info, None
-    model = _apply_overrides(model, args.override or [])
+        raise ConfigError("one of --example or --model is required")
+    if args.override:
+        # a round trip through the model file form re-runs validate_model
+        try:
+            model = model_from_dict(model_to_dict(
+                _apply_overrides(model, args.override)))
+        except ValueError as exc:        # a non-number, or a ModelError
+            raise ConfigError(f"--override: {exc}") from None
     if info["initial"] is None:
         info["initial"] = np.full(model.n, 1.0 / model.n)
     out = Path(args.out) if args.out else Path("runs") / name
@@ -149,10 +156,13 @@ def _manifest(args, model, extra):
         "eps": args.eps,
         "seed": args.seed,
         "paths": args.paths,
-        "model": model_to_dict(model) if model is not None else None,
+        "model": model_to_dict(model),
+        "model_hash": model_hash(model),
         "versions": {
-            "artifact": __version__,
+            "poistop": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(),

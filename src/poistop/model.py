@@ -9,6 +9,7 @@ validated, immutable ``ModelSpec``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
@@ -417,6 +418,12 @@ def model_from_dict(d):
         actions=d.get("actions", ()),
         sense=d.get("sense", "max"),
     )
+
+
+def model_hash(model):
+    """sha256 hex digest of the model's JSON form with sorted keys."""
+    blob = json.dumps(model_to_dict(model), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def load_model(path):

@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from .model import (action_values, best_action_nodes, check_belief,
                     net_return_rate, terminal_reward, terminal_reward_nodes)
-from .valueiter import apply_J0
+from .valueiter import _format_nodes, apply_J0
 
 CONTINUE = -1
 
@@ -35,14 +35,16 @@ class StoppingRegion:
         return np.nonzero(self.labels[k] == action)[0]
 
     def to_csv(self, path):
+        """Rows (s, coordinates, label); coordinates are formatted once."""
         grid = self.surface.grid
         cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
+        coords = _format_nodes(grid.nodes)
         with open(path, "w") as fh:
             fh.write(f"s,{cols},label\n")
-            for k, s in enumerate(self.surface.knots):
-                for node, lab in zip(grid.nodes, self.labels[k]):
-                    coords = ",".join(f"{p:.17g}" for p in node)
-                    fh.write(f"{s:.17g},{coords},{int(lab)}\n")
+            for s, row in zip(self.surface.knots.tolist(), self.labels):
+                s = f"{s:.17g},"
+                fh.write("".join([f"{s}{c},{lab}\n" for c, lab
+                                  in zip(coords, row.tolist())]))
 
 
 def extract_regions(surface, eps_tol=None):

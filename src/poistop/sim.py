@@ -265,23 +265,25 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
 # discrete-time oracles
 # ---------------------------------------------------------------------------
 
-def oracle_filter(model, path, dt):
+def oracle_filter(model, path, dt, pi0=None):
     """First-order discrete-time Bayes recursion along a simulated path.
 
-    Returns (times, posteriors) on the uniform dt-grid; each arrival is
-    bucketed into the step that contains it.
+    Starts from the prior ``pi0``, or from a point mass at the path's first
+    hidden state when it is None.  Returns (times, posteriors) on the
+    uniform dt-grid; each arrival is bucketed into the step that contains it.
     """
     if model.lam_bar * dt >= 0.1:
         raise ValueError("oracle_filter: need lam_bar * dt < 0.1")
+    if pi0 is None:
+        pi = np.zeros(model.n)
+        pi[path.hidden[0][1]] = 1.0
+    else:
+        pi = check_belief(pi0, model.n)
     steps = int(np.ceil(path.t_end / dt - 1e-12))
     Ppred = expm(dt * model.Q)
     surv = np.exp(-model.lam * dt)
     times = np.linspace(0.0, steps * dt, steps + 1)
     post = np.empty((steps + 1, model.n))
-    # the path may start from a known state or a belief; recover pi0 from
-    # the first hidden record as a point mass unless told otherwise
-    pi = np.zeros(model.n)
-    pi[path.hidden[0][1]] = 1.0
     post[0] = pi
     arr = list(path.arrivals)
     a = 0
@@ -290,32 +292,6 @@ def oracle_filter(model, path, dt):
         hi = times[k]
         updated = False
         while a < len(arr) and arr[a].time <= hi + 1e-15:
-            dens = model.marks.density_at(arr[a].mark)
-            pi = pi * (model.lam * dt * dens)
-            a += 1
-            updated = True
-        if not updated:
-            pi = pi * surv
-        pi = pi / pi.sum()
-        post[k] = pi
-    return times, post
-
-
-def oracle_filter_from(model, pi0, path, dt):
-    """oracle_filter but starting from an arbitrary prior belief."""
-    times, _ = oracle_filter(model, path, dt)
-    steps = len(times) - 1
-    Ppred = expm(dt * model.Q)
-    surv = np.exp(-model.lam * dt)
-    post = np.empty((steps + 1, model.n))
-    pi = check_belief(pi0, model.n)
-    post[0] = pi
-    arr = list(path.arrivals)
-    a = 0
-    for k in range(1, steps + 1):
-        pi = pi @ Ppred
-        updated = False
-        while a < len(arr) and arr[a].time <= times[k] + 1e-15:
             dens = model.marks.density_at(arr[a].mark)
             pi = pi * (model.lam * dt * dens)
             a += 1

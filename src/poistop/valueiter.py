@@ -38,6 +38,11 @@ class NumericalError(RuntimeError):
     pass
 
 
+def _format_nodes(nodes):
+    """CSV coordinate field of every grid node, 17 significant digits."""
+    return [",".join([f"{p:.17g}" for p in node]) for node in nodes.tolist()]
+
+
 def default_knot_count(model, T=None):
     """L = ceil(T * max(lam_bar, rho, 1) * 20) uniform steps."""
     T = model.horizon if T is None else T
@@ -67,14 +72,9 @@ class ValueSurface:
     def h_nodes(self):
         return terminal_reward_nodes(self.model, self.grid.nodes)
 
-    def slice_at(self, s):
-        """Nodal values at time-to-maturity s (linear in time between knots)."""
-        lo, hi, a = self._bracket(s)
-        return (1.0 - a) * self.values[lo] + a * self.values[hi]
-
     def value_at(self, s, pi):
         pi = check_belief(pi, self.model.n)
-        return self.grid.interpolate(self.slice_at(s), pi)
+        return float(self.value_at_batch(s, pi)[0])
 
     def value_at_batch(self, s, pts):
         """Vectorized evaluation for arrays of horizons and beliefs."""
@@ -90,32 +90,30 @@ class ValueSurface:
             + a * self.values[lo[:, None] + 1, idx]
         return np.sum(vals * w, axis=1)
 
-    def _bracket(self, s):
-        if self.L == 0:
-            return 0, 0, 0.0
-        pos = min(max(s / self.dt, 0.0), float(self.L))
-        lo = min(int(pos), self.L - 1)
-        return lo, lo + 1, pos - lo
-
     # -- persistence ------------------------------------------------------
 
     def to_csv(self, path):
+        """Rows (s, coordinates, value, H, best action) per knot and node;
+        all but s and the value are formatted once for every knot."""
         H = self.h_nodes()
         best = model_mod.best_action_nodes(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
+        coords = _format_nodes(self.grid.nodes)
+        tails = [f",{h:.17g},{b}\n" for h, b in zip(H.tolist(),
+                                                    best.tolist())]
         with open(path, "w") as fh:
             fh.write(f"s,{cols},value,H,best_action\n")
-            for k, s in enumerate(self.knots):
-                for node, v, h, b in zip(self.grid.nodes, self.values[k],
-                                         H, best):
-                    coords = ",".join(f"{p:.17g}" for p in node)
-                    fh.write(f"{s:.17g},{coords},{v:.17g},{h:.17g},{b}\n")
+            for s, row in zip(self.knots.tolist(), self.values):
+                s = f"{s:.17g},"
+                fh.write("".join([f"{s}{c},{v:.17g}{t}" for c, v, t
+                                  in zip(coords, row.tolist(), tails)]))
 
     def save(self, path):
         """Binary layout: magic, int64 (n, R, L+1, N), little-endian doubles
         for knots then values (row-major), then int64-length-prefixed JSON
-        metadata."""
-        meta_blob = json.dumps(self.meta, default=float).encode()
+        metadata, which carries the model hash that load checks."""
+        meta = dict(self.meta, model_hash=model_mod.model_hash(self.model))
+        meta_blob = json.dumps(meta, default=float).encode()
         with open(path, "wb") as fh:
             fh.write(b"PSTSURF1")
             fh.write(struct.pack("<4q", self.model.n, self.grid.R,
@@ -141,9 +139,11 @@ class ValueSurface:
             except (struct.error, ValueError) as exc:
                 raise ValueError(f"{path}: truncated or corrupt "
                                  f"value-surface file ({exc})") from exc
-        if n != model.n:
-            raise ValueError(f"{path}: surface has n={n}, model has "
-                             f"n={model.n}")
+        if not isinstance(meta, dict) \
+                or meta.get("model_hash") != model_mod.model_hash(model):
+            raise ValueError(f"{path}: surface was solved for another model "
+                             "(model hash missing or different); solve "
+                             "again with the same model and overrides")
         grid = build_grid(model.n, R)
         return cls(model=model, grid=grid, knots=knots, values=values,
                    meta=meta)
@@ -225,26 +225,30 @@ class FiniteHorizonSolver:
         self.ws = _Workspace(model, self.grid, self.knots)
 
     def sweep(self, v):
-        """One application of the discretized J0 to a full surface."""
+        """One application of the discretized J0 to a full surface.
+
+        Slice ell integrates the term at u_k against slice ell - k, so the
+        trapezoid sums I and the sup over the wait, best, of all target
+        slices advance together over k, two integrand rows at a time, in
+        the order of a per-slice cumulative sum (so bitwise the same)."""
         ws, L = self.ws, self.L
         if L == 0:
             return v.copy()
-        N = self.grid.n_nodes
-        dt = ws.dt
-        # phi[j][:, d] = e^{-rho u_j} (cost term + jump term against slice d)
-        phi = []
-        for j in range(L + 1):
-            W = ws.G[j] @ v[: L + 1 - j].T               # (N, L+1-j)
-            phi.append(ws.disc[j] * (ws.costM[j][:, None] + W))
+        half_dt = 0.5 * ws.dt
         vnew = np.empty_like(v)
         vnew[0] = ws.Hnodes
-        integ = np.empty((L + 1, N))
-        for ell in range(1, L + 1):
-            for j in range(ell + 1):
-                integ[j] = phi[j][:, ell - j]
-            inc = 0.5 * dt * (integ[:ell] + integ[1: ell + 1])
-            I = np.concatenate([np.zeros((1, N)), np.cumsum(inc, axis=0)])
-            vnew[ell] = np.max(ws.Aterm[: ell + 1] + I, axis=0)
+        best = vnew[1:]
+        best[:] = ws.Aterm[0] + 0.0       # + 0.0: the empty integral at t = 0
+        I = np.full(best.shape, -0.0)     # -0.0 + x is x, also for x = -0.0
+        for k in range(L + 1):
+            # row d: e^{-rho u_k} (cost term + jump term against slice d)
+            W = ws.G[k] @ v[: L + 1 - k].T
+            phi = (ws.disc[k] * (ws.costM[k][:, None] + W)).T
+            if k:                         # targets ell = k .. L
+                I[k - 1:] += half_dt * (prev[1:] + phi)
+                np.maximum(best[k - 1:], ws.Aterm[k] + I[k - 1:],
+                           out=best[k - 1:])
+            prev = phi
         return vnew
 
     def solve(self):

@@ -9,7 +9,7 @@ import pytest
 
 from poistop import load_preset
 from poistop.cli import main
-from poistop.model import save_model
+from poistop.model import model_hash, save_model
 
 
 def run(args):
@@ -55,6 +55,9 @@ def test_solve_regime_artifacts(out):
     assert manifest["command"] == "solve"
     assert manifest["model"]["n"] == 2
     assert manifest["grid_R"] == 40
+    assert manifest["model_hash"] == model_hash(load_preset("regime")[0])
+    assert set(manifest["versions"]) == {"poistop", "numpy", "scipy",
+                                         "python"}
 
 
 def test_solve_no_boundary_csv_for_three_states(out):
@@ -125,6 +128,20 @@ def test_bad_override_rejected(out):
                 "--out", str(out)]) == 1
     assert run(["solve", "--example", "regime", "--override", "no-equals",
                 "--out", str(out)]) == 1
+    assert run(["solve", "--example", "regime", "--override", "rho=abc",
+                "--out", str(out)]) == 1
+
+
+def test_invalid_override_value_is_config_error(out, capsys):
+    # a negative rate passes the override parser; model validation must
+    # still reject it before the solve starts
+    assert run(["solve", "--example", "regime", "--override",
+                "lambda=-1,5", "--R", "10", "--L", "10",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda" in err
+    assert "Traceback" not in err
+    assert not (out / "surface.bin").exists()
 
 
 def test_help_exits_zero(capsys):
@@ -220,3 +237,18 @@ def test_evaluate_truncated_surface_is_config_error(out, capsys, cut):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "surface.bin: truncated" in err
     assert "Traceback" not in err
+
+
+def test_evaluate_refuses_surface_of_other_model(out, capsys):
+    assert run(["solve", "--example", "regime", "--R", "20", "--L", "20",
+                "--override", "horizon=0.5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--example", "regime", "--paths", "10",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "another model" in err
+    assert "Traceback" not in err
+    assert not (out / "evaluation.json").exists()
+    # the same overrides reproduce the model, so the surface loads
+    assert run(["evaluate", "--example", "regime", "--paths", "10",
+                "--override", "horizon=0.5", "--out", str(out)]) == 0

@@ -13,7 +13,6 @@ from poistop import (
     load_preset,
     make_model,
     oracle_filter,
-    oracle_filter_from,
     oracle_value,
     simulate_path,
     solve_finite,
@@ -217,7 +216,7 @@ def test_oracle_filter_no_arrivals_matches_flow():
                    mu=[[1.0, 0.0]], horizon=1.0)
     p = simulate_path(m, 0, 1.0, seed=16)
     p = dataclasses.replace(p, arrivals=())
-    times, post = oracle_filter_from(m, [0.5, 0.5], p, dt=0.01)
+    times, post = oracle_filter(m, p, dt=0.01, pi0=[0.5, 0.5])
     want = flow(m, times[-1], [0.5, 0.5])
     assert np.max(np.abs(post[-1] - want)) < 0.01
 
@@ -228,7 +227,7 @@ def test_oracle_filter_first_order_in_dt():
     exact = filter_path(m, [0.5, 0.5], list(p.arrivals), 2.0)
 
     def gap(dt):
-        times, post = oracle_filter_from(m, [0.5, 0.5], p, dt)
+        times, post = oracle_filter(m, p, dt, pi0=[0.5, 0.5])
         errs = [np.max(np.abs(post[k] - exact.evaluate(t)))
                 for k, t in enumerate(times)]
         return max(errs)
@@ -236,6 +235,20 @@ def test_oracle_filter_first_order_in_dt():
     g1, g2 = gap(0.02), gap(0.01)
     assert g2 < g1
     assert g2 < 0.75 * g1  # roughly first order: halving dt shrinks the gap
+
+
+def test_oracle_filter_prior():
+    m = switching_two_state()
+    p = simulate_path(m, [0.5, 0.5], 1.0, seed=22)
+    times, point = oracle_filter(m, p, 0.01)
+    start = np.eye(2)[p.hidden[0][1]]
+    assert np.array_equal(point[0], start)
+    assert np.array_equal(oracle_filter(m, p, 0.01, pi0=start)[1], point)
+    _, post = oracle_filter(m, p, 0.01, pi0=[0.5, 0.5])
+    assert np.array_equal(post[0], [0.5, 0.5])
+    assert not np.allclose(post[1], point[1])
+    with pytest.raises(ValueError):
+        oracle_filter(m, p, 0.01, pi0=[0.7, 0.7])
 
 
 def test_oracle_filter_rejects_coarse_dt():

@@ -1,6 +1,8 @@
 """Value iteration: operators, surfaces, error bounds, infinite horizon."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from poistop import (
     apply_J0,
     build_grid,
     err_infinity,
+    extract_regions,
     horizon_error,
     load_preset,
     make_model,
@@ -24,8 +27,8 @@ from poistop import (
     truncated_rule_slack,
     uniform_error_bound,
 )
-from poistop.model import (discrete_marks, terminal_reward,
-                           terminal_reward_nodes)
+from poistop.model import (best_action_nodes, discrete_marks,
+                           terminal_reward, terminal_reward_nodes)
 from poistop.valueiter import default_knot_count
 
 
@@ -145,6 +148,31 @@ def test_surface_load_truncated(tmp_path, regime_surface, part):
         ValueSurface.load(path, model)
 
 
+def test_surface_load_refuses_other_model(tmp_path, regime_surface):
+    model, surf = regime_surface
+    path = tmp_path / "surface.bin"
+    surf.save(path)
+    other = dataclasses.replace(model, horizon=0.5)
+    with pytest.raises(ValueError, match="surface.bin: surface was solved "
+                                         "for another model"):
+        ValueSurface.load(path, other)
+
+
+def test_surface_load_refuses_missing_model_hash(tmp_path, regime_surface):
+    model, surf = regime_surface
+    path = tmp_path / "surface.bin"
+    dataclasses.replace(surf, meta={}).save(path)
+    blob = path.read_bytes()
+    # the metadata block is the last thing in the file: length, then JSON
+    head = len(blob) - 8 - len(json.dumps({"model_hash": "0" * 64}))
+    (mlen,) = struct.unpack("<q", blob[head: head + 8])
+    assert json.loads(blob[head + 8:]).keys() == {"model_hash"}
+    assert mlen == len(blob) - head - 8
+    path.write_bytes(blob[:head] + struct.pack("<q", 2) + b"{}")
+    with pytest.raises(ValueError, match="model hash missing"):
+        ValueSurface.load(path, model)
+
+
 def test_surface_csv_header(tmp_path, regime_surface):
     model, surf = regime_surface
     path = tmp_path / "surface.csv"
@@ -153,6 +181,108 @@ def test_surface_csv_header(tmp_path, regime_surface):
         assert fh.readline().strip() == "s,pi1,pi2,value,H,best_action"
         first = fh.readline().split(",")
     assert len(first) == 6
+
+
+# -- sweep and writers against their per-slice reference --------------------
+
+def reference_sweep(solver, v):
+    """Slow oracle for FiniteHorizonSolver.sweep: every integrand row
+    phi_j against every slice is kept, and each target slice gathers its
+    column and takes a cumulative trapezoid sum and a max over the wait."""
+    ws, L = solver.ws, solver.L
+    if L == 0:
+        return v.copy()
+    N = solver.grid.n_nodes
+    dt = ws.dt
+    phi = []
+    for j in range(L + 1):
+        W = ws.G[j] @ v[: L + 1 - j].T
+        phi.append(ws.disc[j] * (ws.costM[j][:, None] + W))
+    vnew = np.empty_like(v)
+    vnew[0] = ws.Hnodes
+    integ = np.empty((L + 1, N))
+    for ell in range(1, L + 1):
+        for j in range(ell + 1):
+            integ[j] = phi[j][:, ell - j]
+        inc = 0.5 * dt * (integ[:ell] + integ[1: ell + 1])
+        I = np.concatenate([np.zeros((1, N)), np.cumsum(inc, axis=0)])
+        vnew[ell] = np.max(ws.Aterm[: ell + 1] + I, axis=0)
+    return vnew
+
+
+def assert_bitwise_equal(a, b):
+    # stricter than np.array_equal: -0.0 and 0.0 differ, as in the CSV
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name, R, L", [
+    ("regime", 30, None), ("regime", 30, 1), ("insurance", 6, None),
+    ("reliability", 8, None), ("reliability2", 8, None),
+    ("techadopt", 8, None), ("targeting", 8, None),
+])
+def test_sweep_bitwise_equals_reference(name, R, L):
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L)
+    v = np.tile(solver.ws.Hnodes, (solver.L + 1, 1))
+    for _ in range(3):
+        vnew = solver.sweep(v)
+        assert_bitwise_equal(vnew, reference_sweep(solver, v))
+        v = vnew
+
+
+def test_sweep_zero_knots_is_identity():
+    model, _ = load_preset("regime")
+    solver = FiniteHorizonSolver(dataclasses.replace(model, horizon=0.0),
+                                 R=20)
+    assert solver.L == 0
+    v = solver.ws.Hnodes[None, :] + 0.25
+    out = solver.sweep(v)
+    assert out is not v
+    assert_bitwise_equal(out, reference_sweep(solver, v))
+
+
+def reference_surface_csv(surface, path):
+    """The per-row writer: every field formatted at every knot."""
+    H = surface.h_nodes()
+    best = best_action_nodes(surface.model, surface.grid.nodes)
+    cols = ",".join(f"pi{i + 1}" for i in range(surface.model.n))
+    with open(path, "w") as fh:
+        fh.write(f"s,{cols},value,H,best_action\n")
+        for k, s in enumerate(surface.knots):
+            for node, v, h, b in zip(surface.grid.nodes, surface.values[k],
+                                     H, best):
+                coords = ",".join(f"{p:.17g}" for p in node)
+                fh.write(f"{s:.17g},{coords},{v:.17g},{h:.17g},{b}\n")
+
+
+def reference_regions_csv(region, path):
+    grid = region.surface.grid
+    cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
+    with open(path, "w") as fh:
+        fh.write(f"s,{cols},label\n")
+        for k, s in enumerate(region.surface.knots):
+            for node, lab in zip(grid.nodes, region.labels[k]):
+                coords = ",".join(f"{p:.17g}" for p in node)
+                fh.write(f"{s:.17g},{coords},{int(lab)}\n")
+
+
+@pytest.mark.parametrize("name, R", [("regime", 20), ("insurance", 6)])
+def test_csv_writers_byte_equal_reference(tmp_path, name, R):
+    model, _ = load_preset(name)
+    surf = solve_finite(model, grid=build_grid(model.n, R), L=12, tol=1e-3)
+    # signed zero, a subnormal-range magnitude and a large negative value
+    surf.values[1, :3] = [-0.0, 1e-300, -1.2345678901234567e17]
+    region = extract_regions(surf)
+    surf.to_csv(tmp_path / "surface.csv")
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    region.to_csv(tmp_path / "regions.csv")
+    reference_regions_csv(region, tmp_path / "regions_ref.csv")
+    text = (tmp_path / "surface.csv").read_bytes()
+    assert text == (tmp_path / "surface_ref.csv").read_bytes()
+    assert b",-0," in text and b",1e-300," in text
+    assert (tmp_path / "regions.csv").read_bytes() == \
+        (tmp_path / "regions_ref.csv").read_bytes()
 
 
 # -- mark-expectation operator ----------------------------------------------
