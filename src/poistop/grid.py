@@ -1,12 +1,12 @@
 """Regular lattice on the probability simplex with linear interpolation.
 
-Nodes are the beliefs with coordinates k_i / R, sum k_i = R.  Interpolation
-uses the Freudenthal (Kuhn) triangulation expressed in cumulative-sum
-coordinates: writing S_j = R * (pi_1 + ... + pi_j) for j < n, the base
-vertex is floor(S) and the simplex is completed by unit increments taken in
-decreasing order of the fractional parts.  The scheme is exact for linear
-functions of pi and assigns every point a unique, deterministic cell
-(boundary ties broken by the stable sort).
+Nodes are the beliefs k / R with sum k_i = R, in lexicographic order of k,
+so a node's index has a closed form in the cumulative parts of k.  Points
+are located in the Freudenthal (Kuhn) triangulation in the cumulative-sum
+coordinates S_j = R * (pi_1 + ... + pi_j), j < n: the base vertex is
+floor(S) and the cell is completed by unit increments in decreasing order
+of the fractional parts (ties broken by coordinate).  The scheme is exact
+for linear functions of pi and gives every point one deterministic cell.
 """
 
 from __future__ import annotations
@@ -32,16 +32,31 @@ class SimplexGrid:
         return self.nodes.shape[0]
 
     def __post_init__(self):
-        codes = _encode(self.comps, self.R)
-        order = np.argsort(codes)
-        object.__setattr__(self, "_codes_sorted", codes[order])
-        object.__setattr__(self, "_order", order)
+        # with cumulative parts B_d = k_1 + .. + k_d, a composition's index
+        # is c0 - sum_d U[d, B_d] (hockey-stick count of those before it)
+        n, R = self.n, self.R
+        U = np.zeros((n - 1, R + 2), dtype=np.int64)
+        for d in range(n - 1):
+            U[d, : R + 1] = [comb(R - s + n - d - 2, n - d - 1)
+                             for s in range(R + 1)]
+        object.__setattr__(self, "_rank", U)
+        object.__setattr__(self, "_step", U[:, :-1] - U[:, 1:])
+        object.__setattr__(self, "_c0", comb(R + n - 1, n - 1) - 1)
 
     def index_of(self, comps):
         """Node indices for integer compositions (vectorized)."""
-        codes = _encode(np.asarray(comps), self.R)
-        pos = np.searchsorted(self._codes_sorted, codes)
-        return self._order[pos]
+        comps = np.asarray(comps)
+        bad = comps.reshape(-1, comps.shape[-1] if comps.ndim else 1)
+        if comps.shape[-1:] == (self.n,) and comps.dtype.kind in "iu":
+            bad = bad[(bad < 0).any(axis=1) | (bad.sum(axis=1) != self.R)]
+        if bad.size:
+            raise ValueError(f"index_of: {bad[0].tolist()} is not a "
+                             f"composition of {self.R} into {self.n} parts")
+        B = np.cumsum(comps[..., :-1], axis=-1)
+        idx = np.full(comps.shape[:-1], self._c0, dtype=np.int64)
+        for d in range(self.n - 1):
+            idx -= self._rank[d, B[..., d]]
+        return idx
 
     def barycentric(self, points):
         """Containing-simplex vertices and weights for query beliefs.
@@ -49,7 +64,64 @@ class SimplexGrid:
         points: (M, n) array on the simplex.  Returns (idx, w) with shape
         (M, n) each: node indices and nonnegative weights summing to 1.
         """
-        return _barycentric(self, np.atleast_2d(np.asarray(points, float)))
+        pts = np.atleast_2d(np.asarray(points, float))
+        n, R, m = self.n, self.R, pts.shape[0]
+        if not np.isfinite(pts).all():
+            bad = np.argmin(np.isfinite(pts).all(axis=1))
+            raise ValueError(f"non-finite point: {pts[bad]}")
+        err = np.abs(sum(pts.T) - 1.0)
+        if pts.min(initial=0.0) < -1e-9 or np.any(err > 1e-9):
+            raise ValueError("point outside the simplex: "
+                             f"{pts[np.argmax(err)]}")
+        if n == 1:
+            return (np.zeros((m, 1), dtype=np.int64), np.ones((m, 1)))
+
+        # one contiguous vector per cumulative coordinate d: S_d =
+        # R (pi_1 + .. + pi_d), base vertex b_d = floor(S_d), fraction f_d
+        k = n - 1
+        b, f, S = [], [], 0.0
+        for d in range(k):
+            S = S + np.clip(pts[:, d], 0.0, 1.0) * R
+            Sd = np.clip(S, 0.0, R)
+            bd = np.floor(Sd)
+            fd = Sd - bd
+            # points sitting (numerically) on a lattice hyperplane snap to it
+            snap = fd > 1.0 - 1e-12
+            bd += snap
+            fd[snap] = 0.0
+            b.append(bd.astype(np.intp))
+            f.append(fd)
+
+        # rank of each coordinate in the stable decreasing order of f:
+        # vertex v of the cell adds 1 to the coordinates of rank < v, and
+        # the weights are the gaps between 1, the sorted fractions and 0
+        rank = [np.zeros(m, dtype=np.int16) for _ in range(k)]
+        for d in range(k):
+            for e in range(d + 1, k):
+                later = f[e] > f[d]
+                rank[d] += later
+                rank[e] += ~later
+        F = [1.0] + f + [0.0]
+        for i in range(k - 1):
+            for j in range(1, k - i):
+                F[j], F[j + 1] = (np.maximum(F[j], F[j + 1]),
+                                  np.minimum(F[j], F[j + 1]))
+        w = np.array([F[v] - F[v + 1] for v in range(n)])
+
+        idx = np.empty((n, m), dtype=np.int64)
+        idx[0] = self._c0 - sum(self._rank[d, b[d]] for d in range(k))
+        steps = [self._step[d, b[d]] for d in range(k)]
+        # a vertex with a negative part (k_d < 0 needs b_d = b_(d-1), k_n < 0
+        # needs b_(n-1) = R) sits at a tie, so its weight is exactly 0; it is
+        # redirected to the base vertex so every index is valid
+        for v in range(1, n):
+            inc = [r < v for r in rank]
+            idx[v] = idx[0] + sum(i * s for i, s in zip(inc, steps))
+            deg = (b[k - 1] == R) & inc[k - 1]
+            for d in range(1, k):
+                deg |= (b[d] == b[d - 1]) & inc[d - 1] & ~inc[d]
+            np.copyto(idx[v], idx[0], where=deg)
+        return idx.T, w.T
 
     def interpolate(self, values, pi):
         """Barycentric-linear interpolation of nodal values at pi."""
@@ -69,24 +141,14 @@ class SimplexGrid:
         )
 
 
-def _encode(comps, R):
-    """Pack integer compositions into scalar codes for fast lookup."""
-    base = R + 1
-    codes = np.zeros(comps.shape[:-1], dtype=np.int64)
-    for j in range(comps.shape[-1]):
-        codes = codes * base + comps[..., j]
-    return codes
-
-
 def build_grid(n, R, cap=NODE_CAP):
     """All lattice beliefs k/R on the (n-1)-simplex, deterministically ordered."""
     if n < 1 or R < 1:
         raise ValueError(f"build_grid: need n >= 1 and R >= 1, got {n}, {R}")
     count = comb(R + n - 1, n - 1)
     if count > cap:
-        raise ValueError(
-            f"build_grid: {count} nodes exceeds the cap of {cap}"
-        )
+        raise ValueError(f"build_grid: {count} nodes exceeds the cap "
+                         f"of {cap}")
     comps = _compositions(n, R)
     nodes = comps.astype(float) / R
     return SimplexGrid(n=n, R=R, nodes=nodes, comps=comps)
@@ -101,64 +163,3 @@ def _compositions(n, R):
         first = np.full((rest.shape[0], 1), k, dtype=np.int64)
         rows.append(np.hstack([first, rest]))
     return np.vstack(rows)
-
-
-def _barycentric(grid, pts):
-    n, R = grid.n, grid.R
-    m = pts.shape[0]
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite point: {pts[np.argmin(finite)]}")
-    if np.any(pts < -1e-9) or np.any(np.abs(pts.sum(axis=1) - 1.0) > 1e-9):
-        bad = np.argmax(np.abs(pts.sum(axis=1) - 1.0))
-        raise ValueError(f"point outside the simplex: {pts[bad]}")
-    if n == 1:
-        return (np.zeros((m, 1), dtype=np.int64), np.ones((m, 1)))
-
-    x = np.clip(pts, 0.0, 1.0) * R
-    S = np.cumsum(x, axis=1)[:, : n - 1]
-    S = np.clip(S, 0.0, R)
-    B0 = np.floor(S)
-    f = S - B0
-    # points sitting (numerically) on a lattice hyperplane snap to it
-    snap = f > 1.0 - 1e-12
-    B0[snap] += 1.0
-    f[snap] = 0.0
-    B0 = np.minimum(B0, R)
-
-    order = np.argsort(-f, axis=1, kind="stable")
-    f_sorted = np.take_along_axis(f, order, axis=1)
-
-    # vertex j of the cell increments the base vertex at the j largest
-    # fractional coordinates
-    rows = np.arange(m)
-    cur = B0.copy()
-    verts = [B0.copy()]
-    for j in range(n - 1):
-        cur[rows, order[:, j]] += 1.0
-        verts.append(cur.copy())
-    B = np.stack(verts, axis=1)                        # (m, n vertices, n-1)
-
-    w = np.empty((m, n))
-    w[:, 0] = 1.0 - f_sorted[:, 0]
-    w[:, 1:-1] = f_sorted[:, :-1] - f_sorted[:, 1:]
-    w[:, -1] = f_sorted[:, -1]
-
-    # back to compositions k_1 = B_1, k_j = B_j - B_{j-1}, k_n = R - B_{n-1}
-    comps = np.empty((m, n, n), dtype=np.int64)
-    comps[:, :, 0] = B[:, :, 0]
-    if n > 2:
-        comps[:, :, 1: n - 1] = (B[:, :, 1:] - B[:, :, :-1]).astype(np.int64)
-    comps[:, :, n - 1] = R - B[:, :, -1].astype(np.int64)
-
-    # degenerate vertices (possible only where the weight vanishes) are
-    # redirected to the base vertex so every index is valid
-    ok = (comps >= 0).all(axis=2) & (comps.sum(axis=2) == R)
-    if not ok.all():
-        bad_rows, bad_verts = np.nonzero(~ok)
-        comps[bad_rows, bad_verts] = comps[bad_rows, 0]
-        w[:, :] = np.where(ok, w, 0.0)
-        w /= w.sum(axis=1, keepdims=True)
-
-    idx = grid.index_of(comps.reshape(-1, n)).reshape(m, n)
-    return idx, np.clip(w, 0.0, None)

@@ -184,29 +184,28 @@ class _Workspace:
         # per-step jump operators folded with their integrand weights:
         # G_j maps a value slice w(.) on the grid to
         #     sum_i m_i(u_j, node) lambda_i S_i w(node-flow at u_j)
+        # built straight into CSR: row i sums its Rm * n (mark, vertex)
+        # entries; the copy drops the buffers that pruning leaves behind
         lam_w = lam[:, None] * marks.weights           # (n, Rm)
         lam_d = lam[:, None] * marks.density           # (n, Rm)
-        fold = sparse.csr_matrix(
-            (np.ones(N * Rm), (np.repeat(np.arange(N), Rm),
-                               np.arange(N * Rm))),
-            shape=(N, N * Rm),
-        )
+        indptr = np.arange(N + 1) * (Rm * n)
         self.G = []
         for j in range(L + 1):
-            Z = X[j][:, None, :] * lam_d.T[None, :, :]  # (N, Rm, n)
-            Z = Z.reshape(N * Rm, n)
+            Z = (X[j][:, None, :] * lam_d.T[None, :, :]).reshape(N * Rm, n)
             zs = Z.sum(axis=1, keepdims=True)
             dead = zs[:, 0] <= 0.0
             if dead.any():
                 Z[dead] = np.repeat(X[j], Rm, axis=0)[dead]
                 zs = Z.sum(axis=1, keepdims=True)
             Z /= zs
-            B = grid.interp_matrix(Z)
+            idx, w = grid.barycentric(Z)
             omega = (M[j] @ lam_w).ravel()
             omega[dead] = 0.0
-            G = (fold @ B.multiply(omega[:, None])).tocsr()
+            G = sparse.csr_matrix(((w * omega[:, None]).ravel(), idx.ravel(),
+                                   indptr), shape=(N, N))
             G.sum_duplicates()
-            self.G.append(G)
+            G.eliminate_zeros()
+            self.G.append(G.copy())
 
 
 class FiniteHorizonSolver:

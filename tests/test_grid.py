@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poistop import build_grid
+from poistop import FiniteHorizonSolver, SimplexGrid, build_grid, load_preset
 
 
 def random_simplex_points(rng, m, n):
@@ -140,3 +140,159 @@ def test_linearity_property(seed, n, R):
     pts = random_simplex_points(rng, 20, n)
     out = np.array([g.interpolate(vals, p) for p in pts])
     assert np.max(np.abs(out - (pts @ a + b))) < 1e-11
+
+
+# -- closed-form lookup against the sorted-code reference ---------------------
+
+def reference_index_of(grid, comps):
+    """Sorted-code lookup: pack each composition into a base-(R+1) code
+    and binary-search the sorted codes of the nodes."""
+    def encode(c):
+        codes = np.zeros(c.shape[:-1], dtype=np.int64)
+        for j in range(c.shape[-1]):
+            codes = codes * (grid.R + 1) + c[..., j]
+        return codes
+    codes = encode(grid.comps)
+    order = np.argsort(codes)
+    return order[np.searchsorted(codes[order], encode(np.asarray(comps)))]
+
+
+def reference_barycentric(grid, pts):
+    """The composition-tensor lookup: argsort of the fractional parts, an
+    (m, n, n) tensor of vertex compositions, degenerate vertices redirected
+    to the base vertex and then every row of the batch renormalised."""
+    n, R = grid.n, grid.R
+    m = pts.shape[0]
+    if n == 1:
+        return (np.zeros((m, 1), dtype=np.int64), np.ones((m, 1)))
+    x = np.clip(pts, 0.0, 1.0) * R
+    S = np.cumsum(x, axis=1)[:, : n - 1]
+    S = np.clip(S, 0.0, R)
+    B0 = np.floor(S)
+    f = S - B0
+    snap = f > 1.0 - 1e-12
+    B0[snap] += 1.0
+    f[snap] = 0.0
+    B0 = np.minimum(B0, R)
+    order = np.argsort(-f, axis=1, kind="stable")
+    f_sorted = np.take_along_axis(f, order, axis=1)
+    rows = np.arange(m)
+    cur = B0.copy()
+    verts = [B0.copy()]
+    for j in range(n - 1):
+        cur[rows, order[:, j]] += 1.0
+        verts.append(cur.copy())
+    B = np.stack(verts, axis=1)
+    w = np.empty((m, n))
+    w[:, 0] = 1.0 - f_sorted[:, 0]
+    w[:, 1:-1] = f_sorted[:, :-1] - f_sorted[:, 1:]
+    w[:, -1] = f_sorted[:, -1]
+    comps = np.empty((m, n, n), dtype=np.int64)
+    comps[:, :, 0] = B[:, :, 0]
+    if n > 2:
+        comps[:, :, 1: n - 1] = (B[:, :, 1:] - B[:, :, :-1]).astype(np.int64)
+    comps[:, :, n - 1] = R - B[:, :, -1].astype(np.int64)
+    ok = (comps >= 0).all(axis=2) & (comps.sum(axis=2) == R)
+    if not ok.all():
+        bad_rows, bad_verts = np.nonzero(~ok)
+        comps[bad_rows, bad_verts] = comps[bad_rows, 0]
+        w[:, :] = np.where(ok, w, 0.0)
+        w /= w.sum(axis=1, keepdims=True)
+    idx = reference_index_of(grid, comps.reshape(-1, n)).reshape(m, n)
+    return idx, np.clip(w, 0.0, None)
+
+
+def lookup_cases(grid, rng):
+    """Query points of every kind the triangulation treats specially."""
+    n, R = grid.n, grid.R
+    rand = random_simplex_points(rng, 300, n)
+    face = rand * (rng.random(rand.shape) < 0.6)
+    face[face.sum(axis=1) == 0, 0] = 1.0
+    face /= face.sum(axis=1, keepdims=True)
+    i, j = rng.integers(0, grid.n_nodes, size=(2, 200))
+    unit = np.eye(n)[rng.integers(0, n, size=(2, 200))]
+    edge = grid.nodes[i] + 0.5 * (unit[0] - unit[1]) / R
+    edge = edge[(edge >= 0.0).all(axis=1)]
+    last_zero = rand.copy()          # S_(n-1) = R: the last part is 0
+    last_zero[:, -1] = 0.0
+    last_zero[last_zero.sum(axis=1) == 0, 0] = 1.0
+    last_zero /= last_zero.sum(axis=1, keepdims=True)
+    # cumulative coordinates a hair below a lattice hyperplane (fraction
+    # 1 - 1e-13, which snaps) and a hair above it
+    shift = 1e-13 / R * (unit[0] - unit[1])
+    return {"random": rand, "nodes": grid.nodes, "faces": face,
+            "midpoints": 0.5 * (grid.nodes[i] + grid.nodes[j]),
+            "edge midpoints": edge, "last part zero": last_zero,
+            "near nodes": np.clip(grid.nodes[i] + shift, 0.0, None),
+            "near nodes, other side": np.clip(grid.nodes[i] - shift, 0.0,
+                                              None)}
+
+
+def assert_matches_reference(grid, pts, label=""):
+    idx, w = grid.barycentric(pts)
+    ref_idx, ref_w = reference_barycentric(grid, pts)
+    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx), label
+    assert np.max(np.abs(w - ref_w), initial=0.0) <= 4.5e-16, label
+
+
+@pytest.mark.parametrize("n, R", [(1, 5), (2, 1), (2, 9), (3, 1), (3, 10),
+                                  (3, 60), (4, 2), (4, 7), (5, 1), (5, 5)])
+def test_barycentric_matches_reference(n, R):
+    grid = build_grid(n, R)
+    for label, pts in lookup_cases(grid, np.random.default_rng(n * R)).items():
+        assert_matches_reference(grid, pts, label)
+
+
+@pytest.mark.parametrize("name, R", [
+    ("regime", 20), ("insurance", 6), ("reliability", 8),
+    ("reliability2", 6), ("techadopt", 8), ("targeting", 6),
+])
+def test_barycentric_matches_reference_on_workspace_points(monkeypatch,
+                                                          name, R):
+    # every post-jump belief the workspace of the preset looks up
+    seen = []
+    lookup = SimplexGrid.barycentric
+    monkeypatch.setattr(SimplexGrid, "barycentric",
+                        lambda g, p: seen.append(p) or lookup(g, p))
+    model, _ = load_preset(name)
+    grid = build_grid(model.n, R)
+    FiniteHorizonSolver(model, grid=grid)
+    monkeypatch.undo()
+    assert seen
+    assert_matches_reference(grid, np.concatenate(seen), name)
+
+
+@pytest.mark.parametrize("n, R", [(2, 9), (3, 10), (4, 7), (5, 5)])
+def test_barycentric_rows_independent_of_batch(n, R):
+    # a degenerate vertex in one row must not move the weights of another
+    grid = build_grid(n, R)
+    pts = np.concatenate(list(lookup_cases(
+        grid, np.random.default_rng(7 * n)).values()))
+    idx, w = grid.barycentric(pts)
+    rows = [grid.barycentric(p[None]) for p in pts]
+    assert np.array_equal(idx, np.concatenate([r[0] for r in rows]))
+    assert np.array_equal(np.ascontiguousarray(w).view(np.int64),
+                          np.concatenate([r[1] for r in rows]).view(np.int64))
+
+
+def test_index_of_closed_form():
+    g = build_grid(3, 10)
+    assert g.index_of(np.array([[3, 3, 4]]))[0] == 33
+    for n, R in [(1, 4), (2, 6), (3, 10), (4, 7), (5, 4)]:
+        g = build_grid(n, R)
+        assert np.array_equal(g.index_of(g.comps),
+                              reference_index_of(g, g.comps))
+
+
+@pytest.mark.parametrize("comps", [[[3, 3, 3]], [[5, 5, 1]], [[11, -1, 0]],
+                                   [[3, 7]], [[2, 3, 4, 1]],
+                                   [[2.0, 4.0, 4.0]]])
+def test_index_of_rejects_non_compositions(comps):
+    g = build_grid(3, 10)
+    with pytest.raises(ValueError, match=r"index_of: .*\[") as err:
+        g.index_of(np.array(comps))
+    assert str(comps[0])[1:-1] in str(err.value)
+    # a bad row among good ones is caught too
+    if len(comps[0]) == 3:
+        with pytest.raises(ValueError):
+            g.index_of(np.array([[0, 0, 10], comps[0]]))

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, sparse
 from scipy.linalg import expm
 
 from poistop import (
@@ -30,6 +30,7 @@ from poistop import (
 from poistop.model import (best_action_nodes, discrete_marks,
                            terminal_reward, terminal_reward_nodes)
 from poistop.valueiter import default_knot_count
+from test_grid import reference_barycentric
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +284,82 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     assert b",-0," in text and b",1e-300," in text
     assert (tmp_path / "regions.csv").read_bytes() == \
         (tmp_path / "regions_ref.csv").read_bytes()
+
+
+# -- jump operators against the sparse-product assembly ----------------------
+
+def reference_G(solver):
+    """The per-knot jump operators as a sparse product: an (N * Rm, N)
+    interpolation matrix from the reference lookup, scaled by the
+    integrand weights and folded over the marks by an (N, N * Rm) sum."""
+    model, grid = solver.model, solver.grid
+    n, N = model.n, grid.n_nodes
+    marks = model.marks
+    Rm = marks.n_marks
+    M = np.empty((solver.L + 1, N, n))
+    M[0] = grid.nodes
+    if solver.L:
+        P = expm(solver.ws.dt * model.flow_generator())
+        for j in range(solver.L):
+            M[j + 1] = M[j] @ P
+        np.clip(M, 0.0, None, out=M)
+    sv = M.sum(axis=2)
+    X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
+    lam_w = model.lam[:, None] * marks.weights
+    lam_d = model.lam[:, None] * marks.density
+    fold = sparse.csr_matrix(
+        (np.ones(N * Rm), (np.repeat(np.arange(N), Rm), np.arange(N * Rm))),
+        shape=(N, N * Rm))
+    out = []
+    for j in range(solver.L + 1):
+        Z = (X[j][:, None, :] * lam_d.T[None, :, :]).reshape(N * Rm, n)
+        zs = Z.sum(axis=1, keepdims=True)
+        dead = zs[:, 0] <= 0.0
+        if dead.any():
+            Z[dead] = np.repeat(X[j], Rm, axis=0)[dead]
+            zs = Z.sum(axis=1, keepdims=True)
+        Z /= zs
+        idx, w = reference_barycentric(grid, Z)
+        B = sparse.csr_matrix(
+            (w.ravel(), (np.repeat(np.arange(N * Rm), n), idx.ravel())),
+            shape=(N * Rm, N))
+        omega = (M[j] @ lam_w).ravel()
+        omega[dead] = 0.0
+        G = (fold @ B.multiply(omega[:, None])).tocsr()
+        G.sum_duplicates()
+        out.append(G)
+    return out
+
+
+@pytest.mark.parametrize("name, R", [
+    ("regime", 20), ("insurance", 6), ("insurance", 20), ("reliability", 8),
+    ("reliability2", 6), ("techadopt", 8), ("targeting", 6),
+])
+def test_jump_operators_match_reference(name, R):
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R))
+    ref = reference_G(solver)
+    assert len(ref) == len(solver.ws.G) == solver.L + 1
+    for G, Gr in zip(solver.ws.G, ref):
+        assert G.has_canonical_format
+        assert np.array_equal(G.indptr, Gr.indptr)
+        assert np.array_equal(G.indices, Gr.indices)
+        scale = np.max(np.abs(Gr.data), initial=0.0)
+        assert np.max(np.abs(G.data - Gr.data), initial=0.0) <= 1e-15 * scale
+        # compact: the buffers own nnz entries, no pruned assembly tail
+        for a in (G.data, G.indices):
+            assert (a if a.base is None else a.base).size == G.nnz
+
+
+@pytest.mark.parametrize("name, R", [("insurance", 10), ("techadopt", 10)])
+def test_surface_with_reference_jump_operators(name, R):
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), tol=1e-6)
+    surf = solver.solve()
+    solver.ws.G = reference_G(solver)
+    ref = solver.solve()
+    assert surf.meta["iterations"] == ref.meta["iterations"]
+    assert np.max(np.abs(surf.values - ref.values)) <= 1e-13
 
 
 # -- mark-expectation operator ----------------------------------------------
