@@ -66,6 +66,8 @@ class SimplexGrid:
         """
         pts = np.atleast_2d(np.asarray(points, float))
         n, R, m = self.n, self.R, pts.shape[0]
+        if pts.ndim != 2 or pts.shape[1] != n:
+            raise ValueError(f"points of shape {pts.shape}: need width {n}")
         if not np.isfinite(pts).all():
             bad = np.argmin(np.isfinite(pts).all(axis=1))
             raise ValueError(f"non-finite point: {pts[bad]}")

@@ -1,4 +1,4 @@
-"""Discretized value iteration on the belief simplex.
+"""The finite-horizon value surface on the belief simplex.
 
 The value of observing for at most one more arrival is computed by the
 operator
@@ -16,6 +16,17 @@ inner u-integral (composite trapezoid); the survival weights m(u, .) are
 stepped with exp(dt (Q - Lambda)); beliefs live on a SimplexGrid with
 barycentric-linear interpolation.  For cost_mode="discrete" the running
 term C is replaced by sum_i m_i lambda_i (nu_i K).
+
+The discretized J0 is causal in time-to-maturity: slice ell reads slices
+ell - j, j >= 1, and itself only through the trapezoid's half-weight
+self-term, a contraction of modulus dt lam_bar / 2.  FiniteHorizonSolver
+therefore reaches the fixed point in one march over ell
+(FiniteHorizonSolver.march).  Value iteration (FiniteHorizonSolver.iterate)
+stays as the reference and as the certificate: it runs on a coarse problem
+and its m gives the bound b(m) on V - v_m, which also bounds V minus the
+marched surface, since that surface lies above every iterate.  The march
+of the coarse problem is checked against it and serves as the coarse
+solve of the Richardson check.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, sqrt
 
 import numpy as np
 from scipy import sparse
@@ -41,6 +52,13 @@ class NumericalError(RuntimeError):
 def _format_nodes(nodes):
     """CSV coordinate field of every grid node, 17 significant digits."""
     return [",".join([f"{p:.17g}" for p in node]) for node in nodes.tolist()]
+
+
+# the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
+# 2 T lam_bar)) knots (FiniteHorizonSolver._certificate)
+CERT_R, CERT_L = 16, 60
+# Picard steps allowed per slice of the march
+PICARD_CAP = 1000
 
 
 def default_knot_count(model, T=None):
@@ -209,7 +227,8 @@ class _Workspace:
 
 
 class FiniteHorizonSolver:
-    """Value iteration v_0 = H, v_{m+1} = J0 v_m on the full (s, pi) lattice."""
+    """The fixed point of the discretized J0 on the full (s, pi) lattice:
+    solve marches it, iterate runs value iteration v_{m+1} = J0 v_m."""
 
     def __init__(self, model, grid=None, L=None, R=40, tol=1e-4, m_max=200):
         self.model = model
@@ -250,7 +269,83 @@ class FiniteHorizonSolver:
             prev = phi
         return vnew
 
-    def solve(self):
+    def march(self):
+        """The fixed point of sweep, one slice at a time in increasing s.
+
+        Slice ell of J0 v is max(H, h_0[ell] + B_ell), with h_j[d] =
+        dt/2 e^{-rho u_j} (costM_j + G_j v[d]) and B_ell reading only the
+        slices below ell.  Slice d is found by Picard iteration from
+        v[d - 1] (a contraction of modulus dt lam_bar / 2), then pushed
+        forward: h_j[d] reaches target d + j.  A target keeps P, the suffix
+        sum S of its trapezoid increments plus the last h, and
+        mx = max_k (Aterm_k - S_k), so B = P + mx once the slices below it
+        have arrived in increasing d.  Slices go in blocks of b: a slice is
+        pushed at once within its block, and the block to later targets by
+        one multi-column product per j, in decreasing j.  Returns the
+        (L+1, N) values and the Picard steps of each slice."""
+        ws, L, N = self.ws, self.L, self.grid.n_nodes
+        v = np.empty((L + 1, N))
+        v[0] = ws.Hnodes
+        steps = np.zeros(L + 1, dtype=np.int64)
+        hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
+        P, mx = np.empty((2, L + 1, N))
+
+        def arrive(t, h, A):              # rows h reach the targets t
+            S = P[t] + h
+            np.maximum(mx[t], A - S, out=mx[t])
+            np.add(S, h, out=P[t])
+
+        # slice 0 arrives first everywhere: S_ell = 0, nothing past u_ell
+        for j in range(1, L + 1):
+            P[j] = hd[j] * (ws.costM[j] + ws.G[j] @ v[0])
+        mx[1:] = ws.Aterm[1:]
+        # b^2 / 2 single-slice products per block against L block products
+        b = max(1, ceil(sqrt(2 * L)))
+        h = np.empty((b, N))
+        for a in range(1, L + 1, b):
+            e = min(a + b, L + 1)
+            for d in range(a, e):
+                v[d], steps[d] = self._picard(
+                    v[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
+                m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
+                for j in range(1, m + 1):
+                    h[j - 1] = ws.G[j] @ v[d]
+                hj = h[:m]
+                hj += ws.costM[1: m + 1]
+                hj *= hd[1: m + 1, None]
+                arrive(slice(d + 1, e), hj, ws.Aterm[1: m + 1])
+            for j in range(L - a, 0, -1):
+                lo, hi = max(a, e - j), min(e, L + 1 - j)
+                if lo < hi:               # targets lo + j .. hi + j - 1 >= e
+                    hj = (ws.G[j] @ v[lo:hi].T).T
+                    hj += ws.costM[j]
+                    hj *= hd[j]
+                    arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
+        return v, steps
+
+    def _picard(self, v, base):
+        """Fixed point of w -> max(H, base + dt/2 G_0 w), starting at v."""
+        ws = self.ws
+        H, G0, half_dt = ws.Aterm[0], ws.G[0], 0.5 * ws.dt
+        for step in range(1, PICARD_CAP + 1):
+            w = np.maximum(H, base + half_dt * (G0 @ v))
+            delta = float(np.max(np.abs(w - v)))
+            v = w
+            if delta <= 1e-15 * (1.0 + float(np.max(np.abs(w)))):
+                return w, step
+            if not np.isfinite(delta):
+                break
+        q = half_dt * self.model.lam_bar
+        L_min = int(self.model.horizon * self.model.lam_bar / 2.0) + 1
+        raise NumericalError(
+            f"the self-term iteration of a time slice did not settle in "
+            f"{step} steps: dt * lam_bar / 2 = {q:.4g} with L = {self.L} "
+            f"knots; it is < 1 from L = {L_min}")
+
+    def iterate(self):
+        """Value iteration v_0 = H, v_{m+1} = sweep(v_m) until the step is
+        at most tol (or m_max sweeps): the reference for march and the
+        certificate of solve."""
         v = np.tile(self.ws.Hnodes, (self.L + 1, 1))
         deltas = []
         m = 0
@@ -279,23 +374,67 @@ class FiniteHorizonSolver:
         return ValueSurface(model=self.model, grid=self.grid,
                             knots=self.knots, values=v, meta=meta)
 
+    def _certificate(self):
+        """The solver of the certificate problem: grid min(R, CERT_R) and
+        min(L, max(CERT_L, 2 T lam_bar)) knots, so its self-term modulus
+        dt lam_bar / 2 is at most 1/4 or that of this problem."""
+        model = self.model
+        L = min(self.L, max(CERT_L, ceil(2.0 * model.horizon
+                                         * model.lam_bar)))
+        if self.grid.R <= CERT_R and L == self.L:
+            return self
+        grid = self.grid if self.grid.R <= CERT_R \
+            else build_grid(model.n, CERT_R)
+        return FiniteHorizonSolver(model, grid=grid, L=L, tol=self.tol,
+                                   m_max=self.m_max)
 
-def solve_finite(model, grid=None, L=None, R=40, tol=1e-4, m_max=200):
-    """Solve the finite-horizon problem; see FiniteHorizonSolver."""
-    return FiniteHorizonSolver(model, grid=grid, L=L, R=R, tol=tol,
-                               m_max=m_max).solve()
+    def solve(self):
+        """The marched surface, certified on the certificate problem.
+
+        That problem is marched and value-iterated once each.  meta carries
+        the value iteration's iterations, deltas, uniform_error_bound b(m)
+        (which bounds V minus the marched surface too) and its convergence
+        (certificate_converged); march_gap, the sup gap between the two
+        solutions; richardson_delta, the Richardson check of the march.
+        The march lies above every iterate and within 10 tol of a converged
+        one; a gap beyond either is a NumericalError."""
+        values, steps = self.march()
+        cert = self._certificate()
+        coarse = values if cert is self else cert.march()[0]
+        ref = cert.iterate()
+        diff = coarse - ref.values
+        gap = float(np.max(np.abs(diff)))
+        if -float(np.min(diff)) > 10.0 * self.tol \
+                or (ref.meta["converged"] and gap > 10.0 * self.tol):
+            raise NumericalError(
+                f"march and value iteration differ by {gap} on the "
+                f"certificate problem (tol {self.tol}); discretization bug")
+        meta = dict(ref.meta, converged=True,
+                    certificate_converged=ref.meta["converged"],
+                    picard_max=int(steps.max()), march_gap=gap,
+                    richardson_delta=richardson_check(
+                        self.model, grid=cert.grid, L=cert.L, coarse=coarse))
+        return ValueSurface(model=self.model, grid=self.grid,
+                            knots=self.knots, values=values, meta=meta)
 
 
-def richardson_check(model, grid=None, L=None, R=24, tol=1e-4):
-    """Self-check of the time discretization: re-solve with halved steps
-    and report the sup-norm change at the shared knots."""
+def solve_finite(model, grid=None, L=None, R=40, tol=1e-4):
+    """Solve the finite-horizon problem; see FiniteHorizonSolver.solve."""
+    return FiniteHorizonSolver(model, grid=grid, L=L, R=R, tol=tol).solve()
+
+
+def richardson_check(model, grid=None, L=None, R=24, coarse=None):
+    """Self-check of the time discretization: march again with halved
+    steps and report the sup-norm change at the shared knots.  coarse is
+    the march at L knots on grid, if already known."""
     if grid is None:
         grid = build_grid(model.n, R)
     if L is None:
         L = default_knot_count(model)
-    coarse = solve_finite(model, grid=grid, L=L, tol=tol)
-    fine = solve_finite(model, grid=grid, L=2 * L, tol=tol)
-    return float(np.max(np.abs(coarse.values - fine.values[::2])))
+    if coarse is None:
+        coarse, _ = FiniteHorizonSolver(model, grid=grid, L=L).march()
+    fine, _ = FiniteHorizonSolver(model, grid=grid, L=2 * L).march()
+    return float(np.max(np.abs(coarse - fine[::2])))
 
 
 # ---------------------------------------------------------------------------

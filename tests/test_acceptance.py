@@ -145,7 +145,7 @@ def test_error_bound_certificate(name):
     model, _ = load_preset(name)
     R = {2: 60, 3: 30, 4: 12}[model.n]
     solver = FiniteHorizonSolver(model, R=R, tol=1e-4)
-    surf = solver.solve()
+    surf = solver.iterate()
     m = surf.meta["iterations"]
     assert m >= 2
     bound = surf.meta["uniform_error_bound"]
@@ -267,7 +267,7 @@ def test_insurance_epsilon_optimality():
     elapsed = time.time() - t0
     V = surf.value_at(model.horizon, info["initial"])
     budget = surf.meta["uniform_error_bound"] \
-        + richardson_check(model, grid=build_grid(3, 16), L=40, tol=1e-4)
+        + richardson_check(model, grid=build_grid(3, 16), L=40)
     assert rep.mean >= V - eps - 3.0 * rep.se - budget
     assert rep.mean <= V + 3.0 * rep.se + budget
     # the certified bound is loose; the guarantee also holds with no

@@ -159,6 +159,23 @@ def test_grid_cap_exit_code(out):
                 "--out", str(out)]) == 2
 
 
+def test_diverging_time_grid_exit_code(out, capsys):
+    # one knot on insurance: dt lam_bar / 2 = 2, so the self-term of the
+    # march cannot settle; this used to exit 0 with a value of 1e58
+    assert run(["solve", "--example", "insurance", "--R", "10", "--L", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert "dt * lam_bar / 2 = 2" in err and "L = 3" in err
+    assert not (out / "report.json").exists()
+    assert run(["solve", "--example", "insurance", "--R", "10", "--L", "3",
+                "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] and report["certificate_converged"]
+    assert report["march_gap"] <= 10.0 * 1e-4
+    assert report["picard_max"] > 1
+
+
 # -- diagnose ---------------------------------------------------------------
 
 def test_diagnose_reliability(out, capsys):

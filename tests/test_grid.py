@@ -108,6 +108,19 @@ def test_point_outside_simplex_rejected():
         g.barycentric(np.array([[-0.2, 1.2]]))
 
 
+@pytest.mark.parametrize("pt", [[0.25] * 4, [0.5, 0.5], [1.0]])
+def test_point_of_wrong_width_rejected(pt):
+    # a summing-to-one row of another width used to get a cell: [0.25] * 4
+    # the one of (0.25, 0.25, 0.5), [0.5, 0.5] the node (0.5, 0.5, 0)
+    g = build_grid(3, 10)
+    with pytest.raises(ValueError, match="width 3"):
+        g.barycentric([pt])
+    with pytest.raises(ValueError, match="width 3"):
+        g.interpolate(np.ones(g.n_nodes), pt)
+    with pytest.raises(ValueError, match="width 3"):
+        g.barycentric(np.full((2, 2, 3), 1.0 / 3.0))
+
+
 @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0],
                                  [np.inf, 0.0], [-np.inf, 1.0]])
 def test_non_finite_point_rejected(bad):

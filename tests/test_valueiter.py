@@ -29,7 +29,7 @@ from poistop import (
 )
 from poistop.model import (best_action_nodes, discrete_marks,
                            terminal_reward, terminal_reward_nodes)
-from poistop.valueiter import default_knot_count
+from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
 
 
@@ -58,7 +58,7 @@ def test_zero_horizon_surface_is_H():
 
 def test_zero_iterations_surface_is_H():
     model, _ = load_preset("regime")
-    surf = solve_finite(model, R=20, L=40, m_max=0)
+    surf = FiniteHorizonSolver(model, R=20, L=40, m_max=0).iterate()
     H = surf.h_nodes()
     assert np.array_equal(surf.values, np.tile(H, (41, 1)))
 
@@ -355,11 +355,119 @@ def test_jump_operators_match_reference(name, R):
 def test_surface_with_reference_jump_operators(name, R):
     model, _ = load_preset(name)
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), tol=1e-6)
-    surf = solver.solve()
+    surf = solver.iterate()
     solver.ws.G = reference_G(solver)
-    ref = solver.solve()
+    ref = solver.iterate()
     assert surf.meta["iterations"] == ref.meta["iterations"]
     assert np.max(np.abs(surf.values - ref.values)) <= 1e-13
+
+
+# -- the march against value iteration ---------------------------------------
+
+@pytest.mark.parametrize("name, R, L", [
+    ("regime", 30, None), ("regime", 30, 1), ("insurance", 6, None),
+    ("reliability", 8, None), ("reliability2", 8, None),
+    ("techadopt", 8, None), ("targeting", 8, None),
+])
+def test_march_is_the_fixed_point(name, R, L):
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L,
+                                 tol=1e-11)
+    v, steps = solver.march()
+    assert_bitwise_equal(v[0], solver.ws.Hnodes)
+    assert np.max(np.abs(solver.sweep(v) - v)) <= 1e-13
+    assert steps[0] == 0 and np.all(steps[1:] >= 1)
+    # above every iterate, and the limit of value iteration
+    tight = solver.iterate().values
+    assert np.min(v - tight) >= -1e-12
+    assert np.max(np.abs(v - tight)) <= 1e-10
+    solver.tol = 1e-4
+    assert np.min(v - solver.iterate().values) >= -1e-12
+
+
+def test_march_zero_knots_is_H():
+    model, _ = load_preset("regime")
+    solver = FiniteHorizonSolver(dataclasses.replace(model, horizon=0.0),
+                                 R=20)
+    v, _ = solver.march()
+    assert v.shape == (1, solver.grid.n_nodes)
+    assert_bitwise_equal(v[0], solver.ws.Hnodes)
+    assert_bitwise_equal(solver.sweep(v), v)
+
+
+def test_march_picard_cap_names_the_knot_count():
+    # insurance: T lam_bar = 4, so dt lam_bar / 2 = 2 at L = 1 and the
+    # self-term iteration of slice 1 diverges
+    model, _ = load_preset("insurance")
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 6), L=1)
+    with pytest.raises(NumericalError, match=r"= 2 with L = 1 .* L = 3"):
+        solver.march()
+    v, _ = FiniteHorizonSolver(model, grid=build_grid(3, 6), L=3).march()
+    assert np.isfinite(v).all()
+
+
+def test_solve_reports_the_certificate_run():
+    model, _ = load_preset("reliability")
+    surf = FiniteHorizonSolver(model, grid=build_grid(3, 20), L=80,
+                               tol=1e-4).solve()
+    cert = FiniteHorizonSolver(model, grid=build_grid(3, 16), L=60,
+                               tol=1e-4)
+    ref = cert.iterate()
+    for key in ("iterations", "deltas", "uniform_error_bound"):
+        assert surf.meta[key] == ref.meta[key]
+    assert surf.meta["uniform_error_bound"] == \
+        uniform_error_bound(model, ref.meta["iterations"])
+    assert surf.meta["converged"]
+    assert surf.meta["picard_max"] >= 1
+    coarse = cert.march()[0]
+    assert surf.meta["march_gap"] == np.max(np.abs(coarse - ref.values))
+    assert 0.0 < surf.meta["march_gap"] <= 1e-3
+    assert surf.meta["certificate_converged"]
+    # the Richardson check reuses the certificate problem's march
+    assert surf.meta["richardson_delta"] == \
+        richardson_check(model, grid=build_grid(3, 16), L=60)
+    assert surf.meta["richardson_delta"] == \
+        richardson_check(model, grid=build_grid(3, 16), L=60, coarse=coarse)
+
+
+def test_solve_long_horizon_certificate_keeps_self_term_small():
+    # T lam_bar = 120: at 60 knots the certificate's self-term modulus
+    # dt lam_bar / 2 would be 1 and its march would not settle
+    model, _ = load_preset("insurance")
+    model = dataclasses.replace(model, horizon=24.0)
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 4), L=300)
+    cert = solver._certificate()
+    assert cert.L == 240 and cert.grid is solver.grid
+    surf = solver.solve()
+    assert np.isfinite(surf.values).all()
+    assert surf.meta["converged"] and surf.meta["certificate_converged"]
+    assert surf.meta["march_gap"] <= 10.0 * solver.tol
+    assert np.isfinite(surf.meta["uniform_error_bound"])
+    assert np.isfinite(surf.meta["richardson_delta"])
+    # a caller's coarser time grid is certified as it is
+    assert FiniteHorizonSolver(model, grid=build_grid(3, 4),
+                               L=100)._certificate().L == 100
+
+
+def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
+    # value iteration stops at m_max: its flag is reported on its own, and
+    # the march is still checked to lie above the last iterate
+    model, _ = load_preset("reliability")
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 8), L=40,
+                                 m_max=3)
+    surf = solver.solve()
+    ref = solver.iterate()
+    assert not ref.meta["converged"] and ref.meta["iterations"] == 3
+    assert surf.meta["converged"] and not surf.meta["certificate_converged"]
+    assert surf.meta["iterations"] == 3
+    assert surf.meta["uniform_error_bound"] == uniform_error_bound(model, 3)
+    assert surf.meta["march_gap"] > 10.0 * solver.tol
+    march = FiniteHorizonSolver.march
+    monkeypatch.setattr(FiniteHorizonSolver, "march",
+                        lambda self: (lambda v, k: (v - 1e-2, k))(
+                            *march(self)))
+    with pytest.raises(NumericalError, match="certificate problem"):
+        solver.solve()
 
 
 # -- mark-expectation operator ----------------------------------------------
@@ -715,5 +823,5 @@ def test_rho_monotonicity():
 
 def test_richardson_check_small_for_regime():
     model, _ = load_preset("regime")
-    delta = richardson_check(model, grid=build_grid(2, 16), L=50, tol=1e-4)
+    delta = richardson_check(model, grid=build_grid(2, 16), L=50)
     assert 0.0 <= delta < 5e-3
