@@ -14,9 +14,8 @@ from .filter import (ArrivalEvent, BeliefTrajectory, filter_path, flow,
 from .grid import SimplexGrid, build_grid
 from .valueiter import (FiniteHorizonSolver, StationaryValue, ValueSurface,
                         apply_J, apply_J0, err_infinity, horizon_error,
-                        mark_operator, richardson_check, solve_finite,
-                        solve_infinite, truncated_rule_slack,
-                        uniform_error_bound)
+                        richardson_check, solve_finite, solve_infinite,
+                        truncated_rule_slack, uniform_error_bound)
 from .policy import (Recommendation, StoppingRegion, boundary_curve,
                      continuation_interval, corner_diagnostics,
                      deterministic_stop_time, extract_regions, ila_boundary,

@@ -31,8 +31,61 @@ def survival_weights(model, t, pi):
     if t < 0:
         raise FilterError(f"survival_weights: negative duration {t}")
     pi = check_belief(pi, model.n)
-    m = pi @ expm(t * model.flow_generator())
-    return np.clip(m, 0.0, None)
+    return flow_path(model, pi, t, 1)[0][1, 0]
+
+
+# survival mass below which the raw weights near the subnormal range: the
+# beliefs there are stepped renormalized instead of read off M
+_LOW_MASS = 1e-250
+
+
+def flow_path(model, beliefs, h, n):
+    """The no-arrival flow of every belief at u_j = j h, j = 0..n.
+
+    Returns the survival weights M, shape (n+1, B, n), stepped by one
+    P = exp(h (Q - Lambda)) and clipped at 0 every step, the beliefs X,
+    and the survival mass sv = sum M, shape (n+1, B).  X is M / sv; where
+    sv is near underflow, X is instead the previous belief stepped by P and
+    renormalized, so X is the flowed belief however small M gets.
+    """
+    beliefs = np.atleast_2d(beliefs)
+    M = np.empty((n + 1,) + beliefs.shape)
+    M[0] = beliefs
+    P = expm(h * model.flow_generator()) if n else None
+    # clip at 0 with np.maximum: np.clip's per-call overhead is most of a
+    # step for the single-belief paths of the pointwise operators
+    for j in range(n):
+        np.matmul(M[j], P, out=M[j + 1])
+        np.maximum(M[j + 1], 0.0, out=M[j + 1])
+    sv = M.sum(axis=2)
+    low = sv < _LOW_MASS
+    X = np.divide(M, sv[..., None], out=np.empty_like(M),
+                  where=~low[..., None])
+    for j in np.flatnonzero(low.any(axis=1)):      # j >= 1: sv[0] = 1
+        x = np.maximum(X[j - 1, low[j]] @ P, 0.0)
+        X[j, low[j]] = x / x.sum(axis=1, keepdims=True)
+    return M, X, sv
+
+
+def post_jump(model, X, M):
+    """Beliefs and weights after an arrival with each mark r.
+
+    For beliefs X (..., n) with survival weights M, Z[..., r, :] is the
+    Bayes update X * lambda * f_r / sum, and omega[..., r] = M . (lambda
+    w_r) the rate of arriving with mark r.  A mark impossible at X keeps
+    Z = X and gets omega = 0.
+    """
+    marks = model.marks
+    Z = X[..., None, :] * (model.lam[:, None] * marks.density).T
+    zs = Z.sum(axis=-1, keepdims=True)
+    dead = zs <= 0.0
+    if dead.any():
+        Z = np.where(dead, X[..., None, :], Z)
+        zs = Z.sum(axis=-1, keepdims=True)
+    Z /= zs
+    omega = M @ (model.lam[:, None] * marks.weights)
+    omega[dead[..., 0]] = 0.0
+    return Z, omega
 
 
 def flow(model, t, pi):

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 class ModelError(ValueError):
@@ -52,24 +52,43 @@ class MarkModel:
     def n_marks(self):
         return self.support.size
 
-    def density_at(self, y):
-        """Per-state density column for an observed mark value ``y``.
+    def mark_index(self, y):
+        """Index of the support point nearest each mark in y.  A discrete
+        mark must sit on the support (ValueError otherwise); a gamma mark
+        falls in the cell of its nearest quadrature node."""
+        y = np.asarray(y, dtype=float)
+        r = np.argmin(np.abs(y[..., None] - self.support), axis=-1)
+        off = np.abs(self.support[r] - y) > 1e-9 * (1.0 + np.abs(y))
+        if self.kind == "discrete" and off.any():
+            raise ValueError(f"mark {float(y[off].flat[0])!r} not in the "
+                             "model's support")
+        return r
 
-        For discrete marks ``y`` must be (close to) a support point; for the
+    def density_at(self, y):
+        """Per-state density of every observed mark in y, shape
+        y.shape + (n,).
+
+        Discrete marks are looked up on the support (mark_index); for the
         gamma case the exact per-state pdf is evaluated.  Only the ratio
         across states is meaningful.
         """
+        y = np.asarray(y, dtype=float)
         if self.kind == "gamma":
-            return np.array([
-                stats.gamma.pdf(y, a, scale=1.0 / b)
-                for a, b in zip(self.gamma_shape, self.gamma_rate)
-            ])
+            return gamma_pdf(y[..., None], self.gamma_shape, self.gamma_rate)
         if self.kind == "none":
-            return np.ones(self.weights.shape[0])
-        r = int(np.argmin(np.abs(self.support - y)))
-        if abs(self.support[r] - y) > 1e-9 * (1.0 + abs(y)):
-            raise ValueError(f"mark {y!r} not in the model's support")
-        return self.density[:, r].copy()
+            return np.ones(y.shape + (self.weights.shape[0],))
+        return self.density.T[self.mark_index(y)]
+
+
+def gamma_pdf(y, shape, rate):
+    """Gamma(shape, rate) density at y (0 for y < 0), computed on
+    scipy.special with the arithmetic of scipy's stats.gamma.pdf, which
+    costs about 0.6 s to import."""
+    scale = 1.0 / rate
+    x = y / scale
+    pdf = np.exp(special.xlogy(shape - 1.0, x) - x
+                 - special.gammaln(shape)) / scale
+    return np.where(x >= 0, pdf, 0.0)
 
 
 def no_marks(n):
@@ -99,15 +118,12 @@ def gamma_marks(shape, rate, n_quad=40, q_hi=0.9999):
     """
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
-    y_max = max(
-        stats.gamma.ppf(q_hi, a, scale=1.0 / b) for a, b in zip(shape, rate)
-    )
+    # the q_hi quantile, as scipy's stats.gamma.ppf computes it
+    y_max = np.max(special.gammaincinv(shape, q_hi) * (1.0 / rate))
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 0.5 * y_max * (x + 1.0)
     wts = 0.5 * y_max * w
-    dens = np.stack([
-        stats.gamma.pdf(nodes, a, scale=1.0 / b) for a, b in zip(shape, rate)
-    ])
+    dens = gamma_pdf(nodes, shape[:, None], rate[:, None])
     weights = dens * wts
     row_sums = weights.sum(axis=1, keepdims=True)
     weights = weights / row_sums

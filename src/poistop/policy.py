@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
+from .filter import flow_path
 from .model import (action_values, best_action_nodes, check_belief,
                     net_return_rate, terminal_reward, terminal_reward_nodes)
 from .valueiter import _format_nodes, apply_J0
@@ -163,28 +163,13 @@ def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
     pi = check_belief(pi, model.n)
-    dt = surface.dt if surface.L else s
-    times = [t for t in surface.knots if t <= s + 1e-12]
-    if not times or abs(times[-1] - s) > 1e-12:
-        times.append(float(s))
-    P = expm(dt * model.flow_generator()) if dt else None
-    x = pi
-    prev_t = 0.0
-    for t in times:
-        if t > prev_t:
-            step = t - prev_t
-            if abs(step - dt) < 1e-12:
-                m = np.clip(x @ P, 0.0, None)
-            else:
-                m = np.clip(x @ expm(step * model.flow_generator()), 0.0,
-                            None)
-            x = m / m.sum()
-            prev_t = t
-        v = surface.value_at(s - t, x)
-        h, _ = terminal_reward(model, x)
-        if v - eps <= h:
-            return float(t)
-    return float(s)
+    t = surface.knots[surface.knots <= s + 1e-12]
+    if not t.size:                    # s < 0: no time left to wait
+        return float(s)
+    X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
+    stop = surface.value_at_batch(s - t, X) - eps \
+        <= terminal_reward_nodes(model, X)
+    return float(t[stop][0]) if stop.any() else float(s)
 
 
 # ---------------------------------------------------------------------------

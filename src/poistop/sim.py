@@ -14,7 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import expm
 
 from .filter import ArrivalEvent, FlowPropagator
@@ -119,31 +118,10 @@ class EvalReport:
         }
 
 
-def _mark_densities(model, marks_flat):
-    """Per-state density columns for a flat array of observed marks."""
-    n = model.n
-    mm = model.marks
-    if mm.kind == "none" or marks_flat.size == 0:
-        return np.ones((marks_flat.size, n))
-    if mm.kind == "discrete":
-        idx = np.argmin(
-            np.abs(marks_flat[:, None] - mm.support[None, :]), axis=1
-        )
-        return mm.density[:, idx].T
-    dens = np.stack([
-        stats.gamma.pdf(marks_flat, a, scale=1.0 / b)
-        for a, b in zip(mm.gamma_shape, mm.gamma_rate)
-    ])
-    return dens.T
-
-
 def _mark_costs(model, marks_flat):
-    if model.K is None or marks_flat.size == 0:
+    if model.K is None:
         return np.zeros(marks_flat.size)
-    idx = np.argmin(
-        np.abs(marks_flat[:, None] - model.marks.support[None, :]), axis=1
-    )
-    return np.asarray(model.K)[idx]
+    return np.asarray(model.K)[model.marks.mark_index(marks_flat)]
 
 
 def evaluate_policy(model, surface, eps, initial, n_paths, seed):
@@ -176,7 +154,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
             hid_t[i, j] = t
             hid_s[i, j] = st
     flat_marks = arr_y[arr_t[:, :kmax] < np.inf]
-    dens_flat = _mark_densities(model, flat_marks)
+    dens_flat = model.marks.density_at(flat_marks)
     arr_dens = np.ones((P, kmax, n))
     arr_dens[arr_t[:, :kmax] < np.inf] = dens_flat
 

@@ -12,10 +12,12 @@ Iterating v_0 = H, v_{m+1} = J0 v_m yields a nondecreasing sequence that
 converges uniformly to the value function, with a closed-form error bound.
 
 Discretization: uniform time knots shared by the s-grid, the t-sup and the
-inner u-integral (composite trapezoid); the survival weights m(u, .) are
-stepped with exp(dt (Q - Lambda)); beliefs live on a SimplexGrid with
-barycentric-linear interpolation.  For cost_mode="discrete" the running
-term C is replaced by sum_i m_i lambda_i (nu_i K).
+inner u-integral (composite trapezoid); the survival weights m(u, .) and
+the flowed beliefs come from filter.flow_path, stepped with exp(dt (Q -
+Lambda)), and the post-jump beliefs and weights from filter.post_jump;
+beliefs live on a SimplexGrid with barycentric-linear interpolation.  For
+cost_mode="discrete" the running term C is replaced by
+sum_i m_i lambda_i (nu_i K).
 
 The discretized J0 is causal in time-to-maturity: slice ell reads slices
 ell - j, j >= 1, and itself only through the trapezoid's half-weight
@@ -38,9 +40,9 @@ from math import ceil, sqrt
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm
 
 from . import model as model_mod
+from .filter import flow_path, post_jump
 from .grid import SimplexGrid, build_grid
 from .model import check_belief, terminal_reward, terminal_reward_nodes
 
@@ -176,20 +178,10 @@ class _Workspace:
         n, N = model.n, grid.n_nodes
         L = len(knots) - 1
         self.L, self.dt = L, float(knots[1] - knots[0]) if L else 0.0
-        lam = model.lam
-        marks = model.marks
-        Rm = marks.n_marks
+        Rm = model.marks.n_marks
 
         # survival-weight paths m(u_j, node) for every node, stepped once
-        M = np.empty((L + 1, N, n))
-        M[0] = grid.nodes
-        if L:
-            P = expm(self.dt * model.flow_generator())
-            for j in range(L):
-                M[j + 1] = M[j] @ P
-            np.clip(M, 0.0, None, out=M)
-        sv = M.sum(axis=2)
-        X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
+        M, X, sv = flow_path(model, grid.nodes, self.dt, L)
         self.sv = sv
 
         self.Hnodes = terminal_reward_nodes(model, grid.nodes)
@@ -204,23 +196,13 @@ class _Workspace:
         #     sum_i m_i(u_j, node) lambda_i S_i w(node-flow at u_j)
         # built straight into CSR: row i sums its Rm * n (mark, vertex)
         # entries; the copy drops the buffers that pruning leaves behind
-        lam_w = lam[:, None] * marks.weights           # (n, Rm)
-        lam_d = lam[:, None] * marks.density           # (n, Rm)
         indptr = np.arange(N + 1) * (Rm * n)
         self.G = []
         for j in range(L + 1):
-            Z = (X[j][:, None, :] * lam_d.T[None, :, :]).reshape(N * Rm, n)
-            zs = Z.sum(axis=1, keepdims=True)
-            dead = zs[:, 0] <= 0.0
-            if dead.any():
-                Z[dead] = np.repeat(X[j], Rm, axis=0)[dead]
-                zs = Z.sum(axis=1, keepdims=True)
-            Z /= zs
-            idx, w = grid.barycentric(Z)
-            omega = (M[j] @ lam_w).ravel()
-            omega[dead] = 0.0
-            G = sparse.csr_matrix(((w * omega[:, None]).ravel(), idx.ravel(),
-                                   indptr), shape=(N, N))
+            Z, omega = post_jump(model, X[j], M[j])
+            idx, w = grid.barycentric(Z.reshape(N * Rm, n))
+            G = sparse.csr_matrix(((w * omega.reshape(-1, 1)).ravel(),
+                                   idx.ravel(), indptr), shape=(N, N))
             G.sum_duplicates()
             G.eliminate_zeros()
             self.G.append(G.copy())
@@ -441,21 +423,6 @@ def richardson_check(model, grid=None, L=None, R=24, coarse=None):
 # pointwise operators for arbitrary beliefs
 # ---------------------------------------------------------------------------
 
-def mark_operator(model, grid, w_slice, i, pi):
-    """S_i w(pi): expectation of w after a jump, under state i's mark law."""
-    from .filter import jump_update
-    pi = check_belief(pi, model.n)
-    marks = model.marks
-    total = 0.0
-    for r in range(marks.n_marks):
-        dens = marks.density[:, r]
-        wgt = model.lam * dens * pi
-        s = wgt.sum()
-        z = pi if s <= 0 else wgt / s
-        total += marks.weights[i, r] * grid.interpolate(w_slice, z)
-    return total
-
-
 def _j_path(model, surface, s, pi, h, n):
     """Jw(k h, s, pi) for k = 0..n from one no-arrival flow path of step h.
 
@@ -463,22 +430,12 @@ def _j_path(model, surface, s, pi, h, n):
     J(k h) is its head term plus a cumulative trapezoid of the same phi.  All
     post-jump beliefs (u_j, mark r) are interpolated in one batched lookup.
     """
-    P = expm(h * model.flow_generator())
-    M = np.empty((n + 1, model.n))
-    M[0] = pi
-    for j in range(n):
-        M[j + 1] = np.clip(M[j] @ P, 0.0, None)
-    sv = M.sum(axis=1)
-    X = M / sv[:, None]
+    M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n))
     u = h * np.arange(n + 1)
-    Z = X[:, None, :] * (model.lam[:, None] * model.marks.density).T
-    zs = Z.sum(axis=2)
-    live = zs > 0
-    w = np.zeros(zs.shape)
-    w[live] = surface.value_at_batch(np.broadcast_to(s - u[:, None],
-                                                     zs.shape)[live],
-                                     Z[live] / zs[live][:, None])
-    omega = M @ (model.lam[:, None] * model.marks.weights)
+    Z, omega = post_jump(model, X, M)
+    Rm = model.marks.n_marks
+    w = surface.value_at_batch(np.repeat(s - u, Rm),
+                               Z.reshape(-1, model.n)).reshape(-1, Rm)
     disc = np.exp(-model.rho * u)
     phi = disc * (M @ model.effective_cost_rates()
                   + np.sum(omega * w, axis=1))

@@ -38,6 +38,15 @@ def test_console_script_installed():
     assert "regime" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, poistop.cli; "
+         "print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 # -- solve ------------------------------------------------------------------
 
 def test_solve_regime_artifacts(out):

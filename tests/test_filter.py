@@ -19,8 +19,12 @@ from poistop.filter import (
     events_from_csv,
     events_to_csv,
     flow_derivative,
+    flow_path,
+    post_jump,
 )
+from poistop.grid import build_grid
 from poistop.model import discrete_marks
+from poistop.presets import load_preset
 
 
 def absorbing_two_state(lam=(1.0, 2.0), **kw):
@@ -120,6 +124,36 @@ def test_flow_derivative_matches_finite_difference():
         assert np.max(np.abs(fd - flow_derivative(m, pi))) < 1e-4
 
 
+def test_flow_path_matches_flow():
+    m = ergodic_three_state()
+    beliefs = np.array([[1.0, 0.0, 0.0], [0.2, 0.5, 0.3], [0.0, 0.1, 0.9]])
+    h, n = 0.05, 40
+    M, X, sv = flow_path(m, beliefs, h, n)
+    assert M.shape == X.shape == (n + 1, 3, 3)
+    assert np.array_equal(sv, M.sum(axis=2))
+    for j in (0, 1, 7, n):
+        for b, pi in enumerate(beliefs):
+            assert np.max(np.abs(X[j, b] - flow(m, j * h, pi))) < 1e-12
+            assert np.max(np.abs(M[j, b]
+                                 - survival_weights(m, j * h, pi))) < 1e-12
+
+
+def test_flow_path_tracks_the_flow_where_mass_underflows():
+    # exp(-800 t) underflows past t = 0.93
+    m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                   mu=[[1.0, 0.0]], horizon=1.0)
+    start = np.array([[0.5, 0.5], [0.0, 1.0]])
+    h = 1.0 / 600
+    M, X, sv = flow_path(m, start, h, 600)
+    dead = sv == 0.0
+    assert dead[-1].all() and not dead[500].any()
+    for j in (500, 560, 580, 600):
+        for b, pi in enumerate(start):
+            assert np.max(np.abs(X[j, b] - flow(m, j * h, pi))) < 1e-12
+    Z, omega = post_jump(m, X, M)
+    assert np.all(np.isfinite(Z)) and np.all(omega[dead] == 0.0)
+
+
 # -- jump update ------------------------------------------------------------
 
 def test_jump_identity_when_likelihoods_equal():
@@ -148,6 +182,62 @@ def test_jump_impossible_mark_rejected():
     )
     with pytest.raises(FilterError):
         jump_update(m, [0.5, 0.5], 2.0)
+
+
+# -- post-jump beliefs and weights ------------------------------------------
+
+def test_post_jump_constant():
+    # with the weights of corner i, the jump rates sum to lambda_i, and a
+    # constant surface stays constant after the jump
+    model, _ = load_preset("techadopt")
+    grid = build_grid(3, 20)
+    ones = np.ones(grid.n_nodes)
+    X = np.tile([0.3, 0.3, 0.4], (3, 1))
+    Z, omega = post_jump(model, X, np.eye(3))
+    for i in range(3):
+        total = sum(omega[i, r] * grid.interpolate(ones, Z[i, r])
+                    for r in range(model.marks.n_marks))
+        assert total == pytest.approx(model.lam[i], abs=1e-12)
+
+
+def test_post_jump_identity_when_uninformative():
+    m = make_model(
+        n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[2.0, 2.0],
+        marks=discrete_marks([1.0, 2.0], [[0.4, 0.6], [0.4, 0.6]]),
+        mu=[[1.0, 0.0]], horizon=1.0,
+    )
+    pi = np.array([0.35, 0.65])
+    Z, omega = post_jump(m, pi, pi)
+    assert np.allclose(Z, pi, atol=1e-15)
+    assert np.allclose(omega, [0.8, 1.2], atol=1e-15)
+
+
+def test_post_jump_direct_two_term_sum():
+    # state Low of the adoption model: weights (0.2, 0.8) over two marks
+    model, _ = load_preset("techadopt")
+    grid = build_grid(3, 30)
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=grid.n_nodes)
+    pi = np.array([0.5, 0.3, 0.2])
+    total = 0.0
+    for r, wr in enumerate([0.2, 0.8]):
+        w = pi * model.lam * model.marks.density[:, r]
+        total += wr * grid.interpolate(vals, w / w.sum())
+    Z, omega = post_jump(model, pi, np.array([1.0, 0.0, 0.0]))
+    got = sum(omega[r] * grid.interpolate(vals, Z[r]) for r in range(2))
+    assert got == pytest.approx(model.lam[0] * total, abs=1e-12)
+
+
+def test_post_jump_impossible_mark_keeps_belief():
+    m = make_model(
+        n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
+        marks=discrete_marks([1.0, 2.0], [[1.0, 0.0], [1.0, 0.0]]),
+        mu=[[1.0, 0.0]], horizon=1.0,
+    )
+    pi = np.array([0.25, 0.75])
+    Z, omega = post_jump(m, pi, pi)
+    assert np.array_equal(Z[1], pi) and omega[1] == 0.0
+    assert np.allclose(Z[0], jump_update(m, pi, 1.0), atol=1e-15)
 
 
 # -- filter along a path ----------------------------------------------------

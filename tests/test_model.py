@@ -17,6 +17,7 @@ from poistop.model import (
     check_belief,
     discrete_marks,
     gamma_marks,
+    gamma_pdf,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -118,6 +119,39 @@ def test_gamma_density_at_is_exact_pdf():
     y = 1.7
     assert m.density_at(y)[0] == pytest.approx(
         stats.gamma.pdf(y, 3.0, scale=0.5))
+
+
+def test_density_at_takes_arrays_of_marks():
+    m = discrete_marks([1.0, 2.0], [[0.2, 0.8], [0.5, 0.5]])
+    assert np.array_equal(m.density_at([2.0, 1.0, 2.0]),
+                          [[0.8, 0.5], [0.2, 0.5], [0.8, 0.5]])
+    assert m.density_at(np.zeros((0,))).shape == (0, 2)
+    with pytest.raises(ValueError, match="1.5"):
+        m.density_at([1.0, 1.5])
+    assert no_marks(3).density_at([0.0, 0.0]).shape == (2, 3)
+    g = gamma_marks([3.0, 4.0], [2.0, 1.0])
+    ys = np.array([0.3, 1.7, 4.0])
+    dens = g.density_at(ys)
+    assert dens.shape == (3, 2)
+    assert np.array_equal(dens[1], g.density_at(1.7))
+    # a gamma mark falls in the cell of its nearest quadrature node
+    assert np.array_equal(g.mark_index(g.support + 1e-3),
+                          np.arange(g.n_marks))
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 2.0), (0.7, 1.3), (25.0, 0.4)])
+def test_gamma_pdf_and_support_match_scipy_stats(a, b):
+    from scipy import stats
+    law = stats.gamma(a, scale=1.0 / b)
+    y = np.linspace(0.0, law.ppf(0.9999) * 1.5, 1001)[1:]
+    want = law.pdf(y)
+    assert np.all(np.abs(gamma_pdf(y, a, b) - want) <= 4e-16 * want)
+    assert gamma_pdf(-1.0, a, b) == 0.0
+    # the quadrature spans [0, the 0.9999 quantile]
+    x, _ = np.polynomial.legendre.leggauss(40)
+    nodes = 0.5 * law.ppf(0.9999) * (x + 1.0)
+    assert np.allclose(gamma_marks([a], [b]).support, nodes, rtol=4e-16,
+                       atol=0.0)
 
 
 # -- reward primitives ------------------------------------------------------

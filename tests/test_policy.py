@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from poistop import (
     boundary_curve,
@@ -19,6 +20,7 @@ from poistop import (
     solve_finite,
     solve_infinite,
     two_hypothesis_diagnostics,
+    ValueSurface,
 )
 from poistop.model import terminal_reward, terminal_reward_nodes
 from poistop.policy import CONTINUE, boundary_curve_to_csv
@@ -233,6 +235,89 @@ def test_stop_time_early_crossing(regime):
     model, surf = regime
     t = deterministic_stop_time(model, surf, 0.10, [0.74, 0.26], 1e-4)
     assert 0.0 < t <= 0.02
+
+
+def reference_stop_time(model, surface, s, pi, eps):
+    """Slow oracle: the knot-by-knot loop, renormalizing the belief after
+    every step, with its own exp for a step off the time step."""
+    dt = surface.dt if surface.L else s
+    times = [t for t in surface.knots if t <= s + 1e-12]
+    if not times or abs(times[-1] - s) > 1e-12:
+        times.append(float(s))
+    P = expm(dt * model.flow_generator()) if dt else None
+    x = np.asarray(pi, dtype=float)
+    prev_t = 0.0
+    for t in times:
+        if t > prev_t:
+            step = t - prev_t
+            if abs(step - dt) < 1e-12:
+                m = np.clip(x @ P, 0.0, None)
+            else:
+                m = np.clip(x @ expm(step * model.flow_generator()), 0.0,
+                            None)
+            x = m / m.sum()
+            prev_t = t
+        v = surface.value_at(s - t, x)
+        h, _ = terminal_reward(model, x)
+        if v - eps <= h:
+            return float(t)
+    return float(s)
+
+
+@pytest.fixture(scope="module")
+def techadopt():
+    model, _ = load_preset("techadopt")
+    return model, solve_finite(model, grid=build_grid(3, 10))
+
+
+@pytest.mark.parametrize("case", ["regime", "techadopt"])
+def test_stop_time_matches_reference(case, regime, techadopt):
+    model, surf = regime if case == "regime" else techadopt
+    rng = np.random.default_rng(11)
+    starts = rng.dirichlet(np.ones(model.n), size=6)
+    T, dt = model.horizon, surf.dt
+    # a knot, an off-knot s, s below one step and the full horizon
+    horizons = (0.5 * T, 0.37 * T + dt / 3, 0.4 * dt, T)
+    got = []
+    for pi in starts:
+        for s in horizons:
+            for eps in (1e-4, 1e-3, 1e-2):
+                t = deterministic_stop_time(model, surf, s, pi, eps)
+                assert t == reference_stop_time(model, surf, s, pi, eps)
+                got.append(0.0 < t < s)
+    assert any(got)          # some starts cross after a positive wait
+
+
+def test_stop_time_matches_reference_on_one_knot_surface():
+    model, _ = load_preset("regime")
+    surf = solve_finite(dataclasses.replace(model, horizon=0.0), R=20)
+    assert surf.L == 0
+    for pi in ([0.5, 0.5], [0.9, 0.1], [0.1, 0.9]):
+        for s in (0.0, 0.3):
+            t = deterministic_stop_time(model, surf, s, pi, 1e-3)
+            assert t == reference_stop_time(model, surf, s, pi, 1e-3)
+
+
+def test_stop_time_matches_reference_where_mass_underflows():
+    # exp(-800 t) underflows past t = 0.93; the flow settles near
+    # x = (0.995, 0.005), and the surface's continuation premium tau * x_2
+    # falls below eps only late, so the stop is decided on flowed beliefs
+    # whose survival weights are 0
+    model = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]],
+                       lam=[800.0, 1000.0], c=[0.5, -0.5],
+                       mu=[[1.0, 0.0], [0.0, 1.0]], horizon=1.0)
+    grid = build_grid(2, 4)
+    knots = np.linspace(0.0, 1.0, 601)
+    values = (terminal_reward_nodes(model, grid.nodes)[None, :]
+              + knots[:, None] * grid.nodes[None, :, 1])
+    surf = ValueSurface(model=model, grid=grid, knots=knots, values=values,
+                        meta={})
+    for pi in ([0.5, 0.5], [0.1, 0.9], [0.9, 0.1]):
+        for s in (1.0, 1.0 - surf.dt / 2):
+            for eps in (1e-4, 2.5e-4):
+                t = deterministic_stop_time(model, surf, s, pi, eps)
+                assert t == reference_stop_time(model, surf, s, pi, eps)
+                assert 0.93 < t < s
 
 
 # -- look-ahead boundary ----------------------------------------------------

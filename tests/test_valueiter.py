@@ -20,15 +20,14 @@ from poistop import (
     horizon_error,
     load_preset,
     make_model,
-    mark_operator,
     richardson_check,
     solve_finite,
     solve_infinite,
     truncated_rule_slack,
     uniform_error_bound,
 )
-from poistop.model import (best_action_nodes, discrete_marks,
-                           terminal_reward, terminal_reward_nodes)
+from poistop.model import (best_action_nodes, terminal_reward,
+                           terminal_reward_nodes)
 from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
 
@@ -470,47 +469,6 @@ def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
         solver.solve()
 
 
-# -- mark-expectation operator ----------------------------------------------
-
-def test_mark_operator_constant():
-    model, _ = load_preset("techadopt")
-    grid = build_grid(3, 20)
-    ones = np.ones(grid.n_nodes)
-    pi = np.array([0.3, 0.3, 0.4])
-    for i in range(3):
-        assert mark_operator(model, grid, ones, i, pi) == pytest.approx(
-            1.0, abs=1e-12)
-
-
-def test_mark_operator_identity_when_uninformative():
-    m = make_model(
-        n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[2.0, 2.0],
-        marks=discrete_marks([1.0, 2.0], [[0.4, 0.6], [0.4, 0.6]]),
-        mu=[[1.0, 0.0]], horizon=1.0,
-    )
-    grid = build_grid(2, 50)
-    vals = grid.nodes[:, 0] ** 2 + 0.1
-    pi = np.array([0.35, 0.65])
-    want = grid.interpolate(vals, pi)
-    assert mark_operator(m, grid, vals, 0, pi) == pytest.approx(
-        want, abs=1e-12)
-
-
-def test_mark_operator_direct_two_term_sum():
-    # state Low of the adoption model: weights (0.2, 0.8) over two marks
-    model, _ = load_preset("techadopt")
-    grid = build_grid(3, 30)
-    rng = np.random.default_rng(4)
-    vals = rng.normal(size=grid.n_nodes)
-    pi = np.array([0.5, 0.3, 0.2])
-    total = 0.0
-    for r, wr in enumerate([0.2, 0.8]):
-        w = pi * model.lam * model.marks.density[:, r]
-        total += wr * grid.interpolate(vals, w / w.sum())
-    assert mark_operator(model, grid, vals, 0, pi) == pytest.approx(
-        total, abs=1e-12)
-
-
 # -- pointwise J and J0 -----------------------------------------------------
 
 def test_apply_J_zero_time_is_H(regime_surface):
@@ -563,6 +521,39 @@ def test_apply_J0_dominates_apply_J(regime_surface):
     v0, _ = apply_J0(model, surf, s, pi)
     for t in (0.0, 0.25, 0.5, 1.0):
         assert v0 >= apply_J(model, surf, t, s, pi) - 1e-12
+
+
+# -- survival mass that underflows to 0 --------------------------------------
+
+def underflow_model():
+    # exp(-800 t) underflows past t = 0.93, well inside the horizon
+    return make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                      c=[0.5, -0.5], mu=[[1.0, 0.0], [0.0, 1.0]], horizon=1.0)
+
+
+def test_workspace_with_underflowing_survival_mass():
+    # the workspace only: a full solve at L = 600 is unstable
+    # (dt lam_bar = 1.67); the default L for this model is 20,000
+    solver = FiniteHorizonSolver(underflow_model(), grid=build_grid(2, 4),
+                                 L=600)
+    ws = solver.ws
+    assert np.any(ws.sv == 0.0)
+    assert np.all(np.isfinite(ws.Aterm))
+    assert all(np.all(np.isfinite(G.data)) for G in ws.G)
+    assert ws.G[-1].nnz == 0
+
+
+def test_pointwise_J_with_underflowing_survival_mass():
+    # H(0.5, 0.5) = 0.5, and waiting is worth at most about
+    # |c| / lam_min = 6e-4: stopping now is optimal
+    model = underflow_model()
+    grid = build_grid(2, 4)
+    surf = ValueSurface(model=model, grid=grid,
+                        knots=np.linspace(0.0, 1.0, 601),
+                        values=np.zeros((601, grid.n_nodes)), meta={})
+    assert np.isfinite(apply_J(model, surf, 1.0, 1.0, [0.5, 0.5]))
+    v, t = apply_J0(model, surf, 1.0, [0.5, 0.5])
+    assert (v, t) == (0.5, 0.0)
 
 
 # -- pointwise J against the per-point reference loop ------------------------
