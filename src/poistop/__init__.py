@@ -21,5 +21,5 @@ from .policy import (Recommendation, StoppingRegion, boundary_curve,
                      deterministic_stop_time, extract_regions, ila_boundary,
                      recommend, two_hypothesis_diagnostics)
 from .sim import (EvalReport, PathSample, evaluate_policy, oracle_filter,
-                  oracle_value, simulate_path)
+                  oracle_value, simulate_path, simulate_paths)
 from .presets import load_preset, preset_names

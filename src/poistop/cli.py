@@ -264,11 +264,11 @@ def cmd_diagnose(args):
 def cmd_simulate(args):
     model, info, out = _resolve(args)
     out.mkdir(parents=True, exist_ok=True)
-    n_paths = args.paths or 3
+    n_paths = 3 if args.paths is None else args.paths
+    batch = sim.simulate_paths(model, info["initial"], model.horizon,
+                               args.seed, np.arange(n_paths))
     for i in range(n_paths):
-        path = sim.simulate_path(model, info["initial"], model.horizon,
-                                 args.seed, i)
-        sim.path_to_csv(path, out / f"path{i}_arrivals.csv",
+        sim.path_to_csv(batch.sample(i), out / f"path{i}_arrivals.csv",
                         out / f"path{i}_hidden.csv")
     write_json(_manifest(args, model, {"n_paths": n_paths}),
                out / "manifest.json")
@@ -286,7 +286,7 @@ def cmd_evaluate(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     eps = args.eps if args.eps is not None else 0.01
-    n_paths = args.paths or 10000
+    n_paths = 10000 if args.paths is None else args.paths
     report = sim.evaluate_policy(model, surface, eps, info["initial"],
                                  n_paths, args.seed)
     d = report.to_dict()
@@ -301,6 +301,20 @@ def cmd_evaluate(args):
 
 
 # ---------------------------------------------------------------------------
+
+def _int_in(lo, hi, label):
+    """argparse type: an integer n with lo <= n < hi (hi None: no cap)."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if n < lo or (hi is not None and n >= hi):
+            raise argparse.ArgumentTypeError(f"{n} is outside {label}")
+        return n
+    return parse
+
 
 def build_parser():
     p = argparse.ArgumentParser(
@@ -320,8 +334,9 @@ def build_parser():
                    help="value-iteration stopping tolerance")
     p.add_argument("--eps", type=float,
                    help="policy slack / region tolerance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int)
+    p.add_argument("--seed", type=_int_in(0, 2 ** 64, "[0, 2**64)"),
+                   default=0)
+    p.add_argument("--paths", type=_int_in(1, None, "[1, inf)"))
     p.add_argument("--out", help="output directory (default runs/<name>)")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model parameter override (rho, horizon, c, lambda)")

@@ -217,7 +217,12 @@ class FlowPropagator:
         durations = np.asarray(durations, dtype=float)
         if self._ok:
             z = beliefs.astype(complex) @ self.vecs
-            z = z * np.exp(np.multiply.outer(durations, self.vals))
+            # shift each row's exponents by the largest real part among the
+            # modes it excites: the factor cancels in the normalization,
+            # and the leading mode no longer underflows on long durations
+            top = np.where(z != 0, self.vals.real, -np.inf).max(axis=1)
+            z = z * np.exp(durations[:, None]
+                           * (self.vals[None, :] - top[:, None]))
             m = np.real(z @ self.vecs_inv)
         else:
             m = np.empty_like(beliefs)

@@ -1,19 +1,25 @@
 """Ground truth: path simulation, Monte Carlo policy evaluation, oracles.
 
-The hidden chain is drawn from exponential holding times; arrivals come
-from thinning a rate-lam_bar Poisson stream with acceptance probability
-lambda_state / lam_bar; marks are drawn from the current state's law.
-Randomness uses the counter-based Philox generator with a per-path
-substream keyed by (seed, path index), so paths are reproducible and
-embarrassingly parallel.
+Paths are simulated in batches, one event of a rate-(q_bar + lam_bar)
+Poisson stream at a time for all of them, with q_bar = max_i |q_ii|.  An
+event is, with probability q_bar / (q_bar + lam_bar), a step of the
+uniformized hidden chain (kernel I + Q / q_bar; a self-loop leaves the
+state as it is), and otherwise an arrival candidate, kept with probability
+lambda_state / lam_bar (thinning), whose mark is drawn from the state's
+law.  Each event reads one Philox4x64-10 block of four uniforms (gap,
+event type, next state or acceptance, mark), and every draw is an
+inverse-CDF transform of one of them.  Path i reads only the blocks of its
+own key (seed, i), so it is the same whichever paths share its batch.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.linalg import expm
 
 from .filter import ArrivalEvent, FlowPropagator
@@ -36,58 +42,241 @@ class PathSample:
         return self.hidden[bisect_right(times, t) - 1][1]
 
 
-def _rng(seed, path_index):
-    return np.random.Generator(np.random.Philox(key=[seed, path_index]))
+# ---------------------------------------------------------------------------
+# counter-based streams: Philox4x64-10 on uint64 arrays
+# ---------------------------------------------------------------------------
+
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_PHILOX_PIECE = 1 << 14
 
 
-def _draw_categorical(rng, p):
-    return int(np.searchsorted(np.cumsum(p), rng.random() * p.sum()))
+def _mulhilo(a, m):
+    """High and low words of the 128-bit product a * m.  The high word is
+    summed from the 32-bit halves, with no partial sum leaving 64 bits."""
+    m0, m1 = m & _LO32, m >> _S32
+    a0 = a & _LO32
+    a1 = a >> _S32
+    t = a0 * m0
+    t >>= _S32
+    t += a1 * m0          # a1 m0 + (a0 m0 >> 32) < 2**64
+    w = t & _LO32
+    t >>= _S32
+    a0 *= m1
+    w += a0               # (t mod 2**32) + a0 m1 < 2**64
+    w >>= _S32
+    a1 *= m1
+    a1 += t
+    a1 += w
+    return a1, a * m
 
 
-def _draw_mark(model, rng, state):
-    marks = model.marks
+def philox_blocks(seed, keys, first, count):
+    """Blocks first .. first + count - 1 of the Philox4x64-10 stream of
+    every key (seed, k), k in keys: an array of shape (4, len(keys), count)
+    of uint64 words.
+
+    Block b of key (seed, k) is words 4b .. 4b + 3 of
+    np.random.Philox(key=[seed, k]).random_raw(), i.e. counter b + 1.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    k1 = np.repeat(keys, count)
+    c0 = np.tile(np.arange(first + 1, first + count + 1, dtype=np.uint64),
+                 keys.size)
+    out = np.empty((4, k1.size), dtype=np.uint64)
+    # in pieces that stay in cache: each round makes a dozen temporaries
+    for lo in range(0, k1.size, _PHILOX_PIECE):
+        part = slice(lo, lo + _PHILOX_PIECE)
+        out[:, part] = _philox(seed, k1[part], c0[part])
+    return out.reshape(4, keys.size, count)
+
+
+def _philox(seed, k1, c0):
+    """The ten rounds on counters (c0, 0, 0, 0) under keys (seed, k1)."""
+    k0 = np.full(1, np.uint64(seed))    # an array: uint64 wraps silently
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _uniform(word):
+    """Doubles in [0, 1) from the top 53 bits, as numpy's Generator.random
+    makes them from the same words."""
+    return (word >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+
+def _cdf(p):
+    """Row-wise CDF of the weights p (clipped at 0), ending at exactly 1."""
+    c = np.cumsum(np.maximum(p, 0.0), axis=-1)
+    c /= c[..., -1:]
+    c[..., -1] = 1.0
+    return c
+
+
+def _categorical(cdf, u):
+    """Inverse-CDF draw for u in [0, 1): the first index whose CDF entry
+    exceeds u, so an index of weight 0 is never drawn."""
+    return np.sum(cdf <= u[..., None], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# path simulation
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """Paths of one seed as the rows of padded arrays.
+
+    Row p is path ``path_indices[p]``.  ``hidden_t[p, j]`` is the time at
+    which the hidden state becomes ``hidden_s[p, j]`` (``hidden_t[p, 0]``
+    is 0); ``arrival_t[p, k]`` and ``arrival_y[p, k]`` are the time and
+    mark of arrival k.  Past a path's last record the times are inf and
+    the states and marks 0, and each time array ends in a column of inf.
+    """
+
+    hidden_t: np.ndarray       # (P, J + 1)
+    hidden_s: np.ndarray       # (P, J)
+    arrival_t: np.ndarray      # (P, K + 1)
+    arrival_y: np.ndarray      # (P, K)
+    t_end: float
+    seed: int
+    path_indices: np.ndarray   # (P,)
+
+    def sample(self, row):
+        """Row ``row`` as a PathSample."""
+        nh = int(np.isfinite(self.hidden_t[row]).sum())
+        na = int(np.isfinite(self.arrival_t[row]).sum())
+        hidden = tuple((float(t), int(s)) for t, s in
+                       zip(self.hidden_t[row, :nh], self.hidden_s[row, :nh]))
+        arrivals = tuple(ArrivalEvent(float(t), float(y)) for t, y in
+                         zip(self.arrival_t[row, :na],
+                             self.arrival_y[row, :na]))
+        return PathSample(hidden=hidden, arrivals=arrivals, t_end=self.t_end,
+                          seed=self.seed,
+                          path_index=int(self.path_indices[row]))
+
+
+def _pad(rows, times, values, P, fill):
+    """Records (rows, times, values), in time order within each row, as
+    (P, width + 1) times padded with inf and (P, width) values padded with
+    ``fill``."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    counts = np.bincount(rows, minlength=P)
+    pos = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    width = int(counts.max(initial=0))
+    t_out = np.full((P, width + 1), np.inf)
+    v_out = np.full((P, width), fill, dtype=values.dtype)
+    t_out[rows, pos] = times[order]
+    v_out[rows, pos] = values[order]
+    return t_out, v_out
+
+
+def _draw_marks(marks, states, u):
+    """Inverse-CDF mark draws, one per (state, uniform) pair."""
     if marks.kind == "none":
-        return 0.0
+        return np.zeros(states.size)
     if marks.kind == "discrete":
-        r = _draw_categorical(rng, marks.weights[state])
-        return float(marks.support[r])
-    return float(rng.gamma(marks.gamma_shape[state],
-                           1.0 / marks.gamma_rate[state]))
+        return marks.support[_categorical(_cdf(marks.weights)[states], u)]
+    return special.gammaincinv(marks.gamma_shape[states], u) \
+        / marks.gamma_rate[states]
+
+
+def simulate_paths(model, initial, t_end, seed, path_indices):
+    """Hidden trajectories and modulated compound-Poisson arrivals of the
+    paths ``path_indices`` of ``seed``, simulated together.
+
+    ``initial`` is a start state or a belief to draw it from (with the
+    first word of block 0).  Events read blocks 1, 2, ... of the path's
+    stream, a chunk of blocks at a time for every path still short of
+    ``t_end``; event times are accumulated in path order, so a path's
+    numbers do not depend on the chunking or on the other paths.
+    Returns a PathBatch.
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    keys = np.asarray(path_indices)
+    if keys.ndim != 1 or (keys.size and (keys.dtype.kind not in "iu"
+                                         or keys.min() < 0)):
+        raise ValueError("path_indices: expected a 1-D sequence of "
+                         "integers in [0, 2**64)")
+    keys = keys.astype(np.uint64)
+    P, n = keys.size, model.n
+    if np.ndim(initial) == 0:
+        s0 = operator.index(initial)
+        if not 0 <= s0 < n:
+            raise ValueError(f"initial state {s0} outside 0..{n - 1}")
+        state = np.full(P, s0, dtype=np.int64)
+    else:
+        cdf0 = _cdf(check_belief(initial, n))
+        state = _categorical(cdf0, _uniform(philox_blocks(seed, keys, 0, 1)
+                                            [0][:, 0]))
+    q_bar = float(np.max(-np.diag(model.Q)))
+    rate = q_bar + model.lam_bar
+    step_cdf = _cdf(np.eye(n) + model.Q / q_bar) if q_bar > 0 else None
+    accept = model.lam / model.lam_bar
+
+    hid = [(np.arange(P), np.zeros(P), state.copy())]
+    arr = [(np.zeros(0, dtype=np.int64), np.zeros(0),
+            np.zeros(0, dtype=np.int64), np.zeros(0))]
+    t = np.zeros(P)
+    live = np.arange(P)
+    first = 1
+    while live.size:
+        # blocks for the expected events left plus one standard deviation
+        left = rate * (t_end - t[live].min())
+        chunk = int(left + np.sqrt(left)) + 1
+        w = philox_blocks(seed, keys[live], first, chunk)
+        gap = -np.log1p(-_uniform(w[0])) / rate
+        times = np.cumsum(np.concatenate([t[live, None], gap], axis=1),
+                          axis=1)[:, 1:]
+        inside = times < t_end
+        step = (_uniform(w[1]) * rate < q_bar) & inside
+        u2 = _uniform(w[2])
+        # hist[:, k]: the state after the first k columns with a chain step
+        cols = np.flatnonzero(step.any(axis=0))
+        hist = np.empty((live.size, cols.size + 1), dtype=np.int64)
+        hist[:, 0] = s = state[live]
+        for k, j in enumerate(cols, 1):
+            s = np.where(step[:, j], _categorical(step_cdf[s], u2[:, j]), s)
+            hist[:, k] = s
+        j = np.arange(chunk)
+        before = hist[:, np.searchsorted(cols, j, side="left")]
+        after = hist[:, np.searchsorted(cols, j, side="right")]
+        r, c = np.nonzero(after != before)
+        hid.append((live[r], times[r, c], after[r, c]))
+        kept = inside & ~step & (u2 < accept[before])
+        r, c = np.nonzero(kept)
+        arr.append((live[r], times[r, c], before[r, c],
+                    _uniform(w[3][r, c])))
+        t[live] = times[:, -1]
+        state[live] = s
+        live = live[inside[:, -1]]
+        first += chunk
+
+    h_rows, h_t, h_s = (np.concatenate(x) for x in zip(*hid))
+    hid_t, hid_s = _pad(h_rows, h_t, h_s, P, 0)
+    a_rows, a_t, a_s, a_u = (np.concatenate(x) for x in zip(*arr))
+    arr_t, arr_y = _pad(a_rows, a_t, _draw_marks(model.marks, a_s, a_u), P,
+                        0.0)
+    return PathBatch(hidden_t=hid_t, hidden_s=hid_s, arrival_t=arr_t,
+                     arrival_y=arr_y, t_end=float(t_end), seed=seed,
+                     path_indices=keys)
 
 
 def simulate_path(model, initial, t_end, seed, path_index=0):
-    """One hidden trajectory plus its modulated compound-Poisson arrivals."""
-    rng = _rng(seed, path_index)
-    if np.ndim(initial) == 0:
-        state = int(initial)
-    else:
-        state = _draw_categorical(rng, check_belief(initial, model.n))
-    hidden = [(0.0, state)]
-    t, cur = 0.0, state
-    while True:
-        rate = -model.Q[cur, cur]
-        if rate <= 0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t >= t_end:
-            break
-        p = np.clip(model.Q[cur], 0.0, None)
-        cur = _draw_categorical(rng, p)
-        hidden.append((t, cur))
-    times = [h[0] for h in hidden]
-    lb = model.lam_bar
-    arrivals = []
-    s = 0.0
-    while True:
-        s += rng.exponential(1.0 / lb)
-        if s > t_end:
-            break
-        st = hidden[bisect_right(times, s) - 1][1]
-        if rng.random() < model.lam[st] / lb:
-            arrivals.append(ArrivalEvent(s, _draw_mark(model, rng, st)))
-    return PathSample(hidden=tuple(hidden), arrivals=tuple(arrivals),
-                      t_end=float(t_end), seed=int(seed),
-                      path_index=int(path_index))
+    """One hidden trajectory plus its modulated compound-Poisson arrivals:
+    the one-path call of simulate_paths."""
+    return simulate_paths(model, initial, t_end, seed, [path_index]).sample(0)
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +323,17 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     if surface.model.n != model.n or surface.model.mu.shape != model.mu.shape:
         raise ValueError("evaluate_policy: surface was solved for a "
                          "different model")
+    if n_paths < 1:
+        raise ValueError(f"evaluate_policy: need n_paths >= 1, got {n_paths}")
     T = model.horizon
     pi0 = check_belief(initial, model.n)
-    paths = [simulate_path(model, pi0, T, seed, i) for i in range(n_paths)]
+    paths = simulate_paths(model, pi0, T, seed, np.arange(n_paths))
 
     P = n_paths
     n = model.n
-    kmax = max((len(p.arrivals) for p in paths), default=0)
-    jmax = max(len(p.hidden) for p in paths)
-    arr_t = np.full((P, kmax + 1), np.inf)
-    arr_y = np.zeros((P, kmax))
-    hid_t = np.full((P, jmax + 1), np.inf)
-    hid_s = np.zeros((P, jmax), dtype=np.int64)
-    for i, p in enumerate(paths):
-        for k, ev in enumerate(p.arrivals):
-            arr_t[i, k] = ev.time
-            arr_y[i, k] = ev.mark
-        for j, (t, st) in enumerate(p.hidden):
-            hid_t[i, j] = t
-            hid_s[i, j] = st
+    arr_t, arr_y = paths.arrival_t, paths.arrival_y
+    hid_t, hid_s = paths.hidden_t, paths.hidden_s
+    kmax, jmax = arr_y.shape[1], hid_s.shape[1]
     flat_marks = arr_y[arr_t[:, :kmax] < np.inf]
     dens_flat = model.marks.density_at(flat_marks)
     arr_dens = np.ones((P, kmax, n))

@@ -230,6 +230,35 @@ def test_simulate_writes_paths(out):
         (again / "path0_arrivals.csv").read_text()
 
 
+def test_simulate_accepts_the_largest_seed(out):
+    assert run(["simulate", "--example", "insurance", "--paths", "1",
+                "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+    assert (out / "path0_hidden.csv").exists()
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("evaluate", "--paths", "0"),
+    ("evaluate", "--paths", "-5"),
+    ("evaluate", "--seed", "99999999999999999999999"),
+    ("evaluate", "--seed", "-1"),
+    ("evaluate", "--seed", str(2 ** 64)),
+    ("simulate", "--paths", "0"),
+    ("simulate", "--seed", "-1"),
+])
+def test_paths_and_seed_out_of_range_exit_one(out, capsys, command, option,
+                                              value):
+    if command == "evaluate":
+        assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run([command, "--example", "regime", option, value,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "Traceback" not in err
+    assert not (out / "evaluation.json").exists()
+    assert not (out / "path0_hidden.csv").exists()
+
+
 def test_evaluate_requires_solve_first(out):
     assert run(["evaluate", "--example", "regime", "--out", str(out)]) == 1
 

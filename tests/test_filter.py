@@ -312,6 +312,43 @@ def test_flow_propagator_matches_flow():
             < 1e-9
 
 
+def test_flow_propagator_where_mass_underflows():
+    # exp(-800 t) underflows past t = 0.93; the raw weights of every row
+    # below are 0 at these durations
+    m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                   mu=[[1.0, 0.0]], horizon=1.0)
+    beliefs = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [0.9, 0.1]])
+    durations = np.array([1.0, 0.95, 1.0, 2.5])
+    out = FlowPropagator(m).advance(beliefs, durations)
+    for k in range(4):
+        assert np.max(np.abs(out[k] - flow(m, durations[k], beliefs[k]))) \
+            < 1e-12
+    # a reducible chain: the start (0, 1) excites only the faster mode
+    m0 = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[800.0, 1000.0],
+                    mu=[[1.0, 0.0]], horizon=1.0)
+    out = FlowPropagator(m0).advance([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
+    assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("name", ["insurance", "regime", "reliability",
+                                  "reliability2", "techadopt", "targeting"])
+def test_flow_propagator_shift_moves_presets_by_ulps(name):
+    # the unshifted eigenbasis formula, as the propagator had it before
+    # the exponents were shifted
+    m, _ = load_preset(name)
+    prop = FlowPropagator(m)
+    rng = np.random.default_rng(23)
+    beliefs = np.vstack([build_grid(m.n, 8).nodes,
+                         rng.dirichlet(np.ones(m.n), 200)])
+    durations = rng.uniform(0.0, m.horizon / 20, len(beliefs))
+    z = beliefs.astype(complex) @ prop.vecs
+    z = z * np.exp(np.multiply.outer(durations, prop.vals))
+    old = np.clip(np.real(z @ prop.vecs_inv), 0.0, None)
+    old /= old.sum(axis=1, keepdims=True)
+    new = prop.advance(beliefs, durations)
+    assert np.max(np.abs(new - old)) <= 8 * np.finfo(float).eps
+
+
 def test_events_csv_round_trip(tmp_path):
     events = [ArrivalEvent(0.25, 1.0), ArrivalEvent(0.875, 2.0)]
     path = tmp_path / "events.csv"

@@ -15,10 +15,12 @@ from poistop import (
     oracle_filter,
     oracle_value,
     simulate_path,
+    simulate_paths,
     solve_finite,
 )
-from poistop.model import discrete_marks, terminal_reward_nodes
-from poistop.sim import RNG_ALGORITHM, path_to_csv
+from poistop.model import discrete_marks, gamma_marks, terminal_reward_nodes
+from poistop.sim import (RNG_ALGORITHM, _uniform, path_to_csv,
+                         philox_blocks)
 
 
 def single_state(lam=3.0, c=0.0, rho=0.0, mu=1.0, T=1.0, **kw):
@@ -60,15 +62,15 @@ def test_path_structure():
 def test_absorbing_chain_never_jumps():
     m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
                    mu=[[1.0, 0.0]], horizon=1.0)
+    batch = simulate_paths(m, 1, 10.0, seed=7, path_indices=range(10))
     for i in range(10):
-        p = simulate_path(m, 1, 10.0, seed=7, path_index=i)
-        assert p.hidden == ((0.0, 1),)
+        assert batch.sample(i).hidden == ((0.0, 1),)
 
 
 def test_homogeneous_poisson_rate():
     m = single_state(lam=3.0, T=2.0)
-    counts = [len(simulate_path(m, 0, 2.0, seed=5, path_index=i).arrivals)
-              for i in range(400)]
+    batch = simulate_paths(m, 0, 2.0, seed=5, path_indices=range(400))
+    counts = np.isfinite(batch.arrival_t).sum(axis=1)
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 6.0) <= 3.0 * se
@@ -79,8 +81,8 @@ def test_modulated_long_run_rate():
     # rate (1 + 4) / 2 = 2.5
     m = switching_two_state()
     T = 40.0
-    counts = [len(simulate_path(m, [0.5, 0.5], T, seed=9, path_index=i)
-                  .arrivals) for i in range(120)]
+    batch = simulate_paths(m, [0.5, 0.5], T, seed=9, path_indices=range(120))
+    counts = np.isfinite(batch.arrival_t).sum(axis=1)
     mean = np.mean(counts) / T
     se = np.std(np.asarray(counts) / T, ddof=1) / np.sqrt(len(counts))
     assert abs(mean - 2.5) <= 3.0 * se
@@ -92,10 +94,8 @@ def test_marks_follow_state_law():
         marks=discrete_marks([1.0, 2.0], [[0.2, 0.8]]),
         mu=[[0.0]], horizon=25.0,
     )
-    marks = []
-    for i in range(40):
-        marks += [e.mark for e in
-                  simulate_path(m, 0, 25.0, seed=3, path_index=i).arrivals]
+    batch = simulate_paths(m, 0, 25.0, seed=3, path_indices=range(40))
+    marks = batch.arrival_y[np.isfinite(batch.arrival_t[:, :-1])]
     frac = np.mean(np.asarray(marks) == 1.0)
     se = np.sqrt(0.2 * 0.8 / len(marks))
     assert abs(frac - 0.2) <= 3.0 * se
@@ -107,6 +107,108 @@ def test_path_csv(tmp_path):
     path_to_csv(p, tmp_path / "a.csv", tmp_path / "h.csv")
     arr = np.genfromtxt(tmp_path / "a.csv", delimiter=",", skip_header=1)
     assert arr.reshape(-1, 2).shape[0] == len(p.arrivals)
+
+
+# -- the batched kernel -----------------------------------------------------
+
+@pytest.mark.parametrize("seed, keys", [
+    (0, [0, 1, 2]),
+    (42, [3, 9999]),
+    (2 ** 64 - 1, [2 ** 40, 2 ** 40 + 5, 2 ** 63 + 7, 2 ** 64 - 1]),
+])
+def test_philox_matches_numpy(seed, keys):
+    got = philox_blocks(seed, keys, 0, 6)
+    later = philox_blocks(seed, keys, 4, 2)
+    for row, k in enumerate(keys):
+        gen = np.random.Philox(key=np.array([seed, k], dtype=np.uint64))
+        want = gen.random_raw(24).reshape(6, 4).T
+        assert np.array_equal(got[:, row], want)
+        assert np.array_equal(later[:, row], want[:, 4:])
+        # the uniforms are numpy's doubles from the same words
+        gen = np.random.Generator(
+            np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        assert np.array_equal(_uniform(got[:, row].T.ravel()),
+                              gen.random(24))
+
+
+def test_batch_rows_match_single_paths():
+    model, info = load_preset("insurance")
+    T = model.horizon
+    batch = simulate_paths(model, info["initial"], T, 3, range(10_000))
+    n_arr = np.isfinite(batch.arrival_t).sum(axis=1)
+    n_hid = np.isfinite(batch.hidden_t).sum(axis=1)
+    rows = {0, 1, 9_999, int(np.argmax(n_arr)), int(np.argmax(n_hid)),
+            int(np.argmin(n_arr))}
+    rows |= set(np.random.default_rng(5).integers(0, 10_000, 20).tolist())
+    for i in sorted(rows):
+        single = simulate_path(model, info["initial"], T, 3, i)
+        assert batch.sample(i) == single
+        assert single.path_index == i and single.seed == 3
+    assert single == simulate_path(model, info["initial"], T, 3, i)
+
+
+def test_batch_rows_do_not_depend_on_the_batch():
+    model, info = load_preset("insurance")
+    T = model.horizon
+    full = simulate_paths(model, info["initial"], T, 11, range(2_000))
+    shuffled = np.random.default_rng(3).permutation(2_000)
+    for keys in (shuffled, shuffled[:37], [1_999, 0]):
+        part = simulate_paths(model, info["initial"], T, 11, keys)
+        assert list(part.path_indices) == list(keys)
+        for row, i in enumerate(keys):
+            assert part.sample(row) == full.sample(i)
+
+
+def test_simulate_paths_rejects_bad_keys():
+    m = switching_two_state()
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            simulate_paths(m, 0, 1.0, seed, [0])
+    with pytest.raises(ValueError):
+        simulate_paths(m, 0, 1.0, 0, [-1])
+    with pytest.raises(ValueError):
+        simulate_path(m, 0, 1.0, 0, 2 ** 64)
+    with pytest.raises(ValueError):
+        simulate_paths(m, 2, 1.0, 0, [0])
+
+
+def test_gamma_marks_moments_per_state():
+    shape, rate = np.array([3.0, 4.0, 5.0]), np.array([2.0, 2.0, 0.5])
+    m = make_model(n=3, Q=np.zeros((3, 3)), lam=[4.0, 4.0, 4.0],
+                   marks=gamma_marks(shape, rate), mu=[[0.0, 0.0, 0.0]],
+                   horizon=1.0)
+    for i in range(3):
+        batch = simulate_paths(m, i, 100.0, seed=30 + i,
+                               path_indices=range(20))
+        y = batch.arrival_y[np.isfinite(batch.arrival_t[:, :-1])]
+        N = y.size
+        mean, var = y.mean(), y.var(ddof=1)
+        m4 = np.mean((y - mean) ** 4)
+        assert abs(mean - shape[i] / rate[i]) <= 3.0 * np.sqrt(var / N)
+        assert abs(var - shape[i] / rate[i] ** 2) \
+            <= 3.0 * np.sqrt((m4 - var ** 2) / N)
+
+
+@pytest.mark.parametrize("Q, pi0", [
+    ([[-1.0, 1.0], [1.0, -1.0]], [0.5, 0.5]),
+    # unequal exit rates: the uniformized chain takes self-loops
+    ([[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 2.0, -3.0]], [1.0, 0.0, 0.0]),
+])
+def test_uniformized_chain_mean_jump_count(Q, pi0):
+    # E[jumps in [0, T]] = int_0^T pi0 e^{Qt} q dt, q_i = -q_ii: the
+    # top-right entry of exp(T [[Q, q], [0, 0]]) integrates it
+    from scipy.linalg import expm
+    Q = np.asarray(Q)
+    n = len(pi0)
+    T = 2.0
+    m = make_model(n=n, Q=Q, lam=[1.0] * n, mu=[[0.0] * n], horizon=T)
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n], aug[:n, n] = Q, -np.diag(Q)
+    want = float(np.asarray(pi0) @ expm(T * aug)[:n, n])
+    batch = simulate_paths(m, pi0, T, seed=21, path_indices=range(4_000))
+    jumps = np.isfinite(batch.hidden_t).sum(axis=1) - 1
+    se = jumps.std(ddof=1) / np.sqrt(jumps.size)
+    assert abs(jumps.mean() - want) <= 3.0 * se
 
 
 # -- Monte Carlo policy evaluation ------------------------------------------
@@ -182,6 +284,14 @@ def test_evaluate_rejects_foreign_surface():
         evaluate_policy(model, surf, 0.01, [0.5, 0.5], 10, seed=0)
 
 
+def test_evaluate_rejects_fewer_than_one_path():
+    m = single_state(lam=1.0, c=-1.0, rho=0.5, mu=2.0, T=1.0)
+    surf = flat_surface(m, build_grid(1, 1), 1000.0)
+    for n_paths in (0, -5):
+        with pytest.raises(ValueError, match="n_paths"):
+            evaluate_policy(m, surf, 0.0, [1.0], n_paths, seed=6)
+
+
 # -- appendix-style Laplace bound -------------------------------------------
 
 def test_arrival_time_laplace_bound():
@@ -190,12 +300,9 @@ def test_arrival_time_laplace_bound():
                    Q=[[-2.0, 1.0, 1.0], [0.5, -1.0, 0.5], [1.0, 2.0, -3.0]],
                    lam=[1.0, 2.0, 4.0], mu=[[1.0, 0.0, 0.0]], horizon=1.0)
     u, k = 1.0, 3
-    vals = []
-    for i in range(800):
-        p = simulate_path(m, [1 / 3, 1 / 3, 1 / 3], 60.0, seed=12,
-                          path_index=i)
-        vals.append(np.exp(-u * p.arrivals[k - 1].time)
-                    if len(p.arrivals) >= k else 0.0)
+    batch = simulate_paths(m, [1 / 3, 1 / 3, 1 / 3], 60.0, seed=12,
+                           path_indices=range(800))
+    vals = np.exp(-u * batch.arrival_t[:, k - 1])    # 0 with < k arrivals
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     assert mean <= (4.0 / (u + 4.0)) ** k + 3.0 * se
