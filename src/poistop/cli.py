@@ -19,6 +19,7 @@ import datetime
 import platform
 import sys
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -302,18 +303,23 @@ def cmd_evaluate(args):
 
 # ---------------------------------------------------------------------------
 
-def _int_in(lo, hi, label):
-    """argparse type: an integer n with lo <= n < hi (hi None: no cap)."""
+def _checked(kind, ok, label):
+    """argparse type: kind(text) for which ok holds, label naming the range."""
+    what = {int: "an integer", float: "a number"}[kind]
+
     def parse(text):
         try:
-            n = int(text)
+            x = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}") from None
-        if n < lo or (hi is not None and n >= hi):
-            raise argparse.ArgumentTypeError(f"{n} is outside {label}")
-        return n
+                f"expected {what}, got {text!r}") from None
+        if not ok(x):                     # also NaN, which fails every test
+            raise argparse.ArgumentTypeError(f"{x} is outside {label}")
+        return x
     return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "[1, inf)")
 
 
 def build_parser():
@@ -328,15 +334,18 @@ def build_parser():
                             "examples"])
     p.add_argument("--example", help="preset name (see 'examples')")
     p.add_argument("--model", help="JSON model file")
-    p.add_argument("--R", type=int, help="simplex grid resolution")
-    p.add_argument("--L", type=int, help="time-knot count")
-    p.add_argument("--tol", type=float, default=1e-4,
-                   help="value-iteration stopping tolerance")
-    p.add_argument("--eps", type=float,
+    p.add_argument("--R", type=_positive_int,
+                   help="simplex grid resolution")
+    p.add_argument("--L", type=_positive_int, help="time-knot count")
+    p.add_argument("--tol", type=_checked(float, lambda x: 0 < x < inf,
+                                          "(0, inf)"),
+                   default=1e-4, help="value-iteration stopping tolerance")
+    p.add_argument("--eps", type=_checked(float, lambda x: 0 <= x < inf,
+                                          "[0, inf)"),
                    help="policy slack / region tolerance")
-    p.add_argument("--seed", type=_int_in(0, 2 ** 64, "[0, 2**64)"),
-                   default=0)
-    p.add_argument("--paths", type=_int_in(1, None, "[1, inf)"))
+    p.add_argument("--seed", type=_checked(int, lambda n: 0 <= n < 2 ** 64,
+                                           "[0, 2**64)"), default=0)
+    p.add_argument("--paths", type=_positive_int)
     p.add_argument("--out", help="output directory (default runs/<name>)")
     p.add_argument("--override", action="append", metavar="KEY=VALUE",
                    help="model parameter override (rho, horizon, c, lambda)")

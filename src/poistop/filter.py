@@ -196,15 +196,13 @@ class FlowPropagator:
     """Batch evaluation of the flow for many (belief, duration) pairs.
 
     Diagonalizes A = Q - Lambda once; exp(t A) is then evaluated per path
-    by scaling in the eigenbasis.  Falls back to per-duration expm when the
+    by scaling in the eigenbasis.  Falls back to flow, row by row, when the
     eigenbasis is ill-conditioned.
     """
 
     def __init__(self, model, cond_cap=1e8):
         self.model = model
-        A = model.flow_generator()
-        self.A = A
-        vals, vecs = np.linalg.eig(A)
+        vals, vecs = np.linalg.eig(model.flow_generator())
         self._ok = np.linalg.cond(vecs) < cond_cap
         if self._ok:
             self.vals = vals
@@ -225,9 +223,9 @@ class FlowPropagator:
                            * (self.vals[None, :] - top[:, None]))
             m = np.real(z @ self.vecs_inv)
         else:
-            m = np.empty_like(beliefs)
+            m = np.empty(beliefs.shape)
             for k, (pi, t) in enumerate(zip(beliefs, durations)):
-                m[k] = pi @ expm(t * self.A)
+                m[k] = flow(self.model, t, pi)
         m = np.clip(m, 0.0, None)
         s = m.sum(axis=1, keepdims=True)
         s[s <= 0] = np.nan

@@ -133,14 +133,21 @@ class SimplexGrid:
         out = np.sum(np.asarray(values)[idx] * w, axis=1)
         return float(out[0]) if single else out
 
-    def interp_matrix(self, points):
-        """Sparse (M, N) operator mapping nodal values to point values."""
+    def interp_matrix(self, points, weights=None, group=1):
+        """Sparse (M / group, N) operator mapping nodal values to weighted
+        point values: row i sums weight times interpolant over the points
+        i group .. (i + 1) group - 1 (weights None: 1).  Built straight
+        into CSR; the copy drops the buffers that pruning leaves behind."""
         idx, w = self.barycentric(points)
-        m = idx.shape[0]
-        rows = np.repeat(np.arange(m), self.n)
-        return sparse.csr_matrix(
-            (w.ravel(), (rows, idx.ravel())), shape=(m, self.n_nodes)
-        )
+        if weights is not None:
+            w = w * np.reshape(weights, (-1, 1))
+        m = idx.shape[0] // group
+        B = sparse.csr_matrix((w.ravel(), idx.ravel(),
+                               np.arange(m + 1) * (group * self.n)),
+                              shape=(m, self.n_nodes))
+        B.sum_duplicates()
+        B.eliminate_zeros()
+        return B.copy()
 
 
 def build_grid(n, R, cap=NODE_CAP):

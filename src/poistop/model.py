@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -165,10 +165,6 @@ class ModelSpec:
     @property
     def n_actions(self):
         return self.mu.shape[0]
-
-    @property
-    def Lambda(self):
-        return np.diag(self.lam)
 
     def flow_generator(self):
         """Q - diag(lambda), the generator of the killed/no-arrival dynamics."""

@@ -8,13 +8,13 @@ no-arrival flow until it enters the eps-stop set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .filter import flow_path
-from .model import (action_values, best_action_nodes, check_belief,
-                    net_return_rate, terminal_reward, terminal_reward_nodes)
+from .model import (best_action_nodes, check_belief, net_return_rate,
+                    terminal_reward, terminal_reward_nodes)
 from .valueiter import _format_nodes, apply_J0
 
 CONTINUE = -1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import special
@@ -295,16 +295,7 @@ class EvalReport:
     rng_algorithm: str = RNG_ALGORITHM
 
     def to_dict(self):
-        return {
-            "mean": self.mean,
-            "se": self.se,
-            "n_paths": self.n_paths,
-            "eps": self.eps,
-            "stop_time_mean": self.stop_time_mean,
-            "stop_time_quantiles": self.stop_time_quantiles,
-            "frac_at_horizon": self.frac_at_horizon,
-            "rng_algorithm": self.rng_algorithm,
-        }
+        return asdict(self)
 
 
 def _mark_costs(model, marks_flat):

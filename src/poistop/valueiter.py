@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from math import ceil, sqrt
 
 import numpy as np
-from scipy import sparse
 
 from . import model as model_mod
 from .filter import flow_path, post_jump
@@ -194,18 +193,12 @@ class _Workspace:
         # per-step jump operators folded with their integrand weights:
         # G_j maps a value slice w(.) on the grid to
         #     sum_i m_i(u_j, node) lambda_i S_i w(node-flow at u_j)
-        # built straight into CSR: row i sums its Rm * n (mark, vertex)
-        # entries; the copy drops the buffers that pruning leaves behind
-        indptr = np.arange(N + 1) * (Rm * n)
+        # row i sums its Rm post-jump beliefs, one per mark
         self.G = []
         for j in range(L + 1):
             Z, omega = post_jump(model, X[j], M[j])
-            idx, w = grid.barycentric(Z.reshape(N * Rm, n))
-            G = sparse.csr_matrix(((w * omega.reshape(-1, 1)).ravel(),
-                                   idx.ravel(), indptr), shape=(N, N))
-            G.sum_duplicates()
-            G.eliminate_zeros()
-            self.G.append(G.copy())
+            self.G.append(grid.interp_matrix(Z.reshape(N * Rm, n),
+                                             omega.ravel(), Rm))
 
 
 class FiniteHorizonSolver:
@@ -444,36 +437,36 @@ def _j_path(model, surface, s, pi, h, n):
         [[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
 
 
-def apply_J(model, surface, t, s, pi, min_substeps=8):
+def apply_J(model, surface, t, s, pi):
     """Jw(t, s, pi) against the stored surface w, for arbitrary pi.
 
-    The inner integral uses composite trapezoid on max(min_substeps,
-    round(t / dt)) uniform substeps of [0, t], dt the surface's time step.
+    The inner integral is the composite trapezoid on max(1, round(t / dt))
+    uniform substeps of [0, t], dt the surface's time step (one step on an
+    L = 0 surface): the march's step, so at a knot t and a lattice node
+    this is the J of the solved lattice.
     """
     if t > s + 1e-12:
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
     pi = check_belief(pi, model.n)
     if t <= 0:
         return terminal_reward(model, pi)[0]
-    n_sub = max(min_substeps, int(round(t / surface.dt)) if surface.L else 1)
+    n_sub = max(1, int(round(t / surface.dt))) if surface.L else 1
     return float(_j_path(model, surface, s, pi, t / n_sub, n_sub)[-1])
 
 
 def apply_J0(model, surface, s, pi):
     """sup over grid times t in [0, s] of apply_J; returns (value, argmax t).
 
-    Knots k >= 8 use apply_J's substep dt, so one flow path serves them all;
-    shorter knots and an off-knot t = s each get their own short path.
+    One flow path at the surface's step gives J at every knot in [0, s];
+    an off-knot t = s adds one apply_J.
     """
     pi = check_belief(pi, model.n)
     ts = [float(t) for t in surface.knots if t <= s + 1e-12]
-    k = len(ts)
+    vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1)) \
+        if ts else []
     if not ts or abs(ts[-1] - s) > 1e-12:
         ts.append(float(s))
-    shared = _j_path(model, surface, s, pi, surface.dt, k - 1) \
-        if k > 8 else None
-    vals = [shared[i] if 8 <= i < k else apply_J(model, surface, t, s, pi)
-            for i, t in enumerate(ts)]
+        vals.append(apply_J(model, surface, s, s, pi))
     best = int(np.argmax(vals))
     return float(vals[best]), ts[best]
 

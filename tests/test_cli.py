@@ -259,6 +259,20 @@ def test_paths_and_seed_out_of_range_exit_one(out, capsys, command, option,
     assert not (out / "path0_hidden.csv").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--R", "0"),                         # no grid, not the preset's R
+    ("--L", "0"),                         # no time step, not one knot
+    ("--tol", "-1"),                      # a range error, not a numeric one
+    ("--eps", "nan"),                     # no region tolerance
+])
+def test_solve_options_out_of_range_exit_one(out, capsys, option, value):
+    assert run(["solve", "--example", "regime", option, value,
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_requires_solve_first(out):
     assert run(["evaluate", "--example", "regime", "--out", str(out)]) == 1
 

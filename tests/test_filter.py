@@ -330,6 +330,23 @@ def test_flow_propagator_where_mass_underflows():
     assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_flow_propagator_defective_generator_falls_back_to_flow():
+    # Q - Lambda = [[-2, 1], [0, -2]] is a Jordan block: the eigenbasis is
+    # singular, so advance takes the row-by-row branch; at t = 400 the raw
+    # weights underflow, so that branch must renormalize as it steps
+    m = make_model(n=2, Q=[[-1.0, 1.0], [0.0, 0.0]], lam=[1.0, 2.0],
+                   mu=[[1.0, 0.0]])
+    prop = FlowPropagator(m)
+    assert not prop._ok
+    beliefs = np.array([[0.5, 0.5], [0.5, 0.5]])
+    durations = np.array([0.5, 400.0])
+    out = prop.advance(beliefs, durations)
+    for k in range(2):
+        assert np.max(np.abs(out[k] - flow(m, durations[k], beliefs[k]))) \
+            <= 1e-12
+    assert out[1] == pytest.approx([0.0025, 0.9975], abs=1e-4)
+
+
 @pytest.mark.parametrize("name", ["insurance", "regime", "reliability",
                                   "reliability2", "techadopt", "targeting"])
 def test_flow_propagator_shift_moves_presets_by_ulps(name):

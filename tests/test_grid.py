@@ -142,6 +142,23 @@ def test_interp_matrix_matches_interpolate():
     assert np.allclose(B @ vals, direct, atol=1e-12)
 
 
+def test_interp_matrix_weighted_groups():
+    # row i: sum over its 4 points of weight times the interpolant; lattice
+    # points (duplicate and zero-weight vertices) and zero weights included
+    g = build_grid(3, 9)
+    rng = np.random.default_rng(22)
+    pts = np.vstack([random_simplex_points(rng, 36, 3), g.nodes[::10][:4]])
+    wts = rng.uniform(size=len(pts))
+    wts[::7] = 0.0
+    vals = rng.normal(size=g.n_nodes)
+    B = g.interp_matrix(pts, wts, 4)
+    assert B.shape == (10, g.n_nodes) and B.has_canonical_format
+    assert np.all(B.data != 0.0) and len(B.data) == B.nnz
+    direct = (wts * np.array([g.interpolate(vals, p) for p in pts]))
+    assert np.allclose(B @ vals, direct.reshape(10, 4).sum(axis=1),
+                       atol=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(2, 15))
 def test_linearity_property(seed, n, R):

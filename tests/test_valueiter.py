@@ -558,15 +558,16 @@ def test_pointwise_J_with_underflowing_survival_mass():
 
 # -- pointwise J against the per-point reference loop ------------------------
 
-def reference_J(model, surface, t, s, pi, min_substeps=8):
+def reference_J(model, surface, t, s, pi):
     """Slow oracle: Jw(t, s, pi) with one scalar interpolation per substep
-    and mark, stepping the survival weights in a Python loop."""
+    and mark, stepping the survival weights in a Python loop, on the
+    march's max(1, round(t / dt)) substeps (one on an L = 0 surface)."""
     pi = np.asarray(pi, dtype=float)
     H = lambda q: terminal_reward(model, q)[0]
     if t <= 0:
         return H(pi)
     dt_surface = surface.dt if surface.L else t
-    n_sub = max(min_substeps, int(round(t / dt_surface)) if dt_surface else 1)
+    n_sub = max(1, int(round(t / dt_surface)) if dt_surface else 1)
     h = t / n_sub
     P = expm(h * model.flow_generator())
     lam_w = model.lam[:, None] * model.marks.weights
@@ -645,6 +646,28 @@ def test_apply_J_and_J0_match_reference(case, s, pi, regime_surface,
     assert abs(v - ref.max()) <= 1e-12
     assert wait in ts
     assert ref[ts.index(wait)] >= ref.max() - 1e-12
+
+
+@pytest.mark.parametrize("name, R, L", [
+    ("regime", 100, 200),
+    ("insurance", 8, 24),                 # 24 marks, n = 3
+    ("reliability", 12, 60),
+])
+def test_apply_J0_at_lattice_nodes_is_the_solved_surface(name, R, L,
+                                                         regime_surface):
+    # the pointwise J0 steps at the surface's dt, so at a node and a knot
+    # it is the discretized J0 whose fixed point the march solved
+    if name == "regime":
+        model, surf = regime_surface
+    else:
+        model, _ = load_preset(name)
+        surf = solve_finite(model, grid=build_grid(model.n, R), L=L)
+    assert surf.L == L
+    for ell in sorted({1, 3, 7, L // 2, L}):
+        s = surf.knots[ell]
+        pointwise = [apply_J0(model, surf, s, node)[0]
+                     for node in surf.grid.nodes]
+        assert np.max(np.abs(pointwise - surf.values[ell])) <= 1e-12
 
 
 def test_apply_J0_interior_wait(regime_surface):
