@@ -13,11 +13,14 @@ converges uniformly to the value function, with a closed-form error bound.
 
 Discretization: uniform time knots shared by the s-grid, the t-sup and the
 inner u-integral (composite trapezoid); the survival weights m(u, .) and
-the flowed beliefs come from filter.flow_path, stepped with exp(dt (Q -
-Lambda)), and the post-jump beliefs and weights from filter.post_jump;
-beliefs live on a SimplexGrid with barycentric-linear interpolation.  For
-cost_mode="discrete" the running term C is replaced by
-sum_i m_i lambda_i (nu_i K).
+the flowed beliefs x come from filter.flow_path, stepped with exp(dt (Q -
+Lambda)); beliefs live on a SimplexGrid with barycentric-linear
+interpolation.  The jump term factors as sum(m) F(x), F(y) = sum_r
+(y . lambda w_r) w(post_r(y)) with the marks' Bayes updates post_r from
+filter.post_jump: F is formed at the nodes (G0, once per slice) and
+interpolated at the flowed beliefs (B_j), exact for linear w and of the
+lattice's own order otherwise.  For cost_mode="discrete" the running term
+C is replaced by sum_i m_i lambda_i (nu_i K).
 
 The discretized J0 is causal in time-to-maturity: slice ell reads slices
 ell - j, j >= 1, and itself only through the trapezoid's half-weight
@@ -36,6 +39,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil, sqrt
 
 import numpy as np
@@ -109,6 +113,13 @@ class ValueSurface:
             + a * self.values[lo[:, None] + 1, idx]
         return np.sum(vals * w, axis=1)
 
+    @cached_property
+    def jump_surface(self):
+        """The nodal jump values F = G0 v of every slice (_jump_operator) on
+        the same lattice; built from the grid on first use, never stored."""
+        F = _jump_operator(self.model, self.grid) @ self.values.T
+        return ValueSurface(self.model, self.grid, self.knots, F.T)
+
     # -- persistence ------------------------------------------------------
 
     def to_csv(self, path):
@@ -168,16 +179,24 @@ class ValueSurface:
                    meta=meta)
 
 
+def _jump_operator(model, grid):
+    """Sparse (N, N) G0 taking nodal values w to F(x) = sum_r (x . lambda
+    w_r) w(post_r(x)) at every node x: one row sums the interpolants at the
+    node's Rm post-jump beliefs, weighted by the rates of their marks."""
+    M = grid.nodes
+    Z, omega = post_jump(model, M / M.sum(axis=1, keepdims=True), M)
+    return grid.interp_matrix(Z.reshape(-1, model.n), omega.ravel(),
+                              model.marks.n_marks)
+
+
 # ---------------------------------------------------------------------------
 # solver workspace: everything that does not depend on the current iterate
 # ---------------------------------------------------------------------------
 
 class _Workspace:
     def __init__(self, model, grid, knots):
-        n, N = model.n, grid.n_nodes
         L = len(knots) - 1
         self.L, self.dt = L, float(knots[1] - knots[0]) if L else 0.0
-        Rm = model.marks.n_marks
 
         # survival-weight paths m(u_j, node) for every node, stepped once
         M, X, sv = flow_path(model, grid.nodes, self.dt, L)
@@ -190,15 +209,9 @@ class _Workspace:
         self.costM = M @ model.effective_cost_rates()
         self.disc = disc
 
-        # per-step jump operators folded with their integrand weights:
-        # G_j maps a value slice w(.) on the grid to
-        #     sum_i m_i(u_j, node) lambda_i S_i w(node-flow at u_j)
-        # row i sums its Rm post-jump beliefs, one per mark
-        self.G = []
-        for j in range(L + 1):
-            Z, omega = post_jump(model, X[j], M[j])
-            self.G.append(grid.interp_matrix(Z.reshape(N * Rm, n),
-                                             omega.ravel(), Rm))
+        # jump term at u_j: sv_j F(X_j), G0 w = F at the nodes, B_j F at X_j
+        self.G0 = _jump_operator(model, grid)
+        self.B = [grid.interp_matrix(X[j], sv[j]) for j in range(L + 1)]
 
 
 class FiniteHorizonSolver:
@@ -223,10 +236,12 @@ class FiniteHorizonSolver:
         Slice ell integrates the term at u_k against slice ell - k, so the
         trapezoid sums I and the sup over the wait, best, of all target
         slices advance together over k, two integrand rows at a time, in
-        the order of a per-slice cumulative sum (so bitwise the same)."""
+        the order of a per-slice cumulative sum (so bitwise the same).  The
+        jump term of row k is B_k F, with F = G0 v formed once."""
         ws, L = self.ws, self.L
         if L == 0:
             return v.copy()
+        F = (ws.G0 @ v.T).T
         half_dt = 0.5 * ws.dt
         vnew = np.empty_like(v)
         vnew[0] = ws.Hnodes
@@ -235,7 +250,7 @@ class FiniteHorizonSolver:
         I = np.full(best.shape, -0.0)     # -0.0 + x is x, also for x = -0.0
         for k in range(L + 1):
             # row d: e^{-rho u_k} (cost term + jump term against slice d)
-            W = ws.G[k] @ v[: L + 1 - k].T
+            W = ws.B[k] @ F[: L + 1 - k].T
             phi = (ws.disc[k] * (ws.costM[k][:, None] + W)).T
             if k:                         # targets ell = k .. L
                 I[k - 1:] += half_dt * (prev[1:] + phi)
@@ -247,20 +262,21 @@ class FiniteHorizonSolver:
     def march(self):
         """The fixed point of sweep, one slice at a time in increasing s.
 
-        Slice ell of J0 v is max(H, h_0[ell] + B_ell), with h_j[d] =
-        dt/2 e^{-rho u_j} (costM_j + G_j v[d]) and B_ell reading only the
-        slices below ell.  Slice d is found by Picard iteration from
-        v[d - 1] (a contraction of modulus dt lam_bar / 2), then pushed
+        Slice ell of J0 v is max(H, h_0[ell] + C_ell), with h_j[d] =
+        dt/2 e^{-rho u_j} (costM_j + B_j F[d]), F = G0 v, and C_ell reading
+        only the slices below ell.  Slice d is found by Picard iteration
+        from v[d - 1] (a contraction of modulus dt lam_bar / 2), then pushed
         forward: h_j[d] reaches target d + j.  A target keeps P, the suffix
         sum S of its trapezoid increments plus the last h, and
-        mx = max_k (Aterm_k - S_k), so B = P + mx once the slices below it
+        mx = max_k (Aterm_k - S_k), so C = P + mx once the slices below it
         have arrived in increasing d.  Slices go in blocks of b: a slice is
         pushed at once within its block, and the block to later targets by
         one multi-column product per j, in decreasing j.  Returns the
         (L+1, N) values and the Picard steps of each slice."""
         ws, L, N = self.ws, self.L, self.grid.n_nodes
-        v = np.empty((L + 1, N))
+        v, F = np.empty((2, L + 1, N))
         v[0] = ws.Hnodes
+        F[0] = ws.G0 @ v[0]
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
         P, mx = np.empty((2, L + 1, N))
@@ -272,7 +288,7 @@ class FiniteHorizonSolver:
 
         # slice 0 arrives first everywhere: S_ell = 0, nothing past u_ell
         for j in range(1, L + 1):
-            P[j] = hd[j] * (ws.costM[j] + ws.G[j] @ v[0])
+            P[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
         mx[1:] = ws.Aterm[1:]
         # b^2 / 2 single-slice products per block against L block products
         b = max(1, ceil(sqrt(2 * L)))
@@ -282,9 +298,10 @@ class FiniteHorizonSolver:
             for d in range(a, e):
                 v[d], steps[d] = self._picard(
                     v[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
+                F[d] = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
-                    h[j - 1] = ws.G[j] @ v[d]
+                    h[j - 1] = ws.B[j] @ F[d]
                 hj = h[:m]
                 hj += ws.costM[1: m + 1]
                 hj *= hd[1: m + 1, None]
@@ -292,16 +309,16 @@ class FiniteHorizonSolver:
             for j in range(L - a, 0, -1):
                 lo, hi = max(a, e - j), min(e, L + 1 - j)
                 if lo < hi:               # targets lo + j .. hi + j - 1 >= e
-                    hj = (ws.G[j] @ v[lo:hi].T).T
+                    hj = (ws.B[j] @ F[lo:hi].T).T
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
         return v, steps
 
     def _picard(self, v, base):
-        """Fixed point of w -> max(H, base + dt/2 G_0 w), starting at v."""
+        """Fixed point of w -> max(H, base + dt/2 G0 w) (B_0 = I), from v."""
         ws = self.ws
-        H, G0, half_dt = ws.Aterm[0], ws.G[0], 0.5 * ws.dt
+        H, G0, half_dt = ws.Aterm[0], ws.G0, 0.5 * ws.dt
         for step in range(1, PICARD_CAP + 1):
             w = np.maximum(H, base + half_dt * (G0 @ v))
             delta = float(np.max(np.abs(w - v)))
@@ -420,18 +437,14 @@ def _j_path(model, surface, s, pi, h, n):
     """Jw(k h, s, pi) for k = 0..n from one no-arrival flow path of step h.
 
     The integrand at u_j = j h does not depend on the waiting time, so every
-    J(k h) is its head term plus a cumulative trapezoid of the same phi.  All
-    post-jump beliefs (u_j, mark r) are interpolated in one batched lookup.
+    J(k h) is its head term plus a cumulative trapezoid of the same phi, whose
+    jump term sv_j F(s - u_j, X_j) is one lookup in the surface's jump values.
     """
     M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n))
     u = h * np.arange(n + 1)
-    Z, omega = post_jump(model, X, M)
-    Rm = model.marks.n_marks
-    w = surface.value_at_batch(np.repeat(s - u, Rm),
-                               Z.reshape(-1, model.n)).reshape(-1, Rm)
+    jump = surface.jump_surface.value_at_batch(s - u, X)
     disc = np.exp(-model.rho * u)
-    phi = disc * (M @ model.effective_cost_rates()
-                  + np.sum(omega * w, axis=1))
+    phi = disc * (M @ model.effective_cost_rates() + sv * jump)
     head = sv * disc * terminal_reward_nodes(model, X)
     return head + np.concatenate(
         [[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
@@ -576,9 +589,10 @@ def solve_infinite(model, grid=None, R=40, tol=1e-4, m_max=500,
     deltas = []
     m = 0
     while m < m_max:
+        F = ws.G0 @ v
         phi = np.empty((L + 1, grid.n_nodes))
         for j in range(L + 1):
-            phi[j] = ws.disc[j] * (ws.costM[j] + ws.G[j] @ v)
+            phi[j] = ws.disc[j] * (ws.costM[j] + ws.B[j] @ F)
         inc = 0.5 * dt * (phi[:-1] + phi[1:])
         I = np.concatenate([np.zeros((1, grid.n_nodes)),
                             np.cumsum(inc, axis=0)])

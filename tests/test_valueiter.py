@@ -188,15 +188,17 @@ def test_surface_csv_header(tmp_path, regime_surface):
 def reference_sweep(solver, v):
     """Slow oracle for FiniteHorizonSolver.sweep: every integrand row
     phi_j against every slice is kept, and each target slice gathers its
-    column and takes a cumulative trapezoid sum and a max over the wait."""
+    column and takes a cumulative trapezoid sum and a max over the wait.
+    The jump term of row j is B_j (G0 v)."""
     ws, L = solver.ws, solver.L
     if L == 0:
         return v.copy()
     N = solver.grid.n_nodes
     dt = ws.dt
+    F = (ws.G0 @ v.T).T
     phi = []
     for j in range(L + 1):
-        W = ws.G[j] @ v[: L + 1 - j].T
+        W = ws.B[j] @ F[: L + 1 - j].T
         phi.append(ws.disc[j] * (ws.costM[j][:, None] + W))
     vnew = np.empty_like(v)
     vnew[0] = ws.Hnodes
@@ -287,15 +289,11 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
 
 # -- jump operators against the sparse-product assembly ----------------------
 
-def reference_G(solver):
-    """The per-knot jump operators as a sparse product: an (N * Rm, N)
-    interpolation matrix from the reference lookup, scaled by the
-    integrand weights and folded over the marks by an (N, N * Rm) sum."""
+def reference_flow(solver):
+    """Survival weights M of every node at every knot, stepped in a Python
+    loop, their sums sv and the flowed beliefs X."""
     model, grid = solver.model, solver.grid
-    n, N = model.n, grid.n_nodes
-    marks = model.marks
-    Rm = marks.n_marks
-    M = np.empty((solver.L + 1, N, n))
+    M = np.empty((solver.L + 1, grid.n_nodes, model.n))
     M[0] = grid.nodes
     if solver.L:
         P = expm(solver.ws.dt * model.flow_generator())
@@ -304,6 +302,19 @@ def reference_G(solver):
         np.clip(M, 0.0, None, out=M)
     sv = M.sum(axis=2)
     X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
+    return M, sv, X
+
+
+def reference_G(solver):
+    """The exact per-knot jump operators G_j as a sparse product: an
+    (N * Rm, N) interpolation matrix from the reference lookup, scaled by
+    the integrand weights and folded over the marks by an (N, N * Rm) sum.
+    G_0 is the workspace's G0; the workspace factors G_j as B_j G0."""
+    model, grid = solver.model, solver.grid
+    n, N = model.n, grid.n_nodes
+    marks = model.marks
+    Rm = marks.n_marks
+    M, sv, X = reference_flow(solver)
     lam_w = model.lam[:, None] * marks.weights
     lam_d = model.lam[:, None] * marks.density
     fold = sparse.csr_matrix(
@@ -330,6 +341,34 @@ def reference_G(solver):
     return out
 
 
+def reference_B(solver):
+    """The per-knot flow interpolation B_j: the reference lookup at the
+    flowed beliefs X_j, row i scaled by the survival mass sv_j(i)."""
+    grid = solver.grid
+    n, N = grid.n, grid.n_nodes
+    _, sv, X = reference_flow(solver)
+    out = []
+    for j in range(solver.L + 1):
+        idx, w = reference_barycentric(grid, X[j])
+        B = sparse.csr_matrix(
+            ((w * sv[j][:, None]).ravel(),
+             (np.repeat(np.arange(N), n), idx.ravel())), shape=(N, N))
+        B.eliminate_zeros()
+        out.append(B)
+    return out
+
+
+def assert_csr_matches(A, ref):
+    assert A.has_canonical_format
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    scale = np.max(np.abs(ref.data), initial=0.0)
+    assert np.max(np.abs(A.data - ref.data), initial=0.0) <= 1e-15 * scale
+    # compact: the buffers own nnz entries, no pruned assembly tail
+    for a in (A.data, A.indices):
+        assert (a if a.base is None else a.base).size == A.nnz
+
+
 @pytest.mark.parametrize("name, R", [
     ("regime", 20), ("insurance", 6), ("insurance", 20), ("reliability", 8),
     ("reliability2", 6), ("techadopt", 8), ("targeting", 6),
@@ -337,17 +376,12 @@ def reference_G(solver):
 def test_jump_operators_match_reference(name, R):
     model, _ = load_preset(name)
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R))
-    ref = reference_G(solver)
-    assert len(ref) == len(solver.ws.G) == solver.L + 1
-    for G, Gr in zip(solver.ws.G, ref):
-        assert G.has_canonical_format
-        assert np.array_equal(G.indptr, Gr.indptr)
-        assert np.array_equal(G.indices, Gr.indices)
-        scale = np.max(np.abs(Gr.data), initial=0.0)
-        assert np.max(np.abs(G.data - Gr.data), initial=0.0) <= 1e-15 * scale
-        # compact: the buffers own nnz entries, no pruned assembly tail
-        for a in (G.data, G.indices):
-            assert (a if a.base is None else a.base).size == G.nnz
+    ws = solver.ws
+    assert_csr_matches(ws.G0, reference_G(solver)[0])
+    ref = reference_B(solver)
+    assert len(ref) == len(ws.B) == solver.L + 1
+    for B, Br in zip(ws.B, ref):
+        assert_csr_matches(B, Br)
 
 
 @pytest.mark.parametrize("name, R", [("insurance", 10), ("techadopt", 10)])
@@ -355,10 +389,47 @@ def test_surface_with_reference_jump_operators(name, R):
     model, _ = load_preset(name)
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), tol=1e-6)
     surf = solver.iterate()
-    solver.ws.G = reference_G(solver)
+    solver.ws.G0 = reference_G(solver)[0]
+    solver.ws.B = reference_B(solver)
     ref = solver.iterate()
     assert surf.meta["iterations"] == ref.meta["iterations"]
     assert np.max(np.abs(surf.values - ref.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, R", [
+    ("regime", 20), ("reliability", 8), ("techadopt", 8), ("insurance", 6),
+])
+def test_factorized_jump_is_exact_for_linear_values(name, R):
+    # for v linear in pi, F = G0 v is linear too (the rate of mark r
+    # cancels the normalization of its Bayes update), and interpolation is
+    # exact for linear functions: B_j G0 v is the exact G_j v
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R))
+    v = solver.grid.nodes @ np.linspace(-1.0, 2.0, model.n)
+    F = solver.ws.G0 @ v
+    for B, G in zip(solver.ws.B, reference_G(solver)):
+        assert np.max(np.abs(B @ F - G @ v)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, R, bound", [
+    ("insurance", 20, 3e-3),
+    ("techadopt", 10, 3e-2),
+])
+def test_factorized_surface_against_exact_assembly(name, R, bound):
+    # the factorization interpolates F instead of the post-jump values:
+    # a change of the lattice's own interpolation order, bounded here
+    # against value iteration on the exact per-knot operators G_j (run as
+    # B_j = G_j after an identity G0)
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R),
+                                 tol=1e-10)
+    fact = solver.iterate()
+    solver.ws.G0 = sparse.identity(solver.grid.n_nodes, format="csr")
+    solver.ws.B = reference_G(solver)
+    exact = solver.iterate()
+    assert fact.meta["converged"] and exact.meta["converged"]
+    change = np.max(np.abs(fact.values - exact.values))
+    assert 0.0 < change <= bound
 
 
 # -- the march against value iteration ---------------------------------------
@@ -539,8 +610,9 @@ def test_workspace_with_underflowing_survival_mass():
     ws = solver.ws
     assert np.any(ws.sv == 0.0)
     assert np.all(np.isfinite(ws.Aterm))
-    assert all(np.all(np.isfinite(G.data)) for G in ws.G)
-    assert ws.G[-1].nnz == 0
+    assert np.all(np.isfinite(ws.G0.data))
+    assert all(np.all(np.isfinite(B.data)) for B in ws.B)
+    assert ws.B[-1].nnz == 0
 
 
 def test_pointwise_J_with_underflowing_survival_mass():
@@ -558,35 +630,47 @@ def test_pointwise_J_with_underflowing_survival_mass():
 
 # -- pointwise J against the per-point reference loop ------------------------
 
-def reference_J(model, surface, t, s, pi):
-    """Slow oracle: Jw(t, s, pi) with one scalar interpolation per substep
-    and mark, stepping the survival weights in a Python loop, on the
-    march's max(1, round(t / dt)) substeps (one on an L = 0 surface)."""
+def reference_jump_surface(model, surface):
+    """The nodal jump values F = G0 v of every slice as a surface: at each
+    node x, sum_r (x . lambda w_r) v(post_r(x)), one node and mark at a
+    time through the reference lookup."""
+    grid = surface.grid
+    lam_w = model.lam[:, None] * model.marks.weights
+    lam_d = model.lam[:, None] * model.marks.density
+    F = np.zeros_like(surface.values)
+    for k, x in enumerate(grid.nodes):
+        omega = x @ lam_w
+        for r in range(model.marks.n_marks):
+            wgt = x * lam_d[:, r]
+            zs = wgt.sum()
+            if zs <= 0:
+                continue
+            idx, w = reference_barycentric(grid, (wgt / zs)[None, :])
+            F[:, k] += omega[r] * (surface.values[:, idx[0]] @ w[0])
+    return ValueSurface(model=model, grid=grid, knots=surface.knots,
+                        values=F, meta={})
+
+
+def reference_J(model, jump, t, s, pi):
+    """Slow oracle: Jw(t, s, pi) with one scalar interpolation of the jump
+    surface (reference_jump_surface of w) per substep, stepping the survival
+    weights in a Python loop, on the march's max(1, round(t / dt))
+    substeps (one on an L = 0 surface)."""
     pi = np.asarray(pi, dtype=float)
     H = lambda q: terminal_reward(model, q)[0]
     if t <= 0:
         return H(pi)
-    dt_surface = surface.dt if surface.L else t
+    dt_surface = jump.dt if jump.L else t
     n_sub = max(1, int(round(t / dt_surface)) if dt_surface else 1)
     h = t / n_sub
     P = expm(h * model.flow_generator())
-    lam_w = model.lam[:, None] * model.marks.weights
-    lam_d = model.lam[:, None] * model.marks.density
     cost_rates = model.effective_cost_rates()
     m = pi.copy()
     phi = np.empty(n_sub + 1)
     for j in range(n_sub + 1):
         u = j * h
         sv = m.sum()
-        x = m / sv
-        omega = m @ lam_w
-        g = 0.0
-        for r in range(model.marks.n_marks):
-            wgt = x * lam_d[:, r]
-            zs = wgt.sum()
-            if zs <= 0:
-                continue
-            g += omega[r] * surface.value_at(s - u, wgt / zs)
+        g = sv * jump.value_at(s - u, m / sv)
         phi[j] = np.exp(-model.rho * u) * (float(cost_rates @ m) + g)
         if j < n_sub:
             m = np.clip(m @ P, 0.0, None)
@@ -639,7 +723,8 @@ def test_apply_J_and_J0_match_reference(case, s, pi, regime_surface,
     if pi is None:
         pi = load_preset("insurance")[1]["initial"]
     ts = reference_waits(surf, s)
-    ref = np.array([reference_J(model, surf, t, s, pi) for t in ts])
+    jump = reference_jump_surface(model, surf)
+    ref = np.array([reference_J(model, jump, t, s, pi) for t in ts])
     fast = np.array([apply_J(model, surf, t, s, pi) for t in ts])
     assert np.max(np.abs(fast - ref)) <= 1e-12
     v, wait = apply_J0(model, surf, s, pi)
@@ -668,6 +753,22 @@ def test_apply_J0_at_lattice_nodes_is_the_solved_surface(name, R, L,
         pointwise = [apply_J0(model, surf, s, node)[0]
                      for node in surf.grid.nodes]
         assert np.max(np.abs(pointwise - surf.values[ell])) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["regime", "insurance"])
+def test_apply_J0_on_a_loaded_surface(tmp_path, case, regime_surface,
+                                      insurance_small):
+    # the jump values are rebuilt from the grid, not read from the file,
+    # so the loaded surface answers bitwise as the solved one
+    model, surf = {"regime": regime_surface,
+                   "insurance": insurance_small}[case]
+    surf.save(tmp_path / "surface.bin")
+    back = ValueSurface.load(tmp_path / "surface.bin", model)
+    rng = np.random.default_rng(7)
+    ss = [model.horizon, surf.knots[surf.L // 2], 0.437 * model.horizon]
+    for s, pi in zip(ss, rng.dirichlet(np.ones(model.n), size=len(ss))):
+        assert_bitwise_equal(np.array(apply_J0(model, back, s, pi)),
+                             np.array(apply_J0(model, surf, s, pi)))
 
 
 def test_apply_J0_interior_wait(regime_surface):
