@@ -85,6 +85,9 @@ def _apply_overrides(model, overrides):
             raise ConfigError(f"--override needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
         vals = [float(v) for v in raw.split(",")]
+        if key in ("rho", "horizon", "T") and len(vals) != 1:
+            raise ConfigError(f"override {key}: expected 1 value, got "
+                              f"{len(vals)}")
         if key == "rho":
             model = replace(model, rho=vals[0])
         elif key in ("horizon", "T"):

@@ -4,11 +4,15 @@ Between arrivals the conditional distribution follows the deterministic
 flow x(t, pi): the survival-weight vector m(t, pi) = pi . exp(t(Q - Lambda))
 normalized by its sum.  At an arrival with mark y the belief jumps to the
 Bayes update with per-state likelihoods lambda_i f_i(y).
+flow_path steps beliefs on a uniform time grid and flow is its one-belief
+call; FlowPropagator flows many beliefs, each over its own duration, in the
+eigenbasis of Q - Lambda, with flow as its fallback and its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +34,7 @@ def survival_weights(model, t, pi):
     """m(t, pi) = pi . exp(t (Q - Lambda)); entries >= 0, sum <= 1."""
     if t < 0:
         raise FilterError(f"survival_weights: negative duration {t}")
-    pi = check_belief(pi, model.n)
-    return flow_path(model, pi, t, 1)[0][1, 0]
+    return flow_path(model, check_belief(pi, model.n), t, 1)[0][1, 0]
 
 
 # survival mass below which the raw weights near the subnormal range: the
@@ -71,51 +74,35 @@ def post_jump(model, X, M):
     """Beliefs and weights after an arrival with each mark r.
 
     For beliefs X (..., n) with survival weights M, Z[..., r, :] is the
-    Bayes update X * lambda * f_r / sum, and omega[..., r] = M . (lambda
+    Bayes update X * lambda * w_r / sum, and omega[..., r] = M . (lambda
     w_r) the rate of arriving with mark r.  A mark impossible at X keeps
-    Z = X and gets omega = 0.
+    Z = X and gets omega = 0.  (The cross-state ratios of w_r are those of
+    the densities f_i(y_r).)
     """
-    marks = model.marks
-    Z = X[..., None, :] * (model.lam[:, None] * marks.density).T
+    lw = model.lam[:, None] * model.marks.weights
+    Z = X[..., None, :] * lw.T
     zs = Z.sum(axis=-1, keepdims=True)
     dead = zs <= 0.0
     if dead.any():
         Z = np.where(dead, X[..., None, :], Z)
         zs = Z.sum(axis=-1, keepdims=True)
     Z /= zs
-    omega = M @ (model.lam[:, None] * marks.weights)
+    omega = M @ lw
     omega[dead[..., 0]] = 0.0
     return Z, omega
 
 
 def flow(model, t, pi):
-    """No-arrival belief x(t, pi) = m(t, pi) / sum_j m_j(t, pi).
-
-    Long horizons are propagated in renormalized chunks, so only the
-    normalized direction is tracked and underflow of the raw survival
-    weights cannot occur.
+    """No-arrival belief x(t, pi) = m(t, pi) / sum_j m_j(t, pi): the
+    one-belief call of flow_path, on the fewest equal steps h with
+    h max_i(lambda_i - q_ii) <= 200, so that no step decays out of double
+    range.
     """
-    if t < 0:
-        raise FilterError(f"flow: negative duration {t}")
+    if not 0.0 <= t < np.inf:
+        raise FilterError(f"flow: duration {t} outside [0, inf)")
     pi = check_belief(pi, model.n)
-    if t == 0.0:
-        return pi
-    A = model.flow_generator()
-    # keep the per-chunk decay of exp(t A) well inside double range
-    chunk = 200.0 / max(model.lam_bar, 1.0)
-    x = pi
-    remaining = float(t)
-    while remaining > 0:
-        step = min(chunk, remaining)
-        m = x @ expm(step * A)
-        m = np.clip(m, 0.0, None)
-        s = m.sum()
-        if s < 1e-300:
-            raise FilterError("flow horizon too long: survival weights "
-                              "vanished")
-        x = m / s
-        remaining -= step
-    return x
+    n = max(1, ceil(t * float(np.max(model.lam - np.diag(model.Q))) / 200.0))
+    return flow_path(model, pi, t / n, n)[1][-1, 0]
 
 
 def flow_derivative(model, pi):
@@ -133,10 +120,7 @@ def jump_update(model, pi, mark=None):
         pi_i  ->  lambda_i f_i(y) pi_i / sum_j lambda_j f_j(y) pi_j
     """
     pi = check_belief(pi, model.n)
-    if mark is None:
-        dens = np.ones(model.n)
-    else:
-        dens = model.marks.density_at(mark)
+    dens = 1.0 if mark is None else model.marks.density_at(mark)
     w = model.lam * dens * pi
     s = w.sum()
     if s <= 0.0:
@@ -192,18 +176,21 @@ def filter_path(model, pi0, events, t_end):
     return traj
 
 
+COND_CAP = 1e8          # cond(V) from which FlowPropagator falls back to flow
+
+
 class FlowPropagator:
     """Batch evaluation of the flow for many (belief, duration) pairs.
 
     Diagonalizes A = Q - Lambda once; exp(t A) is then evaluated per path
     by scaling in the eigenbasis.  Falls back to flow, row by row, when the
-    eigenbasis is ill-conditioned.
+    eigenbasis is ill-conditioned (cond >= COND_CAP).
     """
 
-    def __init__(self, model, cond_cap=1e8):
+    def __init__(self, model):
         self.model = model
         vals, vecs = np.linalg.eig(model.flow_generator())
-        self._ok = np.linalg.cond(vecs) < cond_cap
+        self._ok = np.linalg.cond(vecs) < COND_CAP
         if self._ok:
             self.vals = vals
             self.vecs = vecs
@@ -223,9 +210,8 @@ class FlowPropagator:
                            * (self.vals[None, :] - top[:, None]))
             m = np.real(z @ self.vecs_inv)
         else:
-            m = np.empty(beliefs.shape)
-            for k, (pi, t) in enumerate(zip(beliefs, durations)):
-                m[k] = flow(self.model, t, pi)
+            m = np.array([flow(self.model, t, pi) for pi, t
+                          in zip(beliefs, durations)]).reshape(beliefs.shape)
         m = np.clip(m, 0.0, None)
         s = m.sum(axis=1, keepdims=True)
         s[s <= 0] = np.nan

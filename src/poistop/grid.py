@@ -87,10 +87,10 @@ class SimplexGrid:
             Sd = np.clip(S, 0.0, R)
             bd = np.floor(Sd)
             fd = Sd - bd
-            # points sitting (numerically) on a lattice hyperplane snap to it
+            # points within 1e-12 of a lattice hyperplane, either side, snap
             snap = fd > 1.0 - 1e-12
             bd += snap
-            fd[snap] = 0.0
+            fd[snap | (fd < 1e-12)] = 0.0
             b.append(bd.astype(np.intp))
             f.append(fd)
 
@@ -150,14 +150,14 @@ class SimplexGrid:
         return B.copy()
 
 
-def build_grid(n, R, cap=NODE_CAP):
-    """All lattice beliefs k/R on the (n-1)-simplex, deterministically ordered."""
+def build_grid(n, R):
+    """All lattice beliefs k/R on the (n-1)-simplex (at most NODE_CAP)."""
     if n < 1 or R < 1:
         raise ValueError(f"build_grid: need n >= 1 and R >= 1, got {n}, {R}")
     count = comb(R + n - 1, n - 1)
-    if count > cap:
+    if count > NODE_CAP:
         raise ValueError(f"build_grid: {count} nodes exceeds the cap "
-                         f"of {cap}")
+                         f"of {NODE_CAP}")
     comps = _compositions(n, R)
     nodes = comps.astype(float) / R
     return SimplexGrid(n=n, R=R, nodes=nodes, comps=comps)

@@ -36,15 +36,14 @@ class MarkModel:
     ``support`` holds the mark values (quadrature nodes for the gamma case,
     a single dummy mark for simple Poisson observations).  ``weights[i, r]``
     is the probability weight of mark r under state i -- i.e. f_i(y_r) times
-    the reference-measure weight of y_r -- so each row sums to one.
-    ``density[i, r]`` is proportional (in i, at fixed r) to the density
-    f_i(y_r); only the cross-state ratio matters for Bayes updates.
+    the reference-measure weight of y_r, the same in every state -- so each
+    row sums to one, and a column's cross-state ratios, all that a Bayes
+    update reads, are those of the densities f_i(y_r).
     """
 
     kind: str                      # "none" | "discrete" | "gamma"
     support: np.ndarray            # (R,)
     weights: np.ndarray            # (n, R), rows sum to 1
-    density: np.ndarray            # (n, R)
     gamma_shape: np.ndarray | None = None
     gamma_rate: np.ndarray | None = None
 
@@ -66,18 +65,14 @@ class MarkModel:
 
     def density_at(self, y):
         """Per-state density of every observed mark in y, shape
-        y.shape + (n,).
-
-        Discrete marks are looked up on the support (mark_index); for the
-        gamma case the exact per-state pdf is evaluated.  Only the ratio
+        y.shape + (n,): the exact pdf for gamma marks, else the weight
+        column of the mark's support point (mark_index).  Only the ratio
         across states is meaningful.
         """
         y = np.asarray(y, dtype=float)
         if self.kind == "gamma":
             return gamma_pdf(y[..., None], self.gamma_shape, self.gamma_rate)
-        if self.kind == "none":
-            return np.ones(y.shape + (self.weights.shape[0],))
-        return self.density.T[self.mark_index(y)]
+        return self.weights.T[self.mark_index(y)]
 
 
 def gamma_pdf(y, shape, rate):
@@ -97,7 +92,6 @@ def no_marks(n):
         kind="none",
         support=np.zeros(1),
         weights=np.ones((n, 1)),
-        density=np.ones((n, 1)),
     )
 
 
@@ -105,34 +99,33 @@ def discrete_marks(support, pmf):
     """Finite mark alphabet with per-state pmf rows."""
     support = np.asarray(support, dtype=float)
     pmf = np.asarray(pmf, dtype=float)
-    return MarkModel(kind="discrete", support=support, weights=pmf, density=pmf)
+    return MarkModel(kind="discrete", support=support, weights=pmf)
 
 
-def gamma_marks(shape, rate, n_quad=40, q_hi=0.9999):
+GAMMA_Q_HI = 0.9999            # quantile at which gamma_marks cuts its marks
+
+
+def gamma_marks(shape, rate, n_quad=40):
     """Per-state Gamma(shape_i, rate_i) marks via Gauss-Legendre quadrature.
 
-    The quadrature lives on [0, y_max] where y_max is the q_hi quantile of
+    The quadrature lives on [0, y_max], y_max the GAMMA_Q_HI quantile of
     the widest of the Gamma laws; each state's weight row is renormalized so
     it integrates to one exactly (the discarded tail mass is below
-    1 - q_hi and would otherwise break the normalization invariant).
+    1 - GAMMA_Q_HI and would otherwise break the normalization invariant).
     """
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
-    # the q_hi quantile, as scipy's stats.gamma.ppf computes it
-    y_max = np.max(special.gammaincinv(shape, q_hi) * (1.0 / rate))
+    # the quantile as scipy's stats.gamma.ppf computes it
+    y_max = np.max(special.gammaincinv(shape, GAMMA_Q_HI) * (1.0 / rate))
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 0.5 * y_max * (x + 1.0)
     wts = 0.5 * y_max * w
-    dens = gamma_pdf(nodes, shape[:, None], rate[:, None])
-    weights = dens * wts
-    row_sums = weights.sum(axis=1, keepdims=True)
-    weights = weights / row_sums
-    dens = dens / row_sums
+    weights = gamma_pdf(nodes, shape[:, None], rate[:, None]) * wts
+    weights = weights / weights.sum(axis=1, keepdims=True)
     return MarkModel(
         kind="gamma",
         support=nodes,
         weights=weights,
-        density=dens,
         gamma_shape=shape,
         gamma_rate=rate,
     )
@@ -224,6 +217,14 @@ def model_violations(spec):
     if n < 1:
         out.append(f"n: state count must be >= 1, got {n}")
         return out
+    # NaN and inf fail no comparison below, and would reach the solver
+    for name, a in (("Q", spec.Q), ("lambda", spec.lam), ("c", spec.c),
+                    ("rho", spec.rho), ("mu", spec.mu), ("K", spec.K),
+                    ("horizon", spec.horizon), ("marks", spec.marks.weights)):
+        if not np.isfinite(np.asarray(0.0 if a is None else a, float)).all():
+            out.append(f"{name}: every value must be finite (no NaN or inf)")
+    if out:
+        return out
     if spec.Q.shape != (n, n):
         out.append(f"Q: expected shape {(n, n)}, got {spec.Q.shape}")
         return out
@@ -251,8 +252,6 @@ def model_violations(spec):
     if spec.mu.ndim != 2 or spec.mu.shape[0] < 1 or spec.mu.shape[1] != n:
         out.append(f"mu: expected at least one action row of width {n}, "
                    f"got shape {spec.mu.shape}")
-    elif not np.all(np.isfinite(spec.mu)):
-        out.append("mu: all terminal rewards must be finite")
     if spec.horizon < 0:
         out.append(f"horizon: T must be >= 0, got {spec.horizon}")
     if spec.cost_mode not in ("running", "discrete"):
@@ -263,8 +262,6 @@ def model_violations(spec):
         elif spec.K.shape != (spec.marks.n_marks,):
             out.append(f"K: expected one value per mark "
                        f"({spec.marks.n_marks}), got shape {spec.K.shape}")
-        elif not np.all(np.isfinite(spec.K)):
-            out.append("K: mark costs must be finite")
     m = spec.marks
     if m.weights.shape[0] != n:
         out.append(f"marks: expected {n} weight rows, got "

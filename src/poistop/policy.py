@@ -18,6 +18,7 @@ from .model import (best_action_nodes, check_belief, net_return_rate,
 from .valueiter import _format_nodes, apply_J0
 
 CONTINUE = -1
+N_BISECT = 60                    # bisections per continuation-interval end
 
 
 @dataclass
@@ -64,19 +65,19 @@ def extract_regions(surface, eps_tol=None):
 # two-state boundary curves
 # ---------------------------------------------------------------------------
 
-def continuation_interval(model, grid, values, eps_tol, n_bisect=60):
+def continuation_interval(model, grid, values, eps_tol):
     """[lower, upper] of the continuation set in the pi_2 coordinate (n=2).
 
     ``values`` is a nodal value slice.  The interval endpoints are refined
-    by bisection of V - H - eps_tol between the bracketing grid nodes.
+    by N_BISECT bisections of V - H - eps_tol between the bracketing nodes.
     Returns (nan, nan) when no node continues.
     """
     lo, hi = _continuation_intervals(model, grid, np.atleast_2d(values),
-                                     eps_tol, n_bisect)[0]
+                                     eps_tol)[0]
     return float(lo), float(hi)
 
 
-def _continuation_intervals(model, grid, V, eps_tol, n_bisect=60):
+def _continuation_intervals(model, grid, V, eps_tol):
     """continuation_interval for every row of V (K, N) -> (K, 2); the
     endpoints of all rows are bisected together, one lookup per step."""
     if model.n != 2:
@@ -105,7 +106,7 @@ def _continuation_intervals(model, grid, V, eps_tol, n_bisect=60):
                 - terminal_reward_nodes(model, pts) - eps_tol) <= 0.0
 
     fa = g_nonpos(a)
-    for _ in range(n_bisect):
+    for _ in range(N_BISECT):
         mid = 0.5 * (a + b)
         same = g_nonpos(mid) == fa
         a, b = np.where(same, mid, a), np.where(same, b, mid)

@@ -62,8 +62,8 @@ def _format_nodes(nodes):
 # the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
 # 2 T lam_bar)) knots (FiniteHorizonSolver._certificate)
 CERT_R, CERT_L = 16, 60
-# Picard steps allowed per slice of the march
-PICARD_CAP = 1000
+# Picard steps allowed per slice of the march; knots of solve_infinite
+PICARD_CAP, INF_L_CAP = 1000, 6000
 
 
 def default_knot_count(model, T=None):
@@ -415,12 +415,10 @@ def solve_finite(model, grid=None, L=None, R=40, tol=1e-4):
     return FiniteHorizonSolver(model, grid=grid, L=L, R=R, tol=tol).solve()
 
 
-def richardson_check(model, grid=None, L=None, R=24, coarse=None):
+def richardson_check(model, grid, L=None, coarse=None):
     """Self-check of the time discretization: march again with halved
     steps and report the sup-norm change at the shared knots.  coarse is
     the march at L knots on grid, if already known."""
-    if grid is None:
-        grid = build_grid(model.n, R)
     if L is None:
         L = default_knot_count(model)
     if coarse is None:
@@ -572,16 +570,16 @@ class StationaryValue:
                                                                self.model.n))
 
 
-def solve_infinite(model, grid=None, R=40, tol=1e-4, m_max=500,
-                   L_cap=6000):
+def solve_infinite(model, grid=None, R=40, tol=1e-4, m_max=500):
     """Fixed-point iteration of the infinite-horizon operator (sup over
-    t >= 0, truncated at t_max = max(20/lam_bar, 10/rho_hat))."""
+    t >= 0, truncated at t_max = max(20/lam_bar, 10/rho_hat), on at most
+    INF_L_CAP knots)."""
     _check_infinite_assumptions(model)
     if grid is None:
         grid = build_grid(model.n, R)
     rho_hat = _rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
-    L = min(ceil(t_max * max(model.lam_bar, model.rho, 1.0) * 20.0), L_cap)
+    L = min(default_knot_count(model, t_max), INF_L_CAP)
     knots = np.linspace(0.0, t_max, L + 1)
     ws = _Workspace(model, grid, knots)
     dt = ws.dt

@@ -153,6 +153,34 @@ def test_invalid_override_value_is_config_error(out, capsys):
     assert not (out / "surface.bin").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("override, key", [
+    ("rho=nan", "rho"), ("rho=inf", "rho"), ("horizon=nan", "horizon"),
+    ("T=inf", "horizon"), ("c=nan,0", "c"), ("lambda=1,nan", "lambda"),
+])
+def test_non_finite_override_is_config_error(out, capsys, override, key):
+    # these used to reach the solver and exit 2 ("did not settle",
+    # "non-finite point"), some with numpy RuntimeWarnings
+    assert run(["solve", "--example", "regime", "--override", override,
+                "--R", "10", "--L", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key}: every value must be " \
+        "finite" in err
+    assert "Warning" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("rho=1,2", "rho"), ("horizon=0.5,9", "horizon"), ("T=1,2,3", "T"),
+])
+def test_scalar_override_takes_one_value(out, capsys, override, key):
+    # the extra values used to be dropped silently
+    assert run(["solve", "--example", "regime", "--override", override,
+                "--R", "10", "--L", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: override {key}: expected 1 value")
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 

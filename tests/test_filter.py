@@ -99,6 +99,26 @@ def test_flow_long_horizon_stays_normalized():
     assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_flow_settles_on_the_slowest_mode():
+    # the raw weights decay like e^{-800 t}: at t = 1000 the flow is the
+    # normalized left eigenvector of Q - Lambda of the largest eigenvalue
+    m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                   mu=[[1.0, 0.0]], horizon=1.0)
+    vals, vecs = np.linalg.eig(m.flow_generator().T)
+    slow = np.abs(vecs[:, np.argmax(vals.real)].real)
+    for pi in ([0.5, 0.5], [0.0, 1.0]):
+        out = flow(m, 1000.0, pi)
+        assert np.max(np.abs(out - slow / slow.sum())) < 1e-12
+
+
+@pytest.mark.parametrize("t", [-0.1, np.inf, np.nan])
+def test_flow_rejects_durations_outside_the_half_line(t):
+    # a NaN duration used to return the start belief, an infinite one to
+    # loop for ever
+    with pytest.raises(FilterError, match="outside"):
+        flow(ergodic_three_state(), t, [0.2, 0.3, 0.5])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.floats(0.0, 1.2), st.floats(0.0, 1.2))
@@ -221,7 +241,7 @@ def test_post_jump_direct_two_term_sum():
     pi = np.array([0.5, 0.3, 0.2])
     total = 0.0
     for r, wr in enumerate([0.2, 0.8]):
-        w = pi * model.lam * model.marks.density[:, r]
+        w = pi * model.lam * model.marks.weights[:, r]
         total += wr * grid.interpolate(vals, w / w.sum())
     Z, omega = post_jump(model, pi, np.array([1.0, 0.0, 0.0]))
     got = sum(omega[r] * grid.interpolate(vals, Z[r]) for r in range(2))

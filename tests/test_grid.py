@@ -202,7 +202,7 @@ def reference_barycentric(grid, pts):
     f = S - B0
     snap = f > 1.0 - 1e-12
     B0[snap] += 1.0
-    f[snap] = 0.0
+    f[snap | (f < 1e-12)] = 0.0
     B0 = np.minimum(B0, R)
     order = np.argsort(-f, axis=1, kind="stable")
     f_sorted = np.take_along_axis(f, order, axis=1)
@@ -248,7 +248,7 @@ def lookup_cases(grid, rng):
     last_zero[last_zero.sum(axis=1) == 0, 0] = 1.0
     last_zero /= last_zero.sum(axis=1, keepdims=True)
     # cumulative coordinates a hair below a lattice hyperplane (fraction
-    # 1 - 1e-13, which snaps) and a hair above it
+    # 1 - 1e-13) and a hair above it (fraction 1e-13): both snap to it
     shift = 1e-13 / R * (unit[0] - unit[1])
     return {"random": rand, "nodes": grid.nodes, "faces": face,
             "midpoints": 0.5 * (grid.nodes[i] + grid.nodes[j]),
@@ -290,6 +290,19 @@ def test_barycentric_matches_reference_on_workspace_points(monkeypatch,
     monkeypatch.undo()
     assert seen
     assert_matches_reference(grid, np.concatenate(seen), name)
+
+
+@pytest.mark.parametrize("name", ["regime", "insurance", "reliability",
+                                  "reliability2", "techadopt", "targeting"])
+def test_workspace_B0_is_diagonal(name):
+    # the flowed beliefs at u_0 are the nodes divided by a sum an ulp off 1,
+    # so they land on either side of their lattice hyperplanes; both sides
+    # snap, and B_0 = diag(sv_0), as the march's self-term takes it to be
+    model, _ = load_preset(name)
+    grid = build_grid(model.n, 20)
+    B0 = FiniteHorizonSolver(model, grid=grid).ws.B[0].tocoo()
+    assert B0.nnz == grid.n_nodes and np.array_equal(B0.row, B0.col)
+    assert np.max(np.abs(B0.data - 1.0)) <= 4.5e-16
 
 
 @pytest.mark.parametrize("n, R", [(2, 9), (3, 10), (4, 7), (5, 5)])

@@ -249,3 +249,25 @@ def test_model_from_dict_unknown_marks():
 def test_check_belief_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="outside the simplex"):
         check_belief(bad, 2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, kw", [
+    ("Q", {"Q": [[-np.inf, np.inf], [1.0, -1.0]]}),
+    ("lambda", {"lam": [1.0, np.nan]}),
+    ("c", {"c": [np.inf, 0.0]}),
+    ("rho", {"rho": np.nan}),
+    ("rho", {"rho": np.inf}),
+    ("mu", {"mu": [[np.nan, 0.0]]}),
+    ("horizon", {"horizon": np.inf}),
+    ("horizon", {"horizon": np.nan}),
+    ("K", {"marks": discrete_marks([1.0, 2.0], [[0.5, 0.5], [0.5, 0.5]]),
+           "cost_mode": "discrete", "K": [np.nan, -1.0]}),
+    # a NaN shape makes NaN weights, whose row sums pass |sum - 1| > 1e-8
+    ("marks", {"marks": gamma_marks([np.nan, 2.0], [1.0, 1.0], n_quad=4)}),
+])
+def test_non_finite_model_numbers_rejected(field, kw):
+    # filterwarnings: the check comes before any arithmetic that would warn
+    with pytest.raises(ModelError, match=rf"^invalid model: {field}: "
+                                         "every value must be finite"):
+        two_state(**kw)

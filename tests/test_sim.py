@@ -292,6 +292,72 @@ def test_evaluate_rejects_fewer_than_one_path():
             evaluate_policy(m, surf, 0.0, [1.0], n_paths, seed=6)
 
 
+def replay_policy(model, surface, eps, pi0, batch):
+    """The eps-stop rule of evaluate_policy, path by path on the exact
+    filter: checked at t = 0, at every arrival and at every knot, forced at
+    T.  Returns the stop times, the rewards, where each path stopped, and
+    the smallest margin |v - eps - H| of a decision."""
+    T = model.horizon
+    taus, rewards, where, margin = [], [], [], np.inf
+    for i in range(len(batch.path_indices)):
+        path = batch.sample(i)
+        traj = filter_path(model, pi0, path.arrivals, T)
+        # an arrival on a knot is processed before the knot's check
+        points = sorted([(0.0, 0, "start")]
+                        + [(e.time, 0, "arrival") for e in path.arrivals]
+                        + [(float(t), 1, "knot") for t in surface.knots[1:]])
+        for t, _, kind in points:
+            x = traj.evaluate(t)
+            v = surface.value_at(T - t, x)
+            hv = model.mu @ x
+            forced = t >= T - 1e-12
+            if not forced:
+                margin = min(margin, abs(v - eps - hv.max()))
+            if forced or v - eps <= hv.max():
+                break
+        tau = t
+        where.append("horizon" if forced else kind)
+        if model.cost_mode == "running":
+            r = 0.0
+            ends = [h[0] for h in path.hidden[1:]] + [np.inf]
+            for (a, state), b in zip(path.hidden, ends):
+                a, b = min(a, tau), min(b, tau)
+                r += model.c[state] * (
+                    (np.exp(-model.rho * a) - np.exp(-model.rho * b))
+                    / model.rho if model.rho else b - a)
+        else:
+            r = sum(np.exp(-model.rho * e.time)
+                    * model.K[model.marks.mark_index(e.mark)]
+                    for e in path.arrivals if e.time <= tau)
+        state = path.state_at(tau)
+        r += np.exp(-model.rho * tau) * model.mu[np.argmax(hv), state]
+        taus.append(tau)
+        rewards.append(r)
+    return np.array(taus), np.array(rewards), where, margin
+
+
+@pytest.mark.parametrize("name, R", [("regime", 40), ("techadopt", 10),
+                                     ("insurance", 10)])
+def test_evaluate_follows_the_exact_filter(name, R):
+    # the batched filter of evaluate_policy (eigenbasis flow, inline Bayes
+    # update, stop checks at knots and arrivals) against filter_path on the
+    # same 30 paths: a two-state model, discrete marks and costs, gamma marks
+    model, info = load_preset(name)
+    surface = solve_finite(model, grid=build_grid(model.n, R))
+    pi0, eps, seed, P = info["initial"], 0.01, 5, 30
+    rep = evaluate_policy(model, surface, eps, pi0, P, seed)
+    batch = simulate_paths(model, pi0, model.horizon, seed, np.arange(P))
+    taus, rewards, where, margin = replay_policy(model, surface, eps, pi0,
+                                                 batch)
+    # no decision is within rounding of the threshold
+    assert margin > 1e-9
+    assert "arrival" in where and "knot" in where
+    assert rep.stop_time_mean == taus.mean()
+    assert rep.frac_at_horizon == np.mean(taus >= model.horizon
+                                          * (1.0 - 1e-12))
+    assert rep.mean == pytest.approx(rewards.mean(), rel=1e-12, abs=1e-12)
+
+
 # -- appendix-style Laplace bound -------------------------------------------
 
 def test_arrival_time_laplace_bound():

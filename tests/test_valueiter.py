@@ -316,7 +316,7 @@ def reference_G(solver):
     Rm = marks.n_marks
     M, sv, X = reference_flow(solver)
     lam_w = model.lam[:, None] * marks.weights
-    lam_d = model.lam[:, None] * marks.density
+    lam_d = model.lam[:, None] * marks.weights
     fold = sparse.csr_matrix(
         (np.ones(N * Rm), (np.repeat(np.arange(N), Rm), np.arange(N * Rm))),
         shape=(N, N * Rm))
@@ -636,7 +636,7 @@ def reference_jump_surface(model, surface):
     time through the reference lookup."""
     grid = surface.grid
     lam_w = model.lam[:, None] * model.marks.weights
-    lam_d = model.lam[:, None] * model.marks.density
+    lam_d = model.lam[:, None] * model.marks.weights
     F = np.zeros_like(surface.values)
     for k, x in enumerate(grid.nodes):
         omega = x @ lam_w
