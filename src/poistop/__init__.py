@@ -19,7 +19,7 @@ from .valueiter import (FiniteHorizonSolver, StationaryValue, ValueSurface,
 from .policy import (Recommendation, StoppingRegion, boundary_curve,
                      continuation_interval, corner_diagnostics,
                      deterministic_stop_time, extract_regions, ila_boundary,
-                     recommend, two_hypothesis_diagnostics)
+                     recommend, stop_rule, two_hypothesis_diagnostics)
 from .sim import (EvalReport, PathSample, evaluate_policy, oracle_filter,
                   oracle_value, simulate_path, simulate_paths)
 from .presets import load_preset, preset_names

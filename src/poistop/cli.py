@@ -194,13 +194,12 @@ def cmd_solve(args):
     grid = build_grid(model.n, R)
     surface = valueiter.solve_finite(model, grid=grid, L=args.L,
                                      tol=args.tol)
-    eps_tol = args.eps if args.eps is not None else 10.0 * args.tol
-    region = policy.extract_regions(surface, eps_tol)
+    region = policy.extract_regions(surface, args.eps)
     surface.to_csv(out / "surface.csv")
     surface.save(out / "surface.bin")
     region.to_csv(out / "regions.csv")
     if model.n == 2:
-        curve = policy.boundary_curve(surface, eps_tol)
+        curve = policy.boundary_curve(surface, region.eps_tol)
         policy.boundary_curve_to_csv(curve, out / "boundary.csv")
     sign = -1.0 if model.sense == "min" else 1.0
     v0 = surface.value_at(model.horizon, info["initial"])
@@ -213,7 +212,7 @@ def cmd_solve(args):
         "picard_max": surface.meta["picard_max"],
         "march_gap": surface.meta["march_gap"],
         "richardson_delta": surface.meta["richardson_delta"],
-        "eps_tol": eps_tol,
+        "eps_tol": region.eps_tol,
         "objective_sense": model.sense,
         "value_at_initial": sign * v0,
     }
@@ -250,8 +249,7 @@ def cmd_diagnose(args):
         R = args.R or info["R"]
         surface = valueiter.solve_finite(
             model, grid=build_grid(model.n, R), L=args.L, tol=args.tol)
-        eps_tol = args.eps if args.eps is not None else 10.0 * args.tol
-        region = policy.extract_regions(surface, eps_tol)
+        region = policy.extract_regions(surface, args.eps)
         stop = region.stop_mask(surface.L)
         ila_stop = surface.grid.nodes @ r <= 0.0
         report["ila_match_score"] = float(np.mean(stop == ila_stop))

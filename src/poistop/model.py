@@ -299,13 +299,13 @@ def validate_model(spec):
 # beliefs and reward primitives
 # ---------------------------------------------------------------------------
 
-def check_belief(pi, n=None, tol=1e-9):
+def check_belief(pi, n=None):
     """Validate and return a belief vector (clipped to the simplex)."""
     pi = np.asarray(pi, dtype=float)
     if n is not None and pi.shape != (n,):
         raise ValueError(f"belief: expected {n} components, got {pi.shape}")
-    if not np.isfinite(pi).all() or np.any(pi < -tol) \
-            or abs(pi.sum() - 1.0) > max(tol, 1e-9):
+    if not np.isfinite(pi).all() or np.any(pi < -1e-9) \
+            or abs(pi.sum() - 1.0) > 1e-9:
         raise ValueError(f"belief outside the simplex: {pi}")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()

@@ -1,9 +1,9 @@
 """Decisions from value surfaces: regions, epsilon-optimal rules, diagnostics.
 
-The stop set at time-to-maturity s is {pi : V(s, pi) = H(pi)}, detected on
-the grid as V - H <= eps_tol; stopping selects the best terminal action
-(smallest index on ties).  The deterministic first-crossing time follows the
-no-arrival flow until it enters the eps-stop set.
+Every decision is one rule, stop_rule: stop iff V(s, pi) - H(pi) <= eps,
+acting on the best terminal action (smallest index on ties).  Regions apply
+it at the lattice nodes, recommendations at one belief, the deterministic
+first-crossing time along the no-arrival flow.
 """
 
 from __future__ import annotations
@@ -13,12 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import (best_action_nodes, check_belief, net_return_rate,
-                    terminal_reward, terminal_reward_nodes)
+from .model import check_belief, net_return_rate
 from .valueiter import _format_nodes, apply_J0
 
 CONTINUE = -1
-N_BISECT = 60                    # bisections per continuation-interval end
+
+
+def stop_rule(model, v, beliefs, eps):
+    """The eps-optimal rule at beliefs (..., n) with values v (broadcast
+    against the leading shape): (stop, action, H) with stop iff v - H <= eps
+    and action the best terminal action, smallest index on ties."""
+    hv = beliefs @ model.mu.T
+    H = hv.max(axis=-1)
+    return v - H <= eps, hv.argmax(axis=-1), H
 
 
 @dataclass
@@ -52,11 +59,9 @@ def extract_regions(surface, eps_tol=None):
     """Label every (knot, node) as continue or stop-with-best-action."""
     if eps_tol is None:
         eps_tol = 10.0 * surface.meta.get("tol", 1e-4)
-    model = surface.model
-    H = terminal_reward_nodes(model, surface.grid.nodes)
-    best = best_action_nodes(model, surface.grid.nodes)
-    stop = surface.values - H[None, :] <= eps_tol
-    labels = np.where(stop, best[None, :], CONTINUE).astype(np.int64)
+    stop, best, _ = stop_rule(surface.model, surface.values,
+                              surface.grid.nodes, eps_tol)
+    labels = np.where(stop, best, CONTINUE).astype(np.int64)
     return StoppingRegion(surface=surface, eps_tol=float(eps_tol),
                           labels=labels)
 
@@ -68,8 +73,8 @@ def extract_regions(surface, eps_tol=None):
 def continuation_interval(model, grid, values, eps_tol):
     """[lower, upper] of the continuation set in the pi_2 coordinate (n=2).
 
-    ``values`` is a nodal value slice.  The interval endpoints are refined
-    by N_BISECT bisections of V - H - eps_tol between the bracketing nodes.
+    ``values`` is a nodal value slice.  An endpoint next to a stopping node
+    is the exact crossing of V - H = eps_tol on that lattice cell.
     Returns (nan, nan) when no node continues.
     """
     lo, hi = _continuation_intervals(model, grid, np.atleast_2d(values),
@@ -78,39 +83,35 @@ def continuation_interval(model, grid, values, eps_tol):
 
 
 def _continuation_intervals(model, grid, V, eps_tol):
-    """continuation_interval for every row of V (K, N) -> (K, 2); the
-    endpoints of all rows are bisected together, one lookup per step."""
+    """continuation_interval for every row of V (K, N) -> (K, 2).
+
+    On the cell from a stopping node a to a continuing node b, V and each
+    g_k = V - h_k - eps_tol are linear in pi_2; as some g_k(a) <= 0 and
+    every g_k(b) > 0, the cell stops up to a + (b - a) t with
+    t = max {g_k(a) / (g_k(a) - g_k(b)) : g_k(a) <= 0}."""
     if model.n != 2:
         raise ValueError("continuation_interval is defined for n = 2 only")
     order = np.argsort(grid.nodes[:, 1])
-    p2s = grid.nodes[order, 1]
-    H = terminal_reward_nodes(model, grid.nodes)
-    cont = (V - H)[:, order] > eps_tol
+    nodes, V = grid.nodes[order], V[:, order]
+    p2s = nodes[:, 1]
+    cont = ~stop_rule(model, V, nodes, eps_tol)[0]
     out = np.full((len(V), 2), np.nan)
     rows = np.nonzero(cont.any(axis=1))[0]
     first = np.argmax(cont[rows], axis=1)
     last = cont.shape[1] - 1 - np.argmax(cont[rows, ::-1], axis=1)
     out[rows, 0], out[rows, 1] = p2s[first], p2s[last]
-    # endpoints with a stopping neighbour: bisect g(a) <= 0 < g(b) or
-    # vice versa between the bracketing nodes
+    # endpoints with a stopping neighbour a of the continuing node b
     lo, hi = first > 0, last < len(p2s) - 1
     k = np.concatenate([rows[lo], rows[hi]])
     col = np.repeat([0, 1], [lo.sum(), hi.sum()])
-    a = p2s[np.concatenate([first[lo] - 1, last[hi] + 1])]
-    b = p2s[np.concatenate([first[lo], last[hi]])]
-
-    def g_nonpos(q2):
-        pts = np.stack([1.0 - q2, q2], axis=1)
-        idx, w = grid.barycentric(pts)
-        return (np.sum(V[k[:, None], idx] * w, axis=1)
-                - terminal_reward_nodes(model, pts) - eps_tol) <= 0.0
-
-    fa = g_nonpos(a)
-    for _ in range(N_BISECT):
-        mid = 0.5 * (a + b)
-        same = g_nonpos(mid) == fa
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
-    out[k, col] = 0.5 * (a + b)
+    a = np.concatenate([first[lo] - 1, last[hi] + 1])
+    b = np.concatenate([first[lo], last[hi]])
+    hv = nodes @ model.mu.T
+    ga = V[k, a][:, None] - hv[a] - eps_tol
+    gb = V[k, b][:, None] - hv[b] - eps_tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(ga <= 0.0, ga / (ga - gb), 0.0).max(axis=1)
+    out[k, col] = p2s[a] + (p2s[b] - p2s[a]) * t
     return out
 
 
@@ -147,17 +148,17 @@ class Recommendation:
 
 
 def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
-    """Stop iff V(s_remaining, pi) - eps <= H(pi)."""
+    """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
     pi = check_belief(pi, model.n)
     v = surface.value_at(s_remaining, pi)
-    h, best = terminal_reward(model, pi)
-    gap = v - h
-    if gap <= eps:
-        return Recommendation("stop", best, v, h, gap, wait=0.0)
+    stop, best, h = stop_rule(model, v, pi, eps)
+    h = float(h)
+    if stop:
+        return Recommendation("stop", int(best), v, h, v - h, wait=0.0)
     wait = None
     if compute_wait:
         _, wait = apply_J0(model, surface, s_remaining, pi)
-    return Recommendation("continue", None, v, h, gap, wait=wait)
+    return Recommendation("continue", None, v, h, v - h, wait=wait)
 
 
 def deterministic_stop_time(model, surface, s, pi, eps):
@@ -168,8 +169,7 @@ def deterministic_stop_time(model, surface, s, pi, eps):
     if not t.size:                    # s < 0: no time left to wait
         return float(s)
     X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
-    stop = surface.value_at_batch(s - t, X) - eps \
-        <= terminal_reward_nodes(model, X)
+    stop = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)[0]
     return float(t[stop][0]) if stop.any() else float(s)
 
 

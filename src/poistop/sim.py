@@ -23,8 +23,8 @@ from scipy import special
 from scipy.linalg import expm
 
 from .filter import ArrivalEvent, FlowPropagator
-from .grid import build_grid
 from .model import check_belief, terminal_reward_nodes
+from .policy import stop_rule
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -342,15 +342,13 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     def check_stop(idx, t_now, force=False):
         if idx.size == 0:
             return
-        s_rem = np.maximum(T - t_now, 0.0)
-        v = surface.value_at_batch(s_rem, belief[idx])
-        hv = belief[idx] @ model.mu.T
-        h = hv.max(axis=1)
-        stop = (v - eps <= h) if not force else np.ones(idx.size, bool)
+        v = surface.value_at_batch(np.maximum(T - t_now, 0.0), belief[idx])
+        stop, best, _ = stop_rule(model, v, belief[idx], eps)
+        stop |= force
         hit = idx[stop]
         if hit.size:
             tau[hit] = np.broadcast_to(t_now, idx.shape)[stop]
-            act[hit] = np.argmax(hv[stop], axis=1)
+            act[hit] = best[stop]
             alive[hit] = False
 
     knots = surface.knots if surface.L else np.array([0.0, T])
@@ -461,7 +459,7 @@ class OracleSurface:
     dt: float
 
 
-def oracle_value(model, dt, grid=None, R=40, T=None, snapshot_times=None):
+def oracle_value(model, dt, grid, T=None, snapshot_times=None):
     """Discrete-time DP approximation of the value function.
 
     Backward induction value = max(H, cost + e^{-rho dt} E[next]) with the
@@ -473,8 +471,6 @@ def oracle_value(model, dt, grid=None, R=40, T=None, snapshot_times=None):
         raise ValueError("oracle_value: n <= 3 only (resource cap)")
     if model.lam_bar * dt >= 0.05:
         raise ValueError("oracle_value: need lam_bar * dt < 0.05")
-    if grid is None:
-        grid = build_grid(model.n, R)
     T = model.horizon if T is None else T
     steps = int(round(T / dt))
     if snapshot_times is None:

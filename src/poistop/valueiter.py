@@ -218,9 +218,9 @@ class FiniteHorizonSolver:
     """The fixed point of the discretized J0 on the full (s, pi) lattice:
     solve marches it, iterate runs value iteration v_{m+1} = J0 v_m."""
 
-    def __init__(self, model, grid=None, L=None, R=40, tol=1e-4, m_max=200):
+    def __init__(self, model, grid, L=None, tol=1e-4, m_max=200):
         self.model = model
-        self.grid = grid if grid is not None else build_grid(model.n, R)
+        self.grid = grid
         self.L = default_knot_count(model) if L is None else int(L)
         T = model.horizon
         if T <= 0:
@@ -410,9 +410,9 @@ class FiniteHorizonSolver:
                             knots=self.knots, values=values, meta=meta)
 
 
-def solve_finite(model, grid=None, L=None, R=40, tol=1e-4):
+def solve_finite(model, grid, L=None, tol=1e-4):
     """Solve the finite-horizon problem; see FiniteHorizonSolver.solve."""
-    return FiniteHorizonSolver(model, grid=grid, L=L, R=R, tol=tol).solve()
+    return FiniteHorizonSolver(model, grid=grid, L=L, tol=tol).solve()
 
 
 def richardson_check(model, grid, L=None, coarse=None):
@@ -570,13 +570,11 @@ class StationaryValue:
                                                                self.model.n))
 
 
-def solve_infinite(model, grid=None, R=40, tol=1e-4, m_max=500):
+def solve_infinite(model, grid, tol=1e-4, m_max=500):
     """Fixed-point iteration of the infinite-horizon operator (sup over
     t >= 0, truncated at t_max = max(20/lam_bar, 10/rho_hat), on at most
     INF_L_CAP knots)."""
     _check_infinite_assumptions(model)
-    if grid is None:
-        grid = build_grid(model.n, R)
     rho_hat = _rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
     L = min(default_knot_count(model, t_max), INF_L_CAP)

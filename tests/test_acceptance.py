@@ -144,7 +144,8 @@ def test_insurance_structure():
 def test_error_bound_certificate(name):
     model, _ = load_preset(name)
     R = {2: 60, 3: 30, 4: 12}[model.n]
-    solver = FiniteHorizonSolver(model, R=R, tol=1e-4)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R),
+                                 tol=1e-4)
     surf = solver.iterate()
     m = surf.meta["iterations"]
     assert m >= 2
@@ -176,7 +177,8 @@ def test_regime_solver_matches_oracle():
     # sharper cross-check: the shared-grid gap above is dominated by the
     # oracle's O(1/R) interpolation bias, so against a fine-grid oracle
     # the surfaces agree within the 5e-3 floor outright
-    fine = oracle_value(model, 1e-3, R=400, snapshot_times=surf.knots)
+    fine = oracle_value(model, 1e-3, grid=build_grid(2, 400),
+                        snapshot_times=surf.knots)
     sup = 0.0
     for k in range(surf.L + 1):
         ov = np.array([fine.grid.interpolate(fine.values[k], p)

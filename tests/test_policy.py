@@ -1,6 +1,7 @@
 """Stopping regions, recommendations and structural diagnostics."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from poistop import (
     ValueSurface,
 )
 from poistop.model import terminal_reward, terminal_reward_nodes
-from poistop.policy import CONTINUE, boundary_curve_to_csv
+from poistop.policy import CONTINUE, boundary_curve_to_csv, stop_rule
 
 
 @pytest.fixture(scope="module")
@@ -119,40 +120,57 @@ def test_boundary_curve_csv(tmp_path, regime):
     assert data.shape == (surf.L + 1, 3)
 
 
-def reference_interval(model, grid, values, eps_tol, n_bisect=60):
-    """Slow oracle: one slice, one scalar interpolation per bisection step."""
+def reference_interval(model, grid, values, eps_tol, n_bisect=64):
+    """Slow oracle: one slice, a scalar bisection on the cell between each
+    end of the continuation set and its stopping neighbour.  The cell lines
+    g_k = V - h_k - eps_tol are evaluated in exact rational arithmetic
+    (Fraction on the float node values and coordinates, mu and eps_tol), so
+    the result is within 2**-n_bisect of a cell of the exact root of
+    V - H = eps_tol.  Returns Fractions (or nan)."""
     p2 = grid.nodes[:, 1]
     order = np.argsort(p2)
     gap = values - terminal_reward_nodes(model, grid.nodes)
     cont = gap[order] > eps_tol
     if not cont.any():
         return float("nan"), float("nan")
-    p2s = p2[order]
+    mu = [[Fraction(x) for x in row] for row in model.mu]
+    eps = Fraction(eps_tol)
 
-    def g(q2):
-        pi = np.array([1.0 - q2, q2])
-        return (grid.interpolate(values, pi)
-                - terminal_reward(model, pi)[0] - eps_tol)
+    def g(j):
+        node = [Fraction(x) for x in grid.nodes[j]]
+        v = Fraction(values[j])
+        return [v - sum(m * x for m, x in zip(row, node)) - eps
+                for row in mu]
 
     def refine(a, b):
-        fa = g(a)
+        ga, gb = g(a), g(b)
+        lo, hi = Fraction(0), Fraction(1)
         for _ in range(n_bisect):
-            mid = 0.5 * (a + b)
-            if (g(mid) <= 0.0) == (fa <= 0.0):
-                a = mid
+            t = (lo + hi) / 2
+            if min(x + (y - x) * t for x, y in zip(ga, gb)) <= 0:
+                lo = t
             else:
-                b = mid
-        return 0.5 * (a + b)
+                hi = t
+        pa, pb = Fraction(p2[a]), Fraction(p2[b])
+        return pa + (pb - pa) * (lo + hi) / 2
 
     first = int(np.argmax(cont))
     last = len(cont) - 1 - int(np.argmax(cont[::-1]))
-    lower = p2s[first]
+    lower = Fraction(p2[order[first]])
     if first > 0:
-        lower = refine(p2s[first - 1], p2s[first])
-    upper = p2s[last]
+        lower = refine(order[first - 1], order[first])
+    upper = Fraction(p2[order[last]])
     if last < len(cont) - 1:
-        upper = refine(p2s[last + 1], p2s[last])
-    return float(lower), float(upper)
+        upper = refine(order[last + 1], order[last])
+    return lower, upper
+
+
+def assert_within_2ulp(got, ref):
+    if isinstance(ref, float):            # no continuation node
+        assert np.isnan(got) and np.isnan(ref)
+        return
+    assert abs(Fraction(float(got)) - ref) \
+        <= 2 * Fraction(np.spacing(float(ref)))
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +182,44 @@ def regime_small():
 
 # eps 0.3 leaves some knots without continuation nodes, eps -1 makes every
 # node continue (no endpoint to refine), eps 10 makes every node stop
-@pytest.mark.parametrize("eps", [1e-3, 1e-4, 0.3, -1.0, 10.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, 1e-3, 0.3, -1.0, 10.0])
 def test_boundary_curve_matches_scalar_bisection(regime_small, eps):
     model, surf = regime_small
     curve = boundary_curve(surf, eps)
-    ref = np.array([(s, *reference_interval(model, surf.grid, v, eps))
-                    for s, v in zip(surf.knots, surf.values)])
-    assert curve.shape == ref.shape
-    assert np.array_equal(curve, ref, equal_nan=True)
+    assert curve.shape == (surf.L + 1, 3)
+    assert np.array_equal(curve[:, 0], surf.knots)
+    for row, v in zip(curve, surf.values):
+        lo, hi = reference_interval(model, surf.grid, v, eps)
+        assert_within_2ulp(row[1], lo)
+        assert_within_2ulp(row[2], hi)
+
+
+def test_boundary_at_zero_eps_brackets_by_the_cell():
+    # at eps = 0 the stopping node's g is 0 up to the rounding of H: each
+    # end lies in its bracketing cell, never on the continuing node
+    model, _ = load_preset("regime")
+    surf = solve_finite(model, grid=build_grid(2, 40), L=400, tol=1e-4)
+    curve = boundary_curve(surf, 0.0)
+    p2 = np.sort(surf.grid.nodes[:, 1])
+    order = np.argsort(surf.grid.nodes[:, 1])
+    H = terminal_reward_nodes(model, surf.grid.nodes)
+    inner = 0
+    for (_, lo, hi), v in zip(curve, surf.values):
+        cont = np.nonzero((v - H)[order] > 0.0)[0]
+        if not cont.size:
+            assert np.isnan(lo) and np.isnan(hi)
+            continue
+        first, last = cont[0], cont[-1]
+        if first > 0:
+            assert p2[first - 1] <= lo < p2[first]
+            inner += 1
+        if last < len(p2) - 1:
+            assert p2[last] < hi <= p2[last + 1]
+            inner += 1
+        ref = reference_interval(model, surf.grid, v, 0.0)
+        assert_within_2ulp(lo, ref[0])
+        assert_within_2ulp(hi, ref[1])
+    assert inner > 100
 
 
 def test_continuation_interval_stationary_slice():
@@ -180,7 +228,9 @@ def test_continuation_interval_stationary_slice():
     stat = solve_infinite(model, grid=grid, tol=1e-6)
     assert stat.values.ndim == 1
     lo, hi = continuation_interval(model, grid, stat.values, 1e-6)
-    assert (lo, hi) == reference_interval(model, grid, stat.values, 1e-6)
+    ref = reference_interval(model, grid, stat.values, 1e-6)
+    assert_within_2ulp(lo, ref[0])
+    assert_within_2ulp(hi, ref[1])
     assert 0.0 < lo < 0.5 < hi < 1.0
 
 
@@ -290,12 +340,47 @@ def test_stop_time_matches_reference(case, regime, techadopt):
 
 def test_stop_time_matches_reference_on_one_knot_surface():
     model, _ = load_preset("regime")
-    surf = solve_finite(dataclasses.replace(model, horizon=0.0), R=20)
+    surf = solve_finite(dataclasses.replace(model, horizon=0.0),
+                        grid=build_grid(2, 20))
     assert surf.L == 0
     for pi in ([0.5, 0.5], [0.9, 0.1], [0.1, 0.9]):
         for s in (0.0, 0.3):
             t = deterministic_stop_time(model, surf, s, pi, 1e-3)
             assert t == reference_stop_time(model, surf, s, pi, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def insurance_small():
+    model, _ = load_preset("insurance")
+    return model, solve_finite(model, grid=build_grid(3, 8), L=20)
+
+
+@pytest.mark.parametrize("case", ["regime", "insurance"])
+@pytest.mark.parametrize("eps", [1e-4, 1e-2])
+def test_one_rule_for_every_decision(case, eps, regime_small,
+                                     insurance_small):
+    # regions, recommend, the deterministic stop time and stop_rule make
+    # the same decision at every (knot, node) not within rounding of eps
+    model, surf = regime_small if case == "regime" else insurance_small
+    nodes = surf.grid.nodes
+    region = extract_regions(surf, eps)
+    H = terminal_reward_nodes(model, nodes)
+    stop, best, h = stop_rule(model, surf.values, nodes, eps)
+    assert np.array_equal(h, H)
+    checked = [0, 0]                 # continue, stop
+    for k, s in enumerate(surf.knots):
+        for j, pi in enumerate(nodes):
+            if abs(surf.values[k, j] - H[j] - eps) <= 1e-12:
+                continue
+            stops = bool(stop[k, j])
+            checked[stops] += 1
+            assert region.labels[k, j] == (best[j] if stops else CONTINUE)
+            rec = recommend(model, surf, s, pi, eps)
+            assert (rec.decision == "stop") == stops
+            assert rec.action == (best[j] if stops else None)
+            t = deterministic_stop_time(model, surf, s, pi, eps)
+            assert (t == 0.0) == stops
+    assert min(checked) > 0.1 * stop.size, checked
 
 
 def test_stop_time_matches_reference_where_mass_underflows():

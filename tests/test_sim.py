@@ -435,7 +435,8 @@ def test_oracle_filter_rejects_coarse_dt():
 
 def test_oracle_value_zero_horizon_is_H():
     model, _ = load_preset("regime")
-    orc = oracle_value(model, 1e-3, R=20, T=0.1, snapshot_times=[0.0])
+    orc = oracle_value(model, 1e-3, grid=build_grid(2, 20), T=0.1,
+                       snapshot_times=[0.0])
     H = terminal_reward_nodes(model, orc.grid.nodes)
     assert np.array_equal(orc.values[0], H)
 
@@ -446,7 +447,7 @@ def test_oracle_value_trivial_model_stays_at_H():
     m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
                    c=[-1.0, -1.0], mu=[[0.0, -1.0], [-1.0, 0.0]],
                    horizon=0.5)
-    orc = oracle_value(m, 1e-3, R=50)
+    orc = oracle_value(m, 1e-3, grid=build_grid(2, 50))
     H = terminal_reward_nodes(m, orc.grid.nodes)
     assert np.max(np.abs(orc.values[-1] - H)) < 1e-12
 
@@ -457,7 +458,8 @@ def test_oracle_value_matches_solver_on_fine_grid():
     model, _ = load_preset("regime")
     grid = build_grid(2, 40)
     surf = solve_finite(model, grid=grid, L=100, tol=1e-4)
-    orc = oracle_value(model, 1e-3, R=400, snapshot_times=surf.knots)
+    orc = oracle_value(model, 1e-3, grid=build_grid(2, 400),
+                       snapshot_times=surf.knots)
     sup = 0.0
     for k in range(surf.L + 1):
         ov = np.array([orc.grid.interpolate(orc.values[k], p)
@@ -469,7 +471,7 @@ def test_oracle_value_matches_solver_on_fine_grid():
 def test_oracle_value_caps():
     model, _ = load_preset("targeting")  # n = 4
     with pytest.raises(ValueError):
-        oracle_value(model, 1e-3)
+        oracle_value(model, 1e-3, grid=build_grid(model.n, 40))
     model2, _ = load_preset("regime")
     with pytest.raises(ValueError):
-        oracle_value(model2, 0.5)
+        oracle_value(model2, 0.5, grid=build_grid(model2.n, 40))

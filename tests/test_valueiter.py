@@ -49,7 +49,7 @@ def test_default_knot_count():
 def test_zero_horizon_surface_is_H():
     model, _ = load_preset("regime")
     m0 = dataclasses.replace(model, horizon=0.0)
-    surf = solve_finite(m0, R=20)
+    surf = solve_finite(m0, grid=build_grid(2, 20))
     H = surf.h_nodes()
     assert surf.values.shape == (1, surf.grid.n_nodes)
     assert np.array_equal(surf.values[0], H)
@@ -57,7 +57,8 @@ def test_zero_horizon_surface_is_H():
 
 def test_zero_iterations_surface_is_H():
     model, _ = load_preset("regime")
-    surf = FiniteHorizonSolver(model, R=20, L=40, m_max=0).iterate()
+    surf = FiniteHorizonSolver(model, grid=build_grid(2, 20), L=40,
+                               m_max=0).iterate()
     H = surf.h_nodes()
     assert np.array_equal(surf.values, np.tile(H, (41, 1)))
 
@@ -82,7 +83,8 @@ def test_surface_dominates_H(regime_surface):
 
 def test_iterates_monotone_in_m():
     model, _ = load_preset("regime")
-    solver = FiniteHorizonSolver(model, R=40, L=60, tol=1e-4)
+    solver = FiniteHorizonSolver(model, grid=build_grid(2, 40), L=60,
+                                 tol=1e-4)
     v = np.tile(solver.ws.Hnodes, (solver.L + 1, 1))
     for _ in range(5):
         vnew = solver.sweep(v)
@@ -236,7 +238,7 @@ def test_sweep_bitwise_equals_reference(name, R, L):
 def test_sweep_zero_knots_is_identity():
     model, _ = load_preset("regime")
     solver = FiniteHorizonSolver(dataclasses.replace(model, horizon=0.0),
-                                 R=20)
+                                 grid=build_grid(2, 20))
     assert solver.L == 0
     v = solver.ws.Hnodes[None, :] + 0.25
     out = solver.sweep(v)
@@ -458,7 +460,7 @@ def test_march_is_the_fixed_point(name, R, L):
 def test_march_zero_knots_is_H():
     model, _ = load_preset("regime")
     solver = FiniteHorizonSolver(dataclasses.replace(model, horizon=0.0),
-                                 R=20)
+                                 grid=build_grid(2, 20))
     v, _ = solver.march()
     assert v.shape == (1, solver.grid.n_nodes)
     assert_bitwise_equal(v[0], solver.ws.Hnodes)
@@ -887,7 +889,7 @@ def test_infinite_requires_discount_or_strict_cost():
     m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
                    c=[0.0, 0.0], rho=0.0, mu=[[1.0, 0.0]], horizon=1.0)
     with pytest.raises(ValueError):
-        solve_infinite(m, R=10)
+        solve_infinite(m, grid=build_grid(2, 10))
     with pytest.raises(ValueError):
         err_infinity(m, 5)
 
@@ -920,7 +922,7 @@ def test_infinite_bounded_by_norm_H():
     # reward cannot exceed its sup
     m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[1.0, 4.0],
                    c=[0.0, 0.0], rho=0.5, mu=[[2.0, 0.0]], horizon=1.0)
-    stat = solve_infinite(m, R=40, tol=1e-6)
+    stat = solve_infinite(m, grid=build_grid(2, 40), tol=1e-6)
     assert np.max(stat.values) <= 2.0 + 1e-6
     assert np.min(stat.values - terminal_reward_nodes(m, stat.grid.nodes)) \
         >= -1e-9
