@@ -40,6 +40,7 @@ def survival_weights(model, t, pi):
 # survival mass below which the raw weights near the subnormal range: the
 # beliefs there are stepped renormalized instead of read off M
 _LOW_MASS = 1e-250
+FLOW_CHUNK = 1000       # steps per flow_path call of flow
 
 
 def flow_path(model, beliefs, h, n):
@@ -96,13 +97,15 @@ def flow(model, t, pi):
     """No-arrival belief x(t, pi) = m(t, pi) / sum_j m_j(t, pi): the
     one-belief call of flow_path, on the fewest equal steps h with
     h max_i(lambda_i - q_ii) <= 200, so that no step decays out of double
-    range.
+    range, in calls of at most FLOW_CHUNK steps, so its memory is bounded.
     """
     if not 0.0 <= t < np.inf:
         raise FilterError(f"flow: duration {t} outside [0, inf)")
-    pi = check_belief(pi, model.n)
+    x = check_belief(pi, model.n)
     n = max(1, ceil(t * float(np.max(model.lam - np.diag(model.Q))) / 200.0))
-    return flow_path(model, pi, t / n, n)[1][-1, 0]
+    for j in range(0, n, FLOW_CHUNK):
+        x = flow_path(model, x, t / n, min(FLOW_CHUNK, n - j))[1][-1, 0].copy()
+    return x
 
 
 def flow_derivative(model, pi):

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 NODE_CAP = 2_000_000
+BLOCK_POINTS = 2 ** 13      # points per interp_matrix call of interp_matrices
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,22 @@ class SimplexGrid:
         B.sum_duplicates()
         B.eliminate_zeros()
         return B.copy()
+
+    def interp_matrices(self, points, weights):
+        """interp_matrix of each (M, n) slice of a (K, M, n) stack: one call
+        per block of about BLOCK_POINTS points, split into K CSR matrices."""
+        K, m = np.shape(weights)
+        per, out = max(1, BLOCK_POINTS // m), []
+        for k in range(0, K, per):
+            B = self.interp_matrix(np.reshape(points[k:k + per], (-1, self.n)),
+                                   np.ravel(weights[k:k + per]))
+            p = B.indptr
+            for r in range(0, B.shape[0], m):
+                lo, hi = p[r], p[r + m]
+                out.append(sparse.csr_matrix(
+                    (B.data[lo:hi], B.indices[lo:hi], p[r:r + m + 1] - lo),
+                    shape=(m, self.n_nodes), copy=True))
+        return out
 
 
 def build_grid(n, R):

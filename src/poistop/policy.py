@@ -14,7 +14,7 @@ import numpy as np
 
 from .filter import flow_path
 from .model import check_belief, net_return_rate
-from .valueiter import _format_nodes, apply_J0
+from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
 
@@ -46,13 +46,10 @@ class StoppingRegion:
         """Rows (s, coordinates, label); coordinates are formatted once."""
         grid = self.surface.grid
         cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
-        coords = _format_nodes(grid.nodes)
+        rows = [f"{c},%d\n" for c in _format_nodes(grid.nodes)]
         with open(path, "w") as fh:
             fh.write(f"s,{cols},label\n")
-            for s, row in zip(self.surface.knots.tolist(), self.labels):
-                s = f"{s:.17g},"
-                fh.write("".join([f"{s}{c},{lab}\n" for c, lab
-                                  in zip(coords, row.tolist())]))
+            _write_knots(fh, self.surface.knots, rows, self.labels)
 
 
 def extract_regions(surface, eps_tol=None):

@@ -59,6 +59,13 @@ def _format_nodes(nodes):
     return [",".join([f"{p:.17g}" for p in node]) for node in nodes.tolist()]
 
 
+def _write_knots(fh, knots, rows, table):
+    """Per knot s_k and node i, f"{s_k:.17g}," + rows[i] % table[k, i]."""
+    for s, row in zip(knots.tolist(), table):
+        s = f"{s:.17g},"
+        fh.write((s + s.join(rows)) % tuple(row.tolist()))
+
+
 # the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
 # 2 T lam_bar)) knots (FiniteHorizonSolver._certificate)
 CERT_R, CERT_L = 16, 60
@@ -124,19 +131,15 @@ class ValueSurface:
 
     def to_csv(self, path):
         """Rows (s, coordinates, value, H, best action) per knot and node;
-        all but s and the value are formatted once for every knot."""
-        H = self.h_nodes()
+        all but s and the value are formatted once, in row templates."""
         best = model_mod.best_action_nodes(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
-        coords = _format_nodes(self.grid.nodes)
-        tails = [f",{h:.17g},{b}\n" for h, b in zip(H.tolist(),
-                                                    best.tolist())]
+        rows = [f"{c},%.17g,{h:.17g},{b}\n" for c, h, b in zip(
+            _format_nodes(self.grid.nodes), self.h_nodes().tolist(),
+            best.tolist())]
         with open(path, "w") as fh:
             fh.write(f"s,{cols},value,H,best_action\n")
-            for s, row in zip(self.knots.tolist(), self.values):
-                s = f"{s:.17g},"
-                fh.write("".join([f"{s}{c},{v:.17g}{t}" for c, v, t
-                                  in zip(coords, row.tolist(), tails)]))
+            _write_knots(fh, self.knots, rows, self.values)
 
     def save(self, path):
         """Binary layout: magic, int64 (n, R, L+1, N), little-endian doubles
@@ -211,7 +214,7 @@ class _Workspace:
 
         # jump term at u_j: sv_j F(X_j), G0 w = F at the nodes, B_j F at X_j
         self.G0 = _jump_operator(model, grid)
-        self.B = [grid.interp_matrix(X[j], sv[j]) for j in range(L + 1)]
+        self.B = grid.interp_matrices(X, sv)
 
 
 class FiniteHorizonSolver:

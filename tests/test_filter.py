@@ -1,5 +1,7 @@
 """Exact filtering: survival weights, the no-arrival flow, jump updates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from poistop import (
     survival_weights,
 )
 from poistop.filter import (
+    FLOW_CHUNK,
     FilterError,
     FlowPropagator,
     events_from_csv,
@@ -172,6 +175,47 @@ def test_flow_path_tracks_the_flow_where_mass_underflows():
             assert np.max(np.abs(X[j, b] - flow(m, j * h, pi))) < 1e-12
     Z, omega = post_jump(m, X, M)
     assert np.all(np.isfinite(Z)) and np.all(omega[dead] == 0.0)
+
+
+def test_flow_in_chunks_matches_one_flow_path():
+    # lam_2 - lam_1 = 1e-5: x_2 / x_1 = e^{-1e-5 t} on Q = 0, and every
+    # step of h = 200 leaves the survival mass near underflow
+    m = absorbing_two_state(lam=(1.0, 1.00001))
+    pi = np.array([0.5, 0.5])
+    for t, n in ((1.5e5, 751), (5e5, 2501)):
+        x = flow(m, t, pi)
+        one = flow_path(m, pi, t / n, n)[1][-1, 0]
+        if n <= FLOW_CHUNK:
+            assert np.array_equal(x, one)
+        else:
+            assert np.max(np.abs(x - one)) <= 1e-12
+        r = np.exp(-1e-5 * t)
+        assert np.allclose(x, [1 / (1 + r), r / (1 + r)], rtol=1e-9)
+    # a three-state path of 1.4 chunks, against its one call
+    m3 = ergodic_three_state()
+    pi3 = np.array([0.2, 0.3, 0.5])
+    x = flow(m3, 4e4, pi3)
+    assert np.max(np.abs(x - flow_path(m3, pi3, 4e4 / 1400, 1400)[1][-1, 0])) \
+        <= 1e-12
+    assert np.array_equal(flow(m3, 2e4, pi3),
+                          flow_path(m3, pi3, 2e4 / 700, 700)[1][-1, 0])
+
+
+def test_flow_memory_does_not_grow_with_duration():
+    # 1,252 and 5,005 steps; one flow_path call of every step peaked at
+    # 0.08 and 0.29 MB
+    m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                   mu=[[1.0, 0.0]], horizon=1.0)
+    flow(m, 1.0, [0.5, 0.5])
+    peaks = []
+    for t in (250.0, 1000.0):
+        tracemalloc.start()
+        try:
+            flow(m, t, [0.5, 0.5])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # -- jump update ------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poistop import FiniteHorizonSolver, SimplexGrid, build_grid, load_preset
+from poistop.grid import BLOCK_POINTS
 
 
 def random_simplex_points(rng, m, n):
@@ -157,6 +158,39 @@ def test_interp_matrix_weighted_groups():
     direct = (wts * np.array([g.interpolate(vals, p) for p in pts]))
     assert np.allclose(B @ vals, direct.reshape(10, 4).sum(axis=1),
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("n, R, K, m", [
+    (2, 12, 300, 40),        # 204 slices per block: one ragged last block
+    (3, 9, 7, 3000),         # 2 slices per block: blocks of 2, 2, 2, 1
+    (2, 50, 3, 9000),        # each slice wider than one block
+    (3, 6, 1, 1),
+])
+def test_interp_matrices_bitwise_equal_per_slice(n, R, K, m):
+    g = build_grid(n, R)
+    rng = np.random.default_rng(23 + K)
+    pts = random_simplex_points(rng, K * m, n).reshape(K, m, n)
+    # lattice points (their duplicate vertices sum to one entry) and zero
+    # weights, a whole zero slice included, so eliminate_zeros drops some
+    on_nodes = pts[:, ::5].shape[:2]
+    pts[:, ::5] = g.nodes[rng.integers(g.n_nodes, size=on_nodes)]
+    wts = rng.uniform(size=(K, m))
+    wts[:, ::3] = 0.0
+    wts[K // 2] = 0.0
+    per = max(1, BLOCK_POINTS // m)
+    assert K == 1 or K % per or m > BLOCK_POINTS
+    Bs = g.interp_matrices(pts, wts)
+    assert len(Bs) == K
+    for k, B in enumerate(Bs):
+        ref = g.interp_matrix(pts[k], wts[k])
+        assert B.shape == ref.shape == (m, g.n_nodes)
+        for a, b in ((B.data, ref.data), (B.indices, ref.indices),
+                     (B.indptr, ref.indptr)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # each slice owns its buffers, no view of its block
+        for a in (B.data, B.indices):
+            assert (a if a.base is None else a.base).size == B.nnz
+    assert Bs[K // 2].nnz == 0
 
 
 @settings(max_examples=60, deadline=None)

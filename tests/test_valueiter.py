@@ -28,6 +28,7 @@ from poistop import (
 )
 from poistop.model import (best_action_nodes, terminal_reward,
                            terminal_reward_nodes)
+from poistop.policy import CONTINUE
 from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
 
@@ -275,8 +276,9 @@ def reference_regions_csv(region, path):
 def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     model, _ = load_preset(name)
     surf = solve_finite(model, grid=build_grid(model.n, R), L=12, tol=1e-3)
-    # signed zero, a subnormal-range magnitude and a large negative value
-    surf.values[1, :3] = [-0.0, 1e-300, -1.2345678901234567e17]
+    # signed zero, a subnormal-range magnitude, large and negative values
+    surf.values[1, :5] = [-0.0, 1e-300, -1.2345678901234567e17, 1e20,
+                          -0.1]
     region = extract_regions(surf)
     surf.to_csv(tmp_path / "surface.csv")
     reference_surface_csv(surf, tmp_path / "surface_ref.csv")
@@ -284,9 +286,11 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     reference_regions_csv(region, tmp_path / "regions_ref.csv")
     text = (tmp_path / "surface.csv").read_bytes()
     assert text == (tmp_path / "surface_ref.csv").read_bytes()
-    assert b",-0," in text and b",1e-300," in text
-    assert (tmp_path / "regions.csv").read_bytes() == \
-        (tmp_path / "regions_ref.csv").read_bytes()
+    for field in (b",-0,", b",1e-300,", b",1e+20,", b",-0.10000000000000001,"):
+        assert field in text
+    labels = (tmp_path / "regions.csv").read_bytes()
+    assert labels == (tmp_path / "regions_ref.csv").read_bytes()
+    assert (region.labels == CONTINUE).any() and b",-1\n" in labels
 
 
 # -- jump operators against the sparse-product assembly ----------------------
