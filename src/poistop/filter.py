@@ -4,19 +4,19 @@ Between arrivals the conditional distribution follows the deterministic
 flow x(t, pi): the survival-weight vector m(t, pi) = pi . exp(t(Q - Lambda))
 normalized by its sum.  At an arrival with mark y the belief jumps to the
 Bayes update with per-state likelihoods lambda_i f_i(y).
-flow_path steps beliefs on a uniform time grid and flow is its one-belief
-call; FlowPropagator flows many beliefs, each over its own duration, in the
-eigenbasis of Q - Lambda, with flow as its fallback and its oracle.
+flow_path steps beliefs on a uniform time grid by the nonnegative one-step
+matrix of propagator, and flow is its one-belief call; FlowPropagator flows
+many beliefs, each over its own duration, in the eigenbasis of Q - Lambda,
+with flow as its fallback and its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, exp, log2
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import check_belief
 
@@ -37,6 +37,55 @@ def survival_weights(model, t, pi):
     return flow_path(model, check_belief(pi, model.n), t, 1)[0][1, 0]
 
 
+_EPS = 2.0 ** -53        # unit roundoff: propagator's truncation threshold
+
+
+def propagator(A, h):
+    """exp(h A) for a sub-generator A (off-diagonal >= 0, rows sum <= 0)
+    by uniformization, every entry >= 0 and accurate.
+
+    With q = max_i -a_ii and K = I + A / q >= 0, exp(h A) = e^{-x} sum_k
+    x^k K^k / k!, x = q h: a sum of nonnegative terms.  h is halved s times
+    until x <= 1, the series is summed up to the first degree whose next
+    term falls below 2^-53 times the term of degree n - 1 (by which every
+    entry that is ever nonzero is nonzero), and the result squared s times.
+    A diagonal A (no transitions) gives diag(exp(h a_ii)) directly.
+    """
+    if not 0.0 <= h < np.inf:
+        raise FilterError(f"propagator: step {h} outside [0, inf)")
+    A = np.asarray(A, dtype=float)
+    n = len(A)
+    if np.count_nonzero(A) == np.count_nonzero(A.diagonal()):
+        return np.diag(np.exp(h * A.diagonal()))
+    q = -float(A.diagonal().min(initial=0.0))
+    x = q * h
+    if x == 0.0:
+        return np.eye(n)
+    s = max(0, ceil(log2(x)))
+    x /= 2 ** s
+    term = 1.0
+    for k in range(1, n):
+        term *= x / k
+    d, ref = n - 1, term
+    while term * x / (d + 1) > _EPS * ref:
+        d += 1
+        term *= x / d
+    K = A / q
+    K.flat[:: n + 1] += 1.0
+    # the powers K^0 .. K^d, the stack doubled by one product a round
+    pw, Kp = np.eye(n)[None], K
+    while len(pw) <= d:
+        pw = np.concatenate((pw, pw @ Kp))
+        Kp = Kp @ Kp
+    c = [exp(-x)]
+    for k in range(1, d + 1):
+        c.append(c[-1] * x / k)
+    P = (np.array(c) @ pw[: d + 1].reshape(d + 1, n * n)).reshape(n, n)
+    for _ in range(s):
+        P = P @ P
+    return P
+
+
 # survival mass below which the raw weights near the subnormal range: the
 # beliefs there are stepped renormalized instead of read off M
 _LOW_MASS = 1e-250
@@ -46,27 +95,24 @@ FLOW_CHUNK = 1000       # steps per flow_path call of flow
 def flow_path(model, beliefs, h, n):
     """The no-arrival flow of every belief at u_j = j h, j = 0..n.
 
-    Returns the survival weights M, shape (n+1, B, n), stepped by one
-    P = exp(h (Q - Lambda)) and clipped at 0 every step, the beliefs X,
-    and the survival mass sv = sum M, shape (n+1, B).  X is M / sv; where
-    sv is near underflow, X is instead the previous belief stepped by P and
-    renormalized, so X is the flowed belief however small M gets.
+    Returns the survival weights M, shape (n+1, B, n), of the nonnegative
+    beliefs stepped by one P = propagator(Q - Lambda, h) >= 0, the beliefs
+    X, and the survival mass sv = sum M, shape (n+1, B).  X is M / sv;
+    where sv is near underflow, X is instead the previous belief stepped by
+    P and renormalized, so X is the flowed belief however small M gets.
     """
     beliefs = np.atleast_2d(beliefs)
     M = np.empty((n + 1,) + beliefs.shape)
     M[0] = beliefs
-    P = expm(h * model.flow_generator()) if n else None
-    # clip at 0 with np.maximum: np.clip's per-call overhead is most of a
-    # step for the single-belief paths of the pointwise operators
+    P = propagator(model.flow_generator(), h) if n else None
     for j in range(n):
         np.matmul(M[j], P, out=M[j + 1])
-        np.maximum(M[j + 1], 0.0, out=M[j + 1])
     sv = M.sum(axis=2)
     low = sv < _LOW_MASS
     X = np.divide(M, sv[..., None], out=np.empty_like(M),
                   where=~low[..., None])
     for j in np.flatnonzero(low.any(axis=1)):      # j >= 1: sv[0] = 1
-        x = np.maximum(X[j - 1, low[j]] @ P, 0.0)
+        x = X[j - 1, low[j]] @ P
         X[j, low[j]] = x / x.sum(axis=1, keepdims=True)
     return M, X, sv
 
@@ -204,7 +250,7 @@ class FlowPropagator:
         beliefs = np.atleast_2d(beliefs)
         durations = np.asarray(durations, dtype=float)
         if self._ok:
-            z = beliefs.astype(complex) @ self.vecs
+            z = beliefs @ self.vecs
             # shift each row's exponents by the largest real part among the
             # modes it excites: the factor cancels in the normalization,
             # and the leading mode no longer underflows on long durations

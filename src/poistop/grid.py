@@ -12,6 +12,7 @@ for linear functions of pi and gives every point one deterministic cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -175,17 +176,19 @@ def build_grid(n, R):
     if count > NODE_CAP:
         raise ValueError(f"build_grid: {count} nodes exceeds the cap "
                          f"of {NODE_CAP}")
-    comps = _compositions(n, R)
+    comps = _compositions(n, R, count)
     nodes = comps.astype(float) / R
     return SimplexGrid(n=n, R=R, nodes=nodes, comps=comps)
 
 
-def _compositions(n, R):
-    if n == 1:
-        return np.array([[R]], dtype=np.int64)
-    rows = []
-    for k in range(R + 1):
-        rest = _compositions(n - 1, R - k)
-        first = np.full((rest.shape[0], 1), k, dtype=np.int64)
-        rows.append(np.hstack([first, rest]))
-    return np.vstack(rows)
+def _compositions(n, R, count):
+    """The count = C(R + n - 1, n - 1) compositions of R into n parts in
+    lexicographic order, by stars and bars: the parts are the gaps between
+    n - 1 bars placed among R + n - 1 slots, and combinations yields the
+    bar positions in lexicographic order, which is that of the parts."""
+    bars = np.fromiter(chain.from_iterable(
+        combinations(range(R + n - 1), n - 1)), dtype=np.int64,
+        count=count * (n - 1)).reshape(count, n - 1)
+    edges = np.hstack([np.full((count, 1), -1, dtype=np.int64), bars,
+                       np.full((count, 1), R + n - 1, dtype=np.int64)])
+    return np.diff(edges, axis=1) - 1

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 
 class ModelError(ValueError):
@@ -78,7 +77,9 @@ class MarkModel:
 def gamma_pdf(y, shape, rate):
     """Gamma(shape, rate) density at y (0 for y < 0), computed on
     scipy.special with the arithmetic of scipy's stats.gamma.pdf, which
-    costs about 0.6 s to import."""
+    costs about 0.6 s to import.  scipy.special itself is imported here and
+    in gamma_marks, so a model without gamma marks never loads it."""
+    from scipy import special
     scale = 1.0 / rate
     x = y / scale
     pdf = np.exp(special.xlogy(shape - 1.0, x) - x
@@ -113,6 +114,7 @@ def gamma_marks(shape, rate, n_quad=40):
     it integrates to one exactly (the discarded tail mass is below
     1 - GAMMA_Q_HI and would otherwise break the normalization invariant).
     """
+    from scipy import special
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
     # the quantile as scipy's stats.gamma.ppf computes it

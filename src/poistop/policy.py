@@ -43,13 +43,20 @@ class StoppingRegion:
         return np.nonzero(self.labels[k] == action)[0]
 
     def to_csv(self, path):
-        """Rows (s, coordinates, label); coordinates are formatted once."""
+        """Rows (s, coordinates, label), each row's text taken from a
+        (label, node) table formatted once."""
         grid = self.surface.grid
         cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
-        rows = [f"{c},%d\n" for c in _format_nodes(grid.nodes)]
+        coords = _format_nodes(grid.nodes)
+        top = int(self.labels.max(initial=CONTINUE))
+        table = np.array([[f"{c},{lab}\n" for c in coords]
+                          for lab in range(CONTINUE, top + 1)], dtype=object)
+        nodes = np.arange(grid.n_nodes)
+        lines = ((table[row - CONTINUE, nodes].tolist(), None)
+                 for row in self.labels)
         with open(path, "w") as fh:
             fh.write(f"s,{cols},label\n")
-            _write_knots(fh, self.surface.knots, rows, self.labels)
+            _write_knots(fh, self.surface.knots, lines)
 
 
 def extract_regions(surface, eps_tol=None):

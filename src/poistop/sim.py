@@ -19,10 +19,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import expm
 
-from .filter import ArrivalEvent, FlowPropagator
+from .filter import ArrivalEvent, FlowPropagator, propagator
 from .model import check_belief, terminal_reward_nodes
 from .policy import stop_rule
 
@@ -186,6 +184,7 @@ def _draw_marks(marks, states, u):
         return np.zeros(states.size)
     if marks.kind == "discrete":
         return marks.support[_categorical(_cdf(marks.weights)[states], u)]
+    from scipy import special
     return special.gammaincinv(marks.gamma_shape[states], u) \
         / marks.gamma_rate[states]
 
@@ -428,7 +427,7 @@ def oracle_filter(model, path, dt, pi0=None):
     else:
         pi = check_belief(pi0, model.n)
     steps = int(np.ceil(path.t_end / dt - 1e-12))
-    Ppred = expm(dt * model.Q)
+    Ppred = propagator(model.Q, dt)
     surv = np.exp(-model.lam * dt)
     times = np.linspace(0.0, steps * dt, steps + 1)
     post = np.empty((steps + 1, model.n))
@@ -479,7 +478,7 @@ def oracle_value(model, dt, grid, T=None, snapshot_times=None):
     snap_steps = np.rint(snapshot_times / dt).astype(int)
 
     nodes = grid.nodes
-    pred = nodes @ expm(dt * model.Q)
+    pred = nodes @ propagator(model.Q, dt)
     surv = np.exp(-model.lam * dt)
     w0 = pred * surv[None, :]
     p0 = w0.sum(axis=1)

@@ -59,11 +59,14 @@ def _format_nodes(nodes):
     return [",".join([f"{p:.17g}" for p in node]) for node in nodes.tolist()]
 
 
-def _write_knots(fh, knots, rows, table):
-    """Per knot s_k and node i, f"{s_k:.17g}," + rows[i] % table[k, i]."""
-    for s, row in zip(knots.tolist(), table):
+def _write_knots(fh, knots, lines):
+    """Per knot s_k, with (rows, values) the next item of lines, the node
+    rows f"{s_k:.17g}," + rows[i], their fields filled from the tuple
+    values by one % call (rows without fields come with values None)."""
+    for s, (rows, values) in zip(knots.tolist(), lines):
         s = f"{s:.17g},"
-        fh.write((s + s.join(rows)) % tuple(row.tolist()))
+        text = s + s.join(rows)
+        fh.write(text if values is None else text % values)
 
 
 # the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
@@ -131,15 +134,23 @@ class ValueSurface:
 
     def to_csv(self, path):
         """Rows (s, coordinates, value, H, best action) per knot and node;
-        all but s and the value are formatted once, in row templates."""
+        all but s and the value are formatted once, in row templates, and a
+        value with the bits of H (a stop cell) reuses H's text."""
+        H = self.h_nodes()
         best = model_mod.best_action_nodes(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
-        rows = [f"{c},%.17g,{h:.17g},{b}\n" for c, h, b in zip(
-            _format_nodes(self.grid.nodes), self.h_nodes().tolist(),
-            best.tolist())]
+        text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
+                for c, h, b in zip(_format_nodes(self.grid.nodes),
+                                   [f"{h:.17g}" for h in H.tolist()],
+                                   best.tolist())]
+        fmt, same = np.array(text, dtype=object).T
+        # bits, not ==, so that -0.0 and 0.0 keep their own text
+        eq = self.values.view(np.int64) == H.view(np.int64)
+        lines = ((np.where(e, same, fmt).tolist(), tuple(v[~e].tolist()))
+                 for v, e in zip(self.values, eq))
         with open(path, "w") as fh:
             fh.write(f"s,{cols},value,H,best_action\n")
-            _write_knots(fh, self.knots, rows, self.values)
+            _write_knots(fh, self.knots, lines)
 
     def save(self, path):
         """Binary layout: magic, int64 (n, R, L+1, N), little-endian doubles

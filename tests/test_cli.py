@@ -47,6 +47,32 @@ def test_cli_import_leaves_scipy_stats_out():
     assert proc.stdout.strip() == "False"
 
 
+FOOTPRINT = """
+import sys, numpy, scipy.sparse
+base = set(sys.modules)
+import poistop.cli
+from poistop.presets import load_preset
+def added():
+    return sorted(m for m in set(sys.modules) - base
+                  if m.startswith(("scipy.linalg", "scipy.special")))
+load_preset("reliability")
+load_preset("regime")
+print(added())
+load_preset("insurance")
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_import_footprint_beyond_numpy_and_scipy_sparse():
+    # the library needs only numpy and scipy.sparse; scipy.special is
+    # loaded by the gamma marks alone.  Modules are counted from what numpy
+    # and scipy.sparse load themselves, which depends on the scipy version
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 # -- solve ------------------------------------------------------------------
 
 def test_solve_regime_artifacts(out):

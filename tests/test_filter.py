@@ -24,6 +24,7 @@ from poistop.filter import (
     flow_derivative,
     flow_path,
     post_jump,
+    propagator,
 )
 from poistop.grid import build_grid
 from poistop.model import discrete_marks
@@ -145,6 +146,28 @@ def test_flow_derivative_matches_finite_difference():
         pi /= pi.sum()
         fd = (flow(m, h, pi) - flow(m, 0.0, pi)) / h
         assert np.max(np.abs(fd - flow_derivative(m, pi))) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["insurance", "regime", "reliability",
+                                  "reliability2", "techadopt", "targeting"])
+def test_propagator_matches_expm(name):
+    # from h = 1e-4 to flow's step cap h max_i(lambda_i - q_ii) = 200, on
+    # the flow generator Q - Lambda and on Q (the oracles' predictor)
+    from scipy.linalg import expm
+    m, _ = load_preset(name)
+    cap = 200.0 / float(np.max(m.lam - np.diag(m.Q)))
+    for A in (m.flow_generator(), m.Q):
+        assert np.array_equal(propagator(A, 0.0), np.eye(m.n))
+        for h in np.geomspace(1e-4, cap, 25):
+            P, E = propagator(A, h), expm(h * A)
+            assert P.min() >= 0.0
+            assert np.all(np.abs(P - E) <= 1e-12 * np.abs(E)), h
+
+
+def test_propagator_rejects_steps_outside_the_half_line():
+    for h in (-1e-3, np.inf, np.nan):
+        with pytest.raises(FilterError):
+            propagator(ergodic_three_state().flow_generator(), h)
 
 
 def test_flow_path_matches_flow():
@@ -428,6 +451,25 @@ def test_flow_propagator_shift_moves_presets_by_ulps(name):
     old /= old.sum(axis=1, keepdims=True)
     new = prop.advance(beliefs, durations)
     assert np.max(np.abs(new - old)) <= 8 * np.finfo(float).eps
+    # every preset's spectrum is real: advance multiplies real arrays
+    assert prop.vecs.dtype == prop.vals.dtype == np.float64
+
+
+def test_flow_propagator_complex_spectrum_matches_flow():
+    # a cyclic chain: Q - Lambda has a complex pair of eigenvalues
+    m = make_model(n=3, Q=[[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0],
+                           [1.0, 0.0, -1.0]], lam=[1.0, 2.0, 3.0],
+                   mu=[[1.0, 0.0, 0.0]], horizon=1.0)
+    prop = FlowPropagator(m)
+    assert np.iscomplexobj(prop.vals)
+    rng = np.random.default_rng(29)
+    beliefs = rng.dirichlet(np.ones(3), 20)
+    durations = rng.uniform(0.0, 5.0, 20)
+    out = prop.advance(beliefs, durations)
+    assert out.dtype == np.float64
+    for k in range(20):
+        assert np.max(np.abs(out[k] - flow(m, durations[k], beliefs[k]))) \
+            < 1e-12
 
 
 def test_events_csv_round_trip(tmp_path):

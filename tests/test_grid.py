@@ -32,6 +32,28 @@ def test_nodes_on_simplex():
     assert np.all(g.comps.sum(axis=1) == 7)
 
 
+def reference_compositions(n, R):
+    """The compositions of R into n parts in lexicographic order, built
+    recursively on the first part."""
+    if n == 1:
+        return np.array([[R]], dtype=np.int64)
+    rows = []
+    for k in range(R + 1):
+        rest = reference_compositions(n - 1, R - k)
+        first = np.full((rest.shape[0], 1), k, dtype=np.int64)
+        rows.append(np.hstack([first, rest]))
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("R", [1, 2, 7, 20])
+def test_compositions_match_recursive_reference(n, R):
+    comps = build_grid(n, R).comps
+    ref = reference_compositions(n, R)
+    assert comps.dtype == ref.dtype == np.int64
+    assert np.array_equal(comps, ref)
+
+
 def test_node_cap():
     with pytest.raises(ValueError):
         build_grid(6, 200)

@@ -26,6 +26,7 @@ from poistop import (
     truncated_rule_slack,
     uniform_error_bound,
 )
+from poistop.filter import propagator
 from poistop.model import (best_action_nodes, terminal_reward,
                            terminal_reward_nodes)
 from poistop.policy import CONTINUE
@@ -279,6 +280,13 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     # signed zero, a subnormal-range magnitude, large and negative values
     surf.values[1, :5] = [-0.0, 1e-300, -1.2345678901234567e17, 1e20,
                           -0.1]
+    # a -0.0 and a 0.0 value at a node whose H is +0.0: only the second
+    # has H's bits, so only it may reuse H's text
+    H = surf.h_nodes()
+    zero = int(np.flatnonzero(H.view(np.int64) == 0)[0])
+    surf.values[2:4, zero] = [-0.0, 0.0]
+    same = surf.values.view(np.int64) == H.view(np.int64)
+    assert same[4:].any() and not same[2, zero] and same[3, zero]
     region = extract_regions(surf)
     surf.to_csv(tmp_path / "surface.csv")
     reference_surface_csv(surf, tmp_path / "surface_ref.csv")
@@ -288,6 +296,10 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     assert text == (tmp_path / "surface_ref.csv").read_bytes()
     for field in (b",-0,", b",1e-300,", b",1e+20,", b",-0.10000000000000001,"):
         assert field in text
+    rows = text.splitlines()[1:]
+    N = surf.grid.n_nodes
+    assert rows[2 * N + zero].split(b",")[-3:-1] == [b"-0", b"0"]
+    assert rows[3 * N + zero].split(b",")[-3:-1] == [b"0", b"0"]
     labels = (tmp_path / "regions.csv").read_bytes()
     assert labels == (tmp_path / "regions_ref.csv").read_bytes()
     assert (region.labels == CONTINUE).any() and b",-1\n" in labels
@@ -297,15 +309,16 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
 
 def reference_flow(solver):
     """Survival weights M of every node at every knot, stepped in a Python
-    loop, their sums sv and the flowed beliefs X."""
+    loop, their sums sv and the flowed beliefs X.  The one-step matrix is
+    filter.propagator's, which test_filter checks against expm: this checks
+    the stepping and the assembly of the B_j."""
     model, grid = solver.model, solver.grid
     M = np.empty((solver.L + 1, grid.n_nodes, model.n))
     M[0] = grid.nodes
     if solver.L:
-        P = expm(solver.ws.dt * model.flow_generator())
+        P = propagator(model.flow_generator(), solver.ws.dt)
         for j in range(solver.L):
             M[j + 1] = M[j] @ P
-        np.clip(M, 0.0, None, out=M)
     sv = M.sum(axis=2)
     X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
     return M, sv, X
