@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import platform
 import sys
-from dataclasses import replace
 from math import inf
 from pathlib import Path
 
@@ -27,8 +27,7 @@ import scipy
 
 from . import __version__, policy, sim, valueiter
 from .grid import build_grid
-from .model import (ModelError, load_model, model_from_dict, model_hash,
-                    model_to_dict)
+from .model import load_model, model_from_dict, model_hash, model_to_dict
 from .presets import load_preset, preset_names
 from .valueiter import NumericalError, ValueSurface
 
@@ -68,7 +67,7 @@ def _json(obj, indent=0):
         if x in (float("inf"), float("-inf")):
             return f'"{x}"'
         return format(x, ".17g")
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return json.dumps(str(obj), ensure_ascii=False)
 
 
 def write_json(obj, path):
@@ -79,36 +78,27 @@ def write_json(obj, path):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _apply_overrides(model, overrides):
+def _apply_overrides(d, overrides):
+    """The model-file dict d with each key=value override written in (one
+    value for rho and horizon or T; one c is given to every state)."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--override needs key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        vals = [float(v) for v in raw.split(",")]
-        if key in ("rho", "horizon", "T") and len(vals) != 1:
-            raise ConfigError(f"override {key}: expected 1 value, got "
-                              f"{len(vals)}")
-        if key == "rho":
-            model = replace(model, rho=vals[0])
-        elif key in ("horizon", "T"):
-            model = replace(model, horizon=vals[0])
-        elif key == "c":
-            c = np.full(model.n, vals[0]) if len(vals) == 1 \
-                else np.asarray(vals)
-            if c.shape != (model.n,):
-                raise ConfigError(f"override c: expected 1 or {model.n} "
-                                  f"values")
-            model = replace(model, c=c)
-        elif key == "lambda":
-            lam = np.asarray(vals)
-            if lam.shape != (model.n,):
-                raise ConfigError(f"override lambda: expected {model.n} "
-                                  f"values")
-            model = replace(model, lam=lam)
-        else:
+        field = {"rho": "rho", "horizon": "horizon", "T": "horizon",
+                 "c": "c", "lambda": "lambda"}.get(key)
+        if field is None:
             raise ConfigError(f"--override: unsupported key {key!r} "
                               "(use rho, horizon, c, lambda)")
-    return model
+        vals = [float(v) for v in raw.split(",")]
+        scalar = field in ("rho", "horizon")
+        if scalar and len(vals) != 1:
+            raise ConfigError(f"override {key}: expected 1 value, got "
+                              f"{len(vals)}")
+        if field == "c" and len(vals) == 1:
+            vals = vals * d["n"]
+        d[field] = vals[0] if scalar else vals
+    return d
 
 
 def _resolve(args):
@@ -126,20 +116,17 @@ def _resolve(args):
         info.update(info0)
     elif args.model:
         path = Path(args.model)
-        if not path.exists():
-            raise ConfigError(f"model file not found: {path}")
         name = path.stem
         try:
             model = load_model(path)
-        except (ModelError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, bad JSON, bad model
             raise ConfigError(f"{path}: {exc}") from None
     else:
         raise ConfigError("one of --example or --model is required")
     if args.override:
-        # a round trip through the model file form re-runs validate_model
         try:
-            model = model_from_dict(model_to_dict(
-                _apply_overrides(model, args.override)))
+            model = model_from_dict(_apply_overrides(model_to_dict(model),
+                                                     args.override))
         except ValueError as exc:        # a non-number, or a ModelError
             raise ConfigError(f"--override: {exc}") from None
     if info["initial"] is None:
@@ -372,7 +359,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError,
-            ValueError, ModelError) as exc:
+            ValueError) as exc:          # ValueError: also a ModelError
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
 

@@ -253,10 +253,12 @@ class FlowPropagator:
             z = beliefs @ self.vecs
             # shift each row's exponents by the largest real part among the
             # modes it excites: the factor cancels in the normalization,
-            # and the leading mode no longer underflows on long durations
-            top = np.where(z != 0, self.vals.real, -np.inf).max(axis=1)
-            z = z * np.exp(durations[:, None]
-                           * (self.vals[None, :] - top[:, None]))
+            # and the leading mode no longer underflows on long durations;
+            # an unexcited mode gets 0, not 0 * exp(shift), which may be inf
+            on = z != 0
+            top = np.where(on, self.vals.real, -np.inf).max(axis=1)
+            shift = durations[:, None] * (self.vals[None, :] - top[:, None])
+            z = z * np.exp(shift, out=np.zeros_like(shift), where=on)
             m = np.real(z @ self.vecs_inv)
         else:
             m = np.array([flow(self.model, t, pi) for pi, t

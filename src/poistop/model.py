@@ -185,10 +185,8 @@ class ModelSpec:
         return float(np.max(np.abs(self.effective_cost_rates())))
 
     def norm_H(self):
-        # |H| over the simplex is bounded by its values at the corners; H is
-        # a max of linear forms so the corner max is exact for H itself and
-        # conservative for |H|.
-        return float(np.max(np.abs(np.max(self.mu, axis=0))))
+        # H is a max of linear forms: |H| is at most its largest corner value
+        return float(np.max(np.abs(terminal_reward(self, np.eye(self.n))[0])))
 
 
 def make_model(n, Q, lam, marks=None, c=None, rho=0.0, mu=None, horizon=1.0,
@@ -198,8 +196,8 @@ def make_model(n, Q, lam, marks=None, c=None, rho=0.0, mu=None, horizon=1.0,
     Q = np.asarray(Q, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if marks is None:
-        marks = no_marks(n)
-    c = np.zeros(n) if c is None else np.asarray(c, dtype=float)
+        marks = no_marks(max(n, 0))       # n < 1 is a violation below
+    c = np.zeros(max(n, 0)) if c is None else np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
         mu = mu[None, :]
@@ -258,6 +256,10 @@ def model_violations(spec):
         out.append(f"horizon: T must be >= 0, got {spec.horizon}")
     if spec.cost_mode not in ("running", "discrete"):
         out.append(f"cost_mode: unknown mode {spec.cost_mode!r}")
+    if spec.sense not in ("max", "min"):
+        out.append(f"sense: unknown sense {spec.sense!r}")
+    if spec.states and len(spec.states) != n:
+        out.append(f"states: expected {n} names, got {len(spec.states)}")
     if spec.cost_mode == "discrete":
         if spec.K is None:
             out.append("K: cost_mode='discrete' requires mark costs K")
@@ -265,9 +267,9 @@ def model_violations(spec):
             out.append(f"K: expected one value per mark "
                        f"({spec.marks.n_marks}), got shape {spec.K.shape}")
     m = spec.marks
-    if m.weights.shape[0] != n:
-        out.append(f"marks: expected {n} weight rows, got "
-                   f"{m.weights.shape[0]}")
+    if m.weights.shape != (n, m.n_marks):
+        out.append(f"marks: expected {n} weight rows of {m.n_marks}, one "
+                   f"per support point, got shape {m.weights.shape}")
     else:
         if np.any(m.weights < -1e-15):
             out.append("marks: negative probability weight")
@@ -313,28 +315,11 @@ def check_belief(pi, n=None):
     return pi / pi.sum()
 
 
-def action_values(model, pi):
-    """H_k(pi) for every action row k."""
-    return model.mu @ np.asarray(pi, dtype=float)
-
-
-def terminal_reward(model, pi):
-    """(H(pi), best action) with smallest-index tie-break.
-
-    H(pi) = max_k sum_i mu[k, i] pi_i.
-    """
-    vals = action_values(model, pi)
-    best = int(np.argmax(vals))  # argmax returns the first (smallest) index
-    return float(vals[best]), best
-
-
-def terminal_reward_nodes(model, nodes):
-    """Vectorized H over an array of beliefs (N, n) -> (N,)."""
-    return np.max(nodes @ model.mu.T, axis=-1)
-
-
-def best_action_nodes(model, nodes):
-    return np.argmax(nodes @ model.mu.T, axis=-1)
+def terminal_reward(model, beliefs):
+    """(H, best) at beliefs of shape (..., n): H = max_k sum_i mu[k, i]
+    pi_i and the action attaining it, the smallest index on ties."""
+    hv = np.asarray(beliefs, dtype=float) @ model.mu.T
+    return hv.max(axis=-1), hv.argmax(axis=-1)
 
 
 def running_cost(model, pi):
@@ -401,32 +386,63 @@ def model_to_dict(model):
     return d
 
 
+def _field(d, key, kind, *default, where=""):
+    """d[key] if of JSON type kind ("an integer", "a number", "an object",
+    "a list" or "[numbers]": a list of numbers or of equal-length such
+    lists, as floats), else default[0] if key is absent, else a ModelError
+    that names the field."""
+    if key not in d:
+        if default:
+            return default[0]
+        raise ModelError([f"{where}{key}: required field missing"])
+    x = d[key]
+    if kind == "[numbers]":
+        try:
+            a = np.asarray(x)
+        except ValueError:                # lists of unequal lengths
+            a = np.asarray(None)
+        if isinstance(x, list) and a.dtype.kind in "iuf":
+            return a.astype(float)
+    elif isinstance(x, {"an integer": int, "a number": (int, float),
+                        "an object": dict, "a list": list}[kind]) \
+            and not isinstance(x, bool):
+        return x
+    raise ModelError([f"{where}{key}: expected {kind}, got "
+                      f"{json.dumps(x)[:40]}"])
+
+
 def model_from_dict(d):
-    n = int(d["n"])
-    md = d.get("marks", {"kind": "none"})
+    """The validated model of a model file's JSON object; a field that is
+    missing or of the wrong type is a ModelError naming it."""
+    d = _field({"model": d}, "model", "an object")
+    n = _field(d, "n", "an integer")
+    md = _field(d, "marks", "an object", {"kind": "none"})
     kind = md.get("kind", "none")
     if kind == "none":
-        marks = no_marks(n)
+        marks = None
     elif kind == "discrete":
-        marks = discrete_marks(md["support"], md["pmf"])
+        marks = discrete_marks(*(_field(md, k, "[numbers]", where="marks.")
+                                 for k in ("support", "pmf")))
     elif kind == "gamma":
-        marks = gamma_marks(md["shape"], md["rate"],
-                            n_quad=int(md.get("n_quad", 40)))
+        marks = gamma_marks(*(_field(md, k, "[numbers]", where="marks.")
+                              for k in ("shape", "rate")),
+                            n_quad=_field(md, "n_quad", "an integer", 40,
+                                          where="marks."))
     else:
         raise ModelError([f"marks.kind: unknown kind {kind!r}"])
     return make_model(
         n=n,
-        Q=d["Q"],
-        lam=d["lambda"],
+        Q=_field(d, "Q", "[numbers]"),
+        lam=_field(d, "lambda", "[numbers]"),
         marks=marks,
-        c=d.get("c"),
-        rho=d.get("rho", 0.0),
-        mu=d["mu"],
-        horizon=d.get("horizon", 1.0),
+        c=_field(d, "c", "[numbers]", None),
+        rho=_field(d, "rho", "a number", 0.0),
+        mu=_field(d, "mu", "[numbers]"),
+        horizon=_field(d, "horizon", "a number", 1.0),
         cost_mode=d.get("cost_mode", "running"),
-        K=d.get("K"),
-        states=d.get("states", ()),
-        actions=d.get("actions", ()),
+        K=_field(d, "K", "[numbers]", None),
+        states=_field(d, "states", "a list", ()),
+        actions=_field(d, "actions", "a list", ()),
         sense=d.get("sense", "max"),
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import check_belief, net_return_rate
+from .model import check_belief, net_return_rate, terminal_reward
 from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
@@ -23,9 +23,8 @@ def stop_rule(model, v, beliefs, eps):
     """The eps-optimal rule at beliefs (..., n) with values v (broadcast
     against the leading shape): (stop, action, H) with stop iff v - H <= eps
     and action the best terminal action, smallest index on ties."""
-    hv = beliefs @ model.mu.T
-    H = hv.max(axis=-1)
-    return v - H <= eps, hv.argmax(axis=-1), H
+    H, best = terminal_reward(model, beliefs)
+    return v - H <= eps, best, H
 
 
 @dataclass
@@ -208,15 +207,13 @@ def corner_diagnostics(model):
     exists (rho > 0 or negative effective cost rate).
     """
     c_eff = model.effective_cost_rates()
-    mu_best = float(np.max(model.mu))
+    H = terminal_reward(model, np.eye(model.n))[0]      # at the corners
     report = {}
     for i in range(model.n):
-        vals = model.mu[:, i]
-        top = float(np.max(vals))
         astar = [int(k) for k in range(model.n_actions)
-                 if vals[k] >= top - 1e-12]
+                 if model.mu[k, i] >= H[i] - 1e-12]
         rates = {k: net_return_rate(model, i, k) for k in astar}
-        in_istar = top >= mu_best - 1e-12
+        in_istar = H[i] >= H.max() - 1e-12
         report[i] = {
             "optimal_actions": astar,
             "net_return_rates": rates,

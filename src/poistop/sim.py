@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .filter import ArrivalEvent, FlowPropagator, propagator
-from .model import check_belief, terminal_reward_nodes
+from .model import check_belief, terminal_reward
 from .policy import stop_rule
 
 RNG_ALGORITHM = "philox4x64"
@@ -492,7 +492,7 @@ def oracle_value(model, dt, grid, T=None, snapshot_times=None):
         post = np.where(ok[:, None], wr / np.where(pr[:, None] > 0,
                                                    pr[:, None], 1.0), nodes)
         branches.append((pr, grid.interp_matrix(post)))
-    H = terminal_reward_nodes(model, nodes)
+    H = terminal_reward(model, nodes)[0]
     if model.cost_mode == "running":
         step_cost = (nodes @ model.c) * dt
     else:

@@ -47,7 +47,7 @@ import numpy as np
 from . import model as model_mod
 from .filter import flow_path, post_jump
 from .grid import SimplexGrid, build_grid
-from .model import check_belief, terminal_reward, terminal_reward_nodes
+from .model import check_belief, terminal_reward
 
 
 class NumericalError(RuntimeError):
@@ -103,7 +103,7 @@ class ValueSurface:
         return float(self.knots[1] - self.knots[0]) if self.L > 0 else 0.0
 
     def h_nodes(self):
-        return terminal_reward_nodes(self.model, self.grid.nodes)
+        return terminal_reward(self.model, self.grid.nodes)[0]
 
     def value_at(self, s, pi):
         pi = check_belief(pi, self.model.n)
@@ -136,8 +136,7 @@ class ValueSurface:
         """Rows (s, coordinates, value, H, best action) per knot and node;
         all but s and the value are formatted once, in row templates, and a
         value with the bits of H (a stop cell) reuses H's text."""
-        H = self.h_nodes()
-        best = model_mod.best_action_nodes(self.model, self.grid.nodes)
+        H, best = terminal_reward(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
         text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
                 for c, h, b in zip(_format_nodes(self.grid.nodes),
@@ -216,8 +215,8 @@ class _Workspace:
         M, X, sv = flow_path(model, grid.nodes, self.dt, L)
         self.sv = sv
 
-        self.Hnodes = terminal_reward_nodes(model, grid.nodes)
-        Hx = np.max(X @ model.mu.T, axis=2)
+        self.Hnodes = terminal_reward(model, grid.nodes)[0]
+        Hx = terminal_reward(model, X)[0]
         disc = np.exp(-model.rho * knots)
         self.Aterm = sv * disc[:, None] * Hx
         self.costM = M @ model.effective_cost_rates()
@@ -429,12 +428,10 @@ def solve_finite(model, grid, L=None, tol=1e-4):
     return FiniteHorizonSolver(model, grid=grid, L=L, tol=tol).solve()
 
 
-def richardson_check(model, grid, L=None, coarse=None):
+def richardson_check(model, grid, L, coarse=None):
     """Self-check of the time discretization: march again with halved
     steps and report the sup-norm change at the shared knots.  coarse is
     the march at L knots on grid, if already known."""
-    if L is None:
-        L = default_knot_count(model)
     if coarse is None:
         coarse, _ = FiniteHorizonSolver(model, grid=grid, L=L).march()
     fine, _ = FiniteHorizonSolver(model, grid=grid, L=2 * L).march()
@@ -457,7 +454,7 @@ def _j_path(model, surface, s, pi, h, n):
     jump = surface.jump_surface.value_at_batch(s - u, X)
     disc = np.exp(-model.rho * u)
     phi = disc * (M @ model.effective_cost_rates() + sv * jump)
-    head = sv * disc * terminal_reward_nodes(model, X)
+    head = sv * disc * terminal_reward(model, X)[0]
     return head + np.concatenate(
         [[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
 
@@ -474,7 +471,7 @@ def apply_J(model, surface, t, s, pi):
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
     pi = check_belief(pi, model.n)
     if t <= 0:
-        return terminal_reward(model, pi)[0]
+        return float(terminal_reward(model, pi)[0])
     n_sub = max(1, int(round(t / surface.dt))) if surface.L else 1
     return float(_j_path(model, surface, s, pi, t / n_sub, n_sub)[-1])
 
@@ -500,7 +497,7 @@ def apply_J0(model, surface, s, pi):
 # error bounds
 # ---------------------------------------------------------------------------
 
-def uniform_error_bound(model, m, T=None):
+def uniform_error_bound(model, m):
     """Sup-norm bound on V - v_m:
 
         (T ||C|| + 2 ||H||) (lam_bar T / (m-1))^{1/2}
@@ -508,8 +505,7 @@ def uniform_error_bound(model, m, T=None):
     """
     if m < 2:
         raise ValueError(f"uniform_error_bound: need m >= 2, got {m}")
-    T = model.horizon if T is None else T
-    lb = model.lam_bar
+    T, lb = model.horizon, model.lam_bar
     amp = T * model.norm_C() + 2.0 * model.norm_H()
     return float(amp * np.sqrt(lb * T / (m - 1))
                  * (lb / (2.0 * model.rho + lb)) ** (m / 2.0))
@@ -561,11 +557,11 @@ def horizon_error(model, T=None):
     return float(2.0 * model.norm_H() / T * spread / np.max(c_eff))
 
 
-def truncated_rule_slack(model, eps, m, T=None):
+def truncated_rule_slack(model, eps, m):
     """Total optimality slack of the truncated infinite-horizon rule:
     eps + Err_inf(m) + Err_inf(0) * Err(T)."""
     return float(eps + err_infinity(model, m)
-                 + err_infinity(model, 0) * horizon_error(model, T))
+                 + err_infinity(model, 0) * horizon_error(model))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop.policy import CONTINUE
-from poistop.model import best_action_nodes, terminal_reward_nodes
+from poistop.model import terminal_reward
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +329,7 @@ def test_discrete_cost_no_quit_at_full_horizon(techadopt_surface):
     # solver does, obeys 1 too, and its pi_Low edge lies within two grid
     # steps of the solver's
     orc = oracle_value(model, 1e-3, grid=grid)
-    best = best_action_nodes(model, nodes)
+    best = terminal_reward(model, nodes)[1]
     orc_quit = np.nonzero((orc.values[-1] - H <= eps_tol) & (best == 0))[0]
     assert (len(orc_quit) == 0) == (len(quit_T) == 0)
     assert np.all(lb[orc_quit] <= H[orc_quit] + eps_tol)
@@ -371,5 +371,5 @@ def test_discrete_cost_quit_region_near_low_corner(techadopt_surface):
 def test_discrete_cost_solves_and_is_consistent(techadopt_surface):
     model, grid, surf = techadopt_surface
     assert surf.meta["converged"]
-    H = terminal_reward_nodes(model, grid.nodes)
+    H = terminal_reward(model, grid.nodes)[0]
     assert np.min(surf.values - H[None, :]) >= -1e-9

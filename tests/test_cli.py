@@ -9,7 +9,7 @@ import pytest
 
 from poistop import load_preset
 from poistop.cli import main
-from poistop.model import model_hash, save_model
+from poistop.model import model_hash, model_to_dict, save_model
 
 
 def run(args):
@@ -158,6 +158,34 @@ def test_invalid_model_file_rejected(tmp_path):
     assert run(["solve", "--model", str(bad)]) == 1
 
 
+def _regime_file(path, **fields):
+    d = model_to_dict(load_preset("regime")[0])
+    d.update(fields)
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.mark.parametrize("case", ["list", "null n", "marks string",
+                                  "directory"])
+def test_malformed_model_file_is_config_error(tmp_path, out, capsys, case):
+    # each of these used to end in a traceback (TypeError, AttributeError,
+    # IsADirectoryError)
+    mfile = tmp_path / "bad.json"
+    if case == "list":
+        mfile.write_text("[1, 2]")
+    elif case == "null n":
+        mfile.write_text('{"n": null}')
+    elif case == "marks string":
+        _regime_file(mfile, marks="none")
+    else:
+        mfile.mkdir()
+    assert run(["solve", "--model", str(mfile), "--R", "4", "--L", "4",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bad_override_rejected(out):
     assert run(["solve", "--example", "regime", "--override", "weird=1",
                 "--out", str(out)]) == 1
@@ -240,6 +268,24 @@ def test_diverging_time_grid_exit_code(out, capsys):
 
 
 # -- diagnose ---------------------------------------------------------------
+
+def test_json_artifacts_escape_control_characters(tmp_path, out):
+    # tab, newline, quote and backslash in state names: manifest.json and
+    # diagnostics.json used to carry the first two raw, which json rejects
+    names = ["low\tstate \"a\"", "high\nstate \\b"]
+    mfile = _regime_file(tmp_path / "names.json", states=names)
+    assert run(["solve", "--model", str(mfile), "--R", "4", "--L", "4",
+                "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["model"]["states"] == names
+    assert run(["diagnose", "--model", str(mfile), "--R", "4", "--L", "4",
+                "--out", str(out)]) == 0
+    d = json.loads((out / "diagnostics.json").read_text())
+    assert list(d["corners"]) == names
+    # diagnose writes a manifest of its own
+    assert json.loads((out / "manifest.json").read_text())["model"][
+        "states"] == names
+
 
 def test_diagnose_reliability(out, capsys):
     assert run(["diagnose", "--example", "reliability", "--R", "30",

@@ -417,6 +417,18 @@ def test_flow_propagator_where_mass_underflows():
     assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_flow_propagator_unexcited_slow_mode_does_not_overflow():
+    # (0, 1) excites only the fast mode; the slow mode's shifted exponent
+    # 5 * 999 overflows, and 0 * inf used to turn the row into NaN
+    m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 1000.0],
+                   mu=[[1.0, 0.0]])
+    beliefs = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    out = FlowPropagator(m).advance(beliefs, [5.0, 5.0, 5.0])
+    for k in range(3):
+        assert np.max(np.abs(out[k] - flow(m, 5.0, beliefs[k]))) <= 1e-12
+
+
 def test_flow_propagator_defective_generator_falls_back_to_flow():
     # Q - Lambda = [[-2, 1], [0, -2]] is a Jordan block: the eigenbasis is
     # singular, so advance takes the row-by-row branch; at t = 400 the raw

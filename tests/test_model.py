@@ -244,6 +244,53 @@ def test_model_from_dict_unknown_marks():
                          "mu": [[1.0]], "marks": {"kind": "weird"}})
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.pop("Q"), "Q: required field missing"),
+    (lambda d: d.update(n=None), "n: expected an integer, got null"),
+    (lambda d: d.update(n=2.5), "n: expected an integer"),
+    (lambda d: d.update(rho="0.1"), "rho: expected a number"),
+    (lambda d: d.update(horizon=True), "horizon: expected a number"),
+    (lambda d: d.update(Q=[[0.0, 1.0], [2.0]]), "Q: expected [numbers]"),
+    (lambda d: d.update(mu="abc"), "mu: expected [numbers]"),
+    (lambda d: d.update({"lambda": [1.0, None]}),
+     "lambda: expected [numbers]"),
+    (lambda d: d.update(c=-1.0), "c: expected [numbers], got -1.0"),
+    (lambda d: d.update(states="ab"), "states: expected a list"),
+    (lambda d: d.update(marks="none"), "marks: expected an object"),
+    (lambda d: d.update(marks={"kind": "discrete", "pmf": [[1.0]] * 2}),
+     "marks.support: required field missing"),
+    (lambda d: d.update(marks={"kind": "gamma", "shape": 3, "rate": [1, 1]}),
+     "marks.shape: expected [numbers], got 3"),
+])
+def test_model_from_dict_names_a_field_of_the_wrong_type(edit, field):
+    d = model_to_dict(two_state())
+    edit(d)
+    with pytest.raises(ModelError) as exc:
+        model_from_dict(d)
+    assert exc.value.violations[0].startswith(field)
+
+
+@pytest.mark.parametrize("d", [[1, 2], None, "model", 3])
+def test_model_from_dict_needs_an_object(d):
+    with pytest.raises(ModelError, match="model: expected an object"):
+        model_from_dict(d)
+
+
+def test_label_counts_sense_and_mark_table_are_checked():
+    d = model_to_dict(two_state())
+    with pytest.raises(ModelError, match="states: expected 2 names, got 1"):
+        model_from_dict(dict(d, states=["low"]))
+    with pytest.raises(ModelError, match="sense: unknown sense 'least'"):
+        model_from_dict(dict(d, sense="least"))
+    marks = {"kind": "discrete", "support": [0.0, 1.0, 2.0],
+             "pmf": [[0.5, 0.5], [0.5, 0.5]]}
+    with pytest.raises(ModelError, match=r"marks: expected 2 weight rows "
+                       r"of 3, one per support point, got shape \(2, 2\)"):
+        model_from_dict(dict(d, marks=marks))
+    with pytest.raises(ModelError, match="n: state count must be >= 1"):
+        model_from_dict(dict(d, n=-1))
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.nan, np.nan],
                                  [np.inf, 0.0]])
 def test_check_belief_rejects_non_finite(bad):

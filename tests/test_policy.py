@@ -23,7 +23,7 @@ from poistop import (
     two_hypothesis_diagnostics,
     ValueSurface,
 )
-from poistop.model import terminal_reward, terminal_reward_nodes
+from poistop.model import terminal_reward
 from poistop.policy import CONTINUE, boundary_curve_to_csv, stop_rule
 
 
@@ -129,7 +129,7 @@ def reference_interval(model, grid, values, eps_tol, n_bisect=64):
     V - H = eps_tol.  Returns Fractions (or nan)."""
     p2 = grid.nodes[:, 1]
     order = np.argsort(p2)
-    gap = values - terminal_reward_nodes(model, grid.nodes)
+    gap = values - terminal_reward(model, grid.nodes)[0]
     cont = gap[order] > eps_tol
     if not cont.any():
         return float("nan"), float("nan")
@@ -202,7 +202,7 @@ def test_boundary_at_zero_eps_brackets_by_the_cell():
     curve = boundary_curve(surf, 0.0)
     p2 = np.sort(surf.grid.nodes[:, 1])
     order = np.argsort(surf.grid.nodes[:, 1])
-    H = terminal_reward_nodes(model, surf.grid.nodes)
+    H = terminal_reward(model, surf.grid.nodes)[0]
     inner = 0
     for (_, lo, hi), v in zip(curve, surf.values):
         cont = np.nonzero((v - H)[order] > 0.0)[0]
@@ -364,7 +364,7 @@ def test_one_rule_for_every_decision(case, eps, regime_small,
     model, surf = regime_small if case == "regime" else insurance_small
     nodes = surf.grid.nodes
     region = extract_regions(surf, eps)
-    H = terminal_reward_nodes(model, nodes)
+    H = terminal_reward(model, nodes)[0]
     stop, best, h = stop_rule(model, surf.values, nodes, eps)
     assert np.array_equal(h, H)
     checked = [0, 0]                 # continue, stop
@@ -393,7 +393,7 @@ def test_stop_time_matches_reference_where_mass_underflows():
                        mu=[[1.0, 0.0], [0.0, 1.0]], horizon=1.0)
     grid = build_grid(2, 4)
     knots = np.linspace(0.0, 1.0, 601)
-    values = (terminal_reward_nodes(model, grid.nodes)[None, :]
+    values = (terminal_reward(model, grid.nodes)[0][None, :]
               + knots[:, None] * grid.nodes[None, :, 1])
     surf = ValueSurface(model=model, grid=grid, knots=knots, values=values,
                         meta={})

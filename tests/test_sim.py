@@ -18,7 +18,7 @@ from poistop import (
     simulate_paths,
     solve_finite,
 )
-from poistop.model import discrete_marks, gamma_marks, terminal_reward_nodes
+from poistop.model import discrete_marks, gamma_marks, terminal_reward
 from poistop.sim import (RNG_ALGORITHM, _uniform, path_to_csv,
                          philox_blocks)
 
@@ -216,7 +216,7 @@ def test_uniformized_chain_mean_jump_count(Q, pi0):
 def flat_surface(model, grid, value, L=20):
     knots = np.linspace(0.0, model.horizon, L + 1)
     vals = np.full((L + 1, grid.n_nodes), float(value))
-    vals[0] = terminal_reward_nodes(model, grid.nodes)
+    vals[0] = terminal_reward(model, grid.nodes)[0]
     return ValueSurface(model=model, grid=grid, knots=knots, values=vals,
                         meta={"tol": 1e-4})
 
@@ -437,7 +437,7 @@ def test_oracle_value_zero_horizon_is_H():
     model, _ = load_preset("regime")
     orc = oracle_value(model, 1e-3, grid=build_grid(2, 20), T=0.1,
                        snapshot_times=[0.0])
-    H = terminal_reward_nodes(model, orc.grid.nodes)
+    H = terminal_reward(model, orc.grid.nodes)[0]
     assert np.array_equal(orc.values[0], H)
 
 
@@ -448,7 +448,7 @@ def test_oracle_value_trivial_model_stays_at_H():
                    c=[-1.0, -1.0], mu=[[0.0, -1.0], [-1.0, 0.0]],
                    horizon=0.5)
     orc = oracle_value(m, 1e-3, grid=build_grid(2, 50))
-    H = terminal_reward_nodes(m, orc.grid.nodes)
+    H = terminal_reward(m, orc.grid.nodes)[0]
     assert np.max(np.abs(orc.values[-1] - H)) < 1e-12
 
 

@@ -27,8 +27,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop.filter import propagator
-from poistop.model import (best_action_nodes, terminal_reward,
-                           terminal_reward_nodes)
+from poistop.model import terminal_reward
 from poistop.policy import CONTINUE
 from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
@@ -251,7 +250,7 @@ def test_sweep_zero_knots_is_identity():
 def reference_surface_csv(surface, path):
     """The per-row writer: every field formatted at every knot."""
     H = surface.h_nodes()
-    best = best_action_nodes(surface.model, surface.grid.nodes)
+    best = terminal_reward(surface.model, surface.grid.nodes)[1]
     cols = ",".join(f"pi{i + 1}" for i in range(surface.model.n))
     with open(path, "w") as fh:
         fh.write(f"s,{cols},value,H,best_action\n")
@@ -575,7 +574,7 @@ def test_apply_J_martingale_collapse():
     m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[3.0, 3.0],
                    mu=[[1.0, -1.0]], horizon=1.0)
     grid = build_grid(2, 40)
-    H = terminal_reward_nodes(m, grid.nodes)
+    H = terminal_reward(m, grid.nodes)[0]
     # many time knots so the only residual is the (tiny) trapezoid error
     surf = ValueSurface(model=m, grid=grid,
                         knots=np.linspace(0.0, 1.0, 801),
@@ -719,7 +718,7 @@ def regime_flat():
     # L = 0: the surface holds only the maturity slice H
     model, _ = load_preset("regime")
     grid = build_grid(2, 50)
-    H = terminal_reward_nodes(model, grid.nodes)
+    H = terminal_reward(model, grid.nodes)[0]
     return model, ValueSurface(model=model, grid=grid, knots=np.zeros(1),
                                values=H[None, :], meta={})
 
@@ -941,7 +940,7 @@ def test_infinite_bounded_by_norm_H():
                    c=[0.0, 0.0], rho=0.5, mu=[[2.0, 0.0]], horizon=1.0)
     stat = solve_infinite(m, grid=build_grid(2, 40), tol=1e-6)
     assert np.max(stat.values) <= 2.0 + 1e-6
-    assert np.min(stat.values - terminal_reward_nodes(m, stat.grid.nodes)) \
+    assert np.min(stat.values - terminal_reward(m, stat.grid.nodes)[0]) \
         >= -1e-9
 
 
