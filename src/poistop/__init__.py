@@ -9,8 +9,8 @@ from .model import (MarkModel, ModelSpec, discrete_marks, gamma_marks,
                     load_model, make_model, net_return_rate, no_marks,
                     running_cost, save_model, terminal_reward,
                     validate_model)
-from .filter import (ArrivalEvent, BeliefTrajectory, filter_path, flow,
-                     jump_update, survival_weights)
+from .filter import (ArrivalEvent, BeliefTrajectory, bayes_update,
+                     filter_path, flow, jump_update)
 from .grid import SimplexGrid, build_grid
 from .valueiter import (FiniteHorizonSolver, StationaryValue, ValueSurface,
                         apply_J, apply_J0, err_infinity, horizon_error,

@@ -3,7 +3,8 @@
 Between arrivals the conditional distribution follows the deterministic
 flow x(t, pi): the survival-weight vector m(t, pi) = pi . exp(t(Q - Lambda))
 normalized by its sum.  At an arrival with mark y the belief jumps to the
-Bayes update with per-state likelihoods lambda_i f_i(y).
+Bayes update with per-state likelihoods lambda_i f_i(y): bayes_update, the
+one update of every arrival, batched or not.
 flow_path steps beliefs on a uniform time grid by the nonnegative one-step
 matrix of propagator, and flow is its one-belief call; FlowPropagator flows
 many beliefs, each over its own duration, in the eigenbasis of Q - Lambda,
@@ -28,13 +29,6 @@ class ArrivalEvent(NamedTuple):
 
 class FilterError(ValueError):
     pass
-
-
-def survival_weights(model, t, pi):
-    """m(t, pi) = pi . exp(t (Q - Lambda)); entries >= 0, sum <= 1."""
-    if t < 0:
-        raise FilterError(f"survival_weights: negative duration {t}")
-    return flow_path(model, check_belief(pi, model.n), t, 1)[0][1, 0]
 
 
 _EPS = 2.0 ** -53        # unit roundoff: propagator's truncation threshold
@@ -117,26 +111,19 @@ def flow_path(model, beliefs, h, n):
     return M, X, sv
 
 
-def post_jump(model, X, M):
-    """Beliefs and weights after an arrival with each mark r.
-
-    For beliefs X (..., n) with survival weights M, Z[..., r, :] is the
-    Bayes update X * lambda * w_r / sum, and omega[..., r] = M . (lambda
-    w_r) the rate of arriving with mark r.  A mark impossible at X keeps
-    Z = X and gets omega = 0.  (The cross-state ratios of w_r are those of
-    the densities f_i(y_r).)
+def bayes_update(model, X, dens):
+    """Beliefs after an arrival whose mark has per-state densities dens,
+    X_i -> lambda_i f_i(y) X_i / sum_j lambda_j f_j(y) X_j, for beliefs X
+    (..., n) that dens broadcasts against.  Returns (Z, dead): where the
+    sum is <= 0 (a mark impossible at X), Z is X and dead is True.  The
+    product is formed X * (lambda * dens), the order G0 is built in.
     """
-    lw = model.lam[:, None] * model.marks.weights
-    Z = X[..., None, :] * lw.T
+    Z = X * (model.lam * dens)
     zs = Z.sum(axis=-1, keepdims=True)
     dead = zs <= 0.0
-    if dead.any():
-        Z = np.where(dead, X[..., None, :], Z)
-        zs = Z.sum(axis=-1, keepdims=True)
-    Z /= zs
-    omega = M @ lw
-    omega[dead[..., 0]] = 0.0
-    return Z, omega
+    Z = np.divide(Z, zs, out=np.broadcast_to(X, Z.shape).copy(),
+                  where=~dead)
+    return Z, dead[..., 0]
 
 
 def flow(model, t, pi):
@@ -163,18 +150,14 @@ def flow_derivative(model, pi):
     return pi @ model.Q - model.lam * pi + pi * float(model.lam @ pi)
 
 
-def jump_update(model, pi, mark=None):
-    """Belief after an arrival with the given mark:
-
-        pi_i  ->  lambda_i f_i(y) pi_i / sum_j lambda_j f_j(y) pi_j
-    """
+def jump_update(model, pi, mark):
+    """Belief after an arrival with the given mark: the one-belief call of
+    bayes_update, a FilterError where the mark is impossible."""
     pi = check_belief(pi, model.n)
-    dens = 1.0 if mark is None else model.marks.density_at(mark)
-    w = model.lam * dens * pi
-    s = w.sum()
-    if s <= 0.0:
+    post, dead = bayes_update(model, pi, model.marks.density_at(mark))
+    if dead:
         raise FilterError(f"mark {mark!r} impossible under current belief")
-    return w / s
+    return post
 
 
 @dataclass
@@ -217,7 +200,7 @@ def filter_path(model, pi0, events, t_end):
         try:
             pre = flow(model, ev.time - cur_t, cur)
             post = jump_update(model, pre, ev.mark)
-        except FilterError as exc:
+        except ValueError as exc:        # FilterError, or a bad mark
             raise FilterError(f"event {k} at t={ev.time}: {exc}") from exc
         traj.jumps.append((ev.time, pre, post))
         traj.segments.append((ev.time, post))
@@ -270,7 +253,7 @@ class FlowPropagator:
 
 
 # ---------------------------------------------------------------------------
-# CSV import/export for arrival records
+# CSV export of arrival records
 # ---------------------------------------------------------------------------
 
 def events_to_csv(events, path):
@@ -278,16 +261,4 @@ def events_to_csv(events, path):
         fh.write("time,mark\n")
         for ev in events:
             fh.write(f"{ev.time:.17g},{ev.mark:.17g}\n")
-
-
-def events_from_csv(path):
-    out = []
-    with open(path) as fh:
-        header = fh.readline()
-        for line in fh:
-            if not line.strip():
-                continue
-            t, y = line.strip().split(",")
-            out.append(ArrivalEvent(float(t), float(y)))
-    return out
 

@@ -54,7 +54,7 @@ class MarkModel:
         """Index of the support point nearest each mark in y.  A discrete
         mark must sit on the support (ValueError otherwise); a gamma mark
         falls in the cell of its nearest quadrature node."""
-        y = np.asarray(y, dtype=float)
+        y = _finite_marks(y)
         r = np.argmin(np.abs(y[..., None] - self.support), axis=-1)
         off = np.abs(self.support[r] - y) > 1e-9 * (1.0 + np.abs(y))
         if self.kind == "discrete" and off.any():
@@ -68,10 +68,19 @@ class MarkModel:
         column of the mark's support point (mark_index).  Only the ratio
         across states is meaningful.
         """
-        y = np.asarray(y, dtype=float)
+        y = _finite_marks(y)
         if self.kind == "gamma":
             return gamma_pdf(y[..., None], self.gamma_shape, self.gamma_rate)
         return self.weights.T[self.mark_index(y)]
+
+
+def _finite_marks(y):
+    """y as floats; a ValueError names a NaN or infinite mark in it."""
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"mark {y[~np.isfinite(y)][0]} is not a finite "
+                         "number")
+    return y
 
 
 def gamma_pdf(y, shape, rate):
@@ -195,9 +204,10 @@ def make_model(n, Q, lam, marks=None, c=None, rho=0.0, mu=None, horizon=1.0,
     """Assemble and validate a ModelSpec from array-likes."""
     Q = np.asarray(Q, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    k = n if Q.shape == (n, n) else 0   # size n only once Q agrees
     if marks is None:
-        marks = no_marks(max(n, 0))       # n < 1 is a violation below
-    c = np.zeros(max(n, 0)) if c is None else np.asarray(c, dtype=float)
+        marks = no_marks(k)
+    c = np.zeros(k) if c is None else np.asarray(c, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if mu.ndim == 1:
         mu = mu[None, :]
@@ -220,7 +230,8 @@ def model_violations(spec):
     # NaN and inf fail no comparison below, and would reach the solver
     for name, a in (("Q", spec.Q), ("lambda", spec.lam), ("c", spec.c),
                     ("rho", spec.rho), ("mu", spec.mu), ("K", spec.K),
-                    ("horizon", spec.horizon), ("marks", spec.marks.weights)):
+                    ("horizon", spec.horizon), ("marks", spec.marks.weights),
+                    ("marks.support", spec.marks.support)):
         if not np.isfinite(np.asarray(0.0 if a is None else a, float)).all():
             out.append(f"{name}: every value must be finite (no NaN or inf)")
     if out:
@@ -411,28 +422,42 @@ def _field(d, key, kind, *default, where=""):
                       f"{json.dumps(x)[:40]}"])
 
 
+def _mark_field(md, key, ok, want, *default, kind="[numbers]"):
+    """_field of the marks object, a ModelError naming it unless ok."""
+    x = _field(md, key, kind, *default, where="marks.")
+    if not ok(x):
+        raise ModelError([f"marks.{key}: expected {want}, got "
+                          f"{json.dumps(md[key])[:40]}"])
+    return x
+
+
 def model_from_dict(d):
     """The validated model of a model file's JSON object; a field that is
-    missing or of the wrong type is a ModelError naming it."""
+    missing or of the wrong type or size is a ModelError naming it."""
     d = _field({"model": d}, "model", "an object")
     n = _field(d, "n", "an integer")
+    Q = _field(d, "Q", "[numbers]")
     md = _field(d, "marks", "an object", {"kind": "none"})
     kind = md.get("kind", "none")
-    if kind == "none":
+    if kind == "none" or Q.shape != (n, n):   # make_model refuses this Q
         marks = None
     elif kind == "discrete":
-        marks = discrete_marks(*(_field(md, k, "[numbers]", where="marks.")
-                                 for k in ("support", "pmf")))
+        marks = discrete_marks(
+            _mark_field(md, "support", lambda a: a.ndim == 1, "a flat list"),
+            _mark_field(md, "pmf", lambda a: a.ndim == 2 and len(a) == n,
+                        f"{n} rows, one per state"))
     elif kind == "gamma":
-        marks = gamma_marks(*(_field(md, k, "[numbers]", where="marks.")
-                              for k in ("shape", "rate")),
-                            n_quad=_field(md, "n_quad", "an integer", 40,
-                                          where="marks."))
+        marks = gamma_marks(
+            *(_mark_field(md, k, lambda a: a.shape == (n,),
+                          f"{n} values, one per state")
+              for k in ("shape", "rate")),
+            n_quad=_mark_field(md, "n_quad", lambda q: q >= 1,
+                               "an integer >= 1", 40, kind="an integer"))
     else:
         raise ModelError([f"marks.kind: unknown kind {kind!r}"])
     return make_model(
         n=n,
-        Q=_field(d, "Q", "[numbers]"),
+        Q=Q,
         lam=_field(d, "lambda", "[numbers]"),
         marks=marks,
         c=_field(d, "c", "[numbers]", None),

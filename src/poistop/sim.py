@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .filter import ArrivalEvent, FlowPropagator, propagator
+from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
+                     events_to_csv, propagator)
 from .model import check_belief, terminal_reward
 from .policy import stop_rule
 
@@ -361,9 +362,8 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
             idx = np.nonzero(m)[0]
             te = arr_t[idx, evptr[idx]]
             belief[idx] = prop.advance(belief[idx], te - cur_t[idx])
-            d = arr_dens[idx, evptr[idx]]
-            w = belief[idx] * model.lam[None, :] * d
-            belief[idx] = w / w.sum(axis=1, keepdims=True)
+            belief[idx] = bayes_update(model, belief[idx],
+                                       arr_dens[idx, evptr[idx]])[0]
             cur_t[idx] = te
             evptr[idx] += 1
             check_stop(idx[alive[idx]], te[alive[idx]])
@@ -519,7 +519,6 @@ def oracle_value(model, dt, grid, T=None, snapshot_times=None):
 # ---------------------------------------------------------------------------
 
 def path_to_csv(path, arrivals_file, hidden_file):
-    from .filter import events_to_csv
     events_to_csv(path.arrivals, arrivals_file)
     with open(hidden_file, "w") as fh:
         fh.write("time,state\n")

@@ -17,7 +17,7 @@ the flowed beliefs x come from filter.flow_path, stepped with exp(dt (Q -
 Lambda)); beliefs live on a SimplexGrid with barycentric-linear
 interpolation.  The jump term factors as sum(m) F(x), F(y) = sum_r
 (y . lambda w_r) w(post_r(y)) with the marks' Bayes updates post_r from
-filter.post_jump: F is formed at the nodes (G0, once per slice) and
+filter.bayes_update: F is formed at the nodes (G0, once per slice) and
 interpolated at the flowed beliefs (B_j), exact for linear w and of the
 lattice's own order otherwise.  For cost_mode="discrete" the running term
 C is replaced by sum_i m_i lambda_i (nu_i K).
@@ -45,7 +45,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from . import model as model_mod
-from .filter import flow_path, post_jump
+from .filter import bayes_update, flow_path
 from .grid import SimplexGrid, build_grid
 from .model import check_belief, terminal_reward
 
@@ -195,9 +195,13 @@ class ValueSurface:
 def _jump_operator(model, grid):
     """Sparse (N, N) G0 taking nodal values w to F(x) = sum_r (x . lambda
     w_r) w(post_r(x)) at every node x: one row sums the interpolants at the
-    node's Rm post-jump beliefs, weighted by the rates of their marks."""
-    M = grid.nodes
-    Z, omega = post_jump(model, M / M.sum(axis=1, keepdims=True), M)
+    node's Rm post-jump beliefs, weighted by the rates of their marks (0
+    for a mark impossible there)."""
+    M, w = grid.nodes, model.marks.weights
+    X = M / M.sum(axis=1, keepdims=True)
+    Z, dead = bayes_update(model, X[:, None, :], w.T)
+    omega = M @ (model.lam[:, None] * w)
+    omega[dead] = 0.0
     return grid.interp_matrix(Z.reshape(-1, model.n), omega.ravel(),
                               model.marks.n_marks)
 

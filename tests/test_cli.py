@@ -186,6 +186,31 @@ def test_malformed_model_file_is_config_error(tmp_path, out, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("example, law, field", [
+    ("insurance", {"shape": [[3.0, 4.0, 5.0]]}, "marks.shape"),
+    ("insurance", {"rate": [2.0, 2.0]}, "marks.rate"),
+    ("insurance", {"n_quad": 0}, "marks.n_quad"),
+    ("techadopt", {"pmf": [[0.2, 0.8]] * 2}, "marks.pmf"),
+    ("techadopt", {"support": [[1.0, 2.0]]}, "marks.support"),
+])
+def test_malformed_mark_law_names_its_field(tmp_path, out, capsys, example,
+                                            law, field):
+    # the gamma cases were refused with numpy's message and no field name
+    # ("operands could not be broadcast together", "deg must be a positive
+    # integer"), the pmf with the model's mark-table message, and the
+    # nested support not at all
+    d = model_to_dict(load_preset(example)[0])
+    d["marks"].update(law)
+    mfile = tmp_path / "bad.json"
+    mfile.write_text(json.dumps(d))
+    assert run(["solve", "--model", str(mfile), "--R", "4", "--L", "4",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"invalid model: {field}: expected " in err
+    assert not out.exists()
+
+
 def test_bad_override_rejected(out):
     assert run(["solve", "--example", "regime", "--override", "weird=1",
                 "--out", str(out)]) == 1

@@ -1,5 +1,7 @@
 """Exact filtering: survival weights, the no-arrival flow, jump updates."""
 
+import csv
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,25 +11,23 @@ from hypothesis import strategies as st
 
 from poistop import (
     ArrivalEvent,
+    bayes_update,
     filter_path,
     flow,
     jump_update,
     make_model,
-    survival_weights,
 )
 from poistop.filter import (
     FLOW_CHUNK,
     FilterError,
     FlowPropagator,
-    events_from_csv,
     events_to_csv,
     flow_derivative,
     flow_path,
-    post_jump,
     propagator,
 )
 from poistop.grid import build_grid
-from poistop.model import discrete_marks
+from poistop.model import discrete_marks, gamma_marks
 from poistop.presets import load_preset
 
 
@@ -50,6 +50,11 @@ def ergodic_three_state():
 
 # -- survival weights -------------------------------------------------------
 
+def survival_weights(m, t, pi):
+    """m(t, pi) = pi . exp(t (Q - Lambda)): one flow_path step of t."""
+    return flow_path(m, pi, t, 1)[0][1, 0]
+
+
 def test_survival_weights_single_state():
     m = make_model(n=1, Q=[[0.0]], lam=[2.0], mu=[[1.0]], horizon=1.0)
     assert survival_weights(m, 0.5, [1.0])[0] == pytest.approx(
@@ -71,7 +76,8 @@ def test_survival_weights_absorbing_closed_form():
 
 
 def test_survival_weights_negative_time_rejected():
-    with pytest.raises(FilterError):
+    # propagator refuses the step
+    with pytest.raises(FilterError, match="step -0.1 outside"):
         survival_weights(absorbing_two_state(), -0.1, [0.5, 0.5])
 
 
@@ -196,8 +202,10 @@ def test_flow_path_tracks_the_flow_where_mass_underflows():
     for j in (500, 560, 580, 600):
         for b, pi in enumerate(start):
             assert np.max(np.abs(X[j, b] - flow(m, j * h, pi))) < 1e-12
-    Z, omega = post_jump(m, X, M)
-    assert np.all(np.isfinite(Z)) and np.all(omega[dead] == 0.0)
+    # X is the flowed belief however small M gets, so its update is too
+    Z, gone = bayes_update(m, X, m.marks.density_at(0.0))
+    assert np.all(np.isfinite(Z)) and not gone.any()
+    assert np.allclose(Z.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_flow_in_chunks_matches_one_flow_path():
@@ -246,19 +254,19 @@ def test_flow_memory_does_not_grow_with_duration():
 def test_jump_identity_when_likelihoods_equal():
     m = absorbing_two_state(lam=(2.0, 2.0))
     pi = np.array([0.3, 0.7])
-    assert np.allclose(jump_update(m, pi), pi, atol=1e-14)
+    assert np.allclose(jump_update(m, pi, 0.0), pi, atol=1e-14)
 
 
 def test_jump_simple_poisson_hand_value():
     # pi_i -> lam_i pi_i / sum: (1*.5, 5*.5) / 3 = (1/6, 5/6)
     m = absorbing_two_state(lam=(1.0, 5.0))
-    assert np.allclose(jump_update(m, [0.5, 0.5]), [1.0 / 6, 5.0 / 6],
+    assert np.allclose(jump_update(m, [0.5, 0.5], 0.0), [1.0 / 6, 5.0 / 6],
                        atol=1e-14)
 
 
 def test_jump_corner_fixed_point():
     m = absorbing_two_state()
-    assert np.allclose(jump_update(m, [1.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(jump_update(m, [1.0, 0.0], 0.0), [1.0, 0.0])
 
 
 def test_jump_impossible_mark_rejected():
@@ -267,39 +275,54 @@ def test_jump_impossible_mark_rejected():
         marks=discrete_marks([1.0, 2.0], [[1.0, 0.0], [1.0, 0.0]]),
         mu=[[1.0, 0.0]], horizon=1.0,
     )
-    with pytest.raises(FilterError):
+    with pytest.raises(FilterError, match="mark 2.0 impossible"):
         jump_update(m, [0.5, 0.5], 2.0)
 
 
-# -- post-jump beliefs and weights ------------------------------------------
+@pytest.mark.parametrize("mark", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["techadopt", "insurance"])
+def test_non_finite_mark_rejected(name, mark):
+    # the nearest support point of NaN or inf used to be the first one:
+    # jump_update read a NaN or infinite discrete mark as the mark 1.0
+    model, _ = load_preset(name)
+    pi = np.full(model.n, 1.0 / model.n)
+    for call in (lambda: jump_update(model, pi, mark),
+                 lambda: model.marks.mark_index([1.0, mark])):
+        with pytest.raises(ValueError, match=f"mark {mark} is not a finite"):
+            call()
 
-def test_post_jump_constant():
+
+# -- the Bayes update, batched ----------------------------------------------
+
+def test_bayes_update_constant():
     # with the weights of corner i, the jump rates sum to lambda_i, and a
-    # constant surface stays constant after the jump
-    model, _ = load_preset("techadopt")
+    # constant surface stays constant after the jump: discrete and gamma
+    # marks
     grid = build_grid(3, 20)
     ones = np.ones(grid.n_nodes)
-    X = np.tile([0.3, 0.3, 0.4], (3, 1))
-    Z, omega = post_jump(model, X, np.eye(3))
-    for i in range(3):
-        total = sum(omega[i, r] * grid.interpolate(ones, Z[i, r])
-                    for r in range(model.marks.n_marks))
-        assert total == pytest.approx(model.lam[i], abs=1e-12)
+    for name in ("techadopt", "insurance"):
+        model, _ = load_preset(name)
+        w = model.marks.weights
+        Z, dead = bayes_update(model, np.array([0.3, 0.3, 0.4]), w.T)
+        assert Z.shape == (model.marks.n_marks, 3) and not dead.any()
+        for i in range(3):
+            total = sum(model.lam[i] * w[i, r] * grid.interpolate(ones, Z[r])
+                        for r in range(model.marks.n_marks))
+            assert total == pytest.approx(model.lam[i], abs=1e-12)
 
 
-def test_post_jump_identity_when_uninformative():
+def test_bayes_update_identity_when_uninformative():
     m = make_model(
         n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[2.0, 2.0],
         marks=discrete_marks([1.0, 2.0], [[0.4, 0.6], [0.4, 0.6]]),
         mu=[[1.0, 0.0]], horizon=1.0,
     )
     pi = np.array([0.35, 0.65])
-    Z, omega = post_jump(m, pi, pi)
-    assert np.allclose(Z, pi, atol=1e-15)
-    assert np.allclose(omega, [0.8, 1.2], atol=1e-15)
+    Z, dead = bayes_update(m, pi, m.marks.weights.T)
+    assert np.allclose(Z, pi, atol=1e-15) and not dead.any()
 
 
-def test_post_jump_direct_two_term_sum():
+def test_bayes_update_direct_two_term_sum():
     # state Low of the adoption model: weights (0.2, 0.8) over two marks
     model, _ = load_preset("techadopt")
     grid = build_grid(3, 30)
@@ -310,20 +333,21 @@ def test_post_jump_direct_two_term_sum():
     for r, wr in enumerate([0.2, 0.8]):
         w = pi * model.lam * model.marks.weights[:, r]
         total += wr * grid.interpolate(vals, w / w.sum())
-    Z, omega = post_jump(model, pi, np.array([1.0, 0.0, 0.0]))
-    got = sum(omega[r] * grid.interpolate(vals, Z[r]) for r in range(2))
-    assert got == pytest.approx(model.lam[0] * total, abs=1e-12)
+    Z = bayes_update(model, pi, model.marks.weights.T)[0]
+    got = sum(wr * grid.interpolate(vals, Z[r])
+              for r, wr in enumerate([0.2, 0.8]))
+    assert got == pytest.approx(total, abs=1e-12)
 
 
-def test_post_jump_impossible_mark_keeps_belief():
+def test_bayes_update_impossible_mark_keeps_belief():
     m = make_model(
         n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
         marks=discrete_marks([1.0, 2.0], [[1.0, 0.0], [1.0, 0.0]]),
         mu=[[1.0, 0.0]], horizon=1.0,
     )
     pi = np.array([0.25, 0.75])
-    Z, omega = post_jump(m, pi, pi)
-    assert np.array_equal(Z[1], pi) and omega[1] == 0.0
+    Z, dead = bayes_update(m, pi, m.marks.weights.T)
+    assert np.array_equal(Z[1], pi) and dead.tolist() == [False, True]
     assert np.allclose(Z[0], jump_update(m, pi, 1.0), atol=1e-15)
 
 
@@ -341,7 +365,7 @@ def test_filter_one_event_composition():
     m = ergodic_three_state()
     pi0 = np.array([0.5, 0.25, 0.25])
     traj = filter_path(m, pi0, [ArrivalEvent(0.3, 0.0)], 1.0)
-    expected = jump_update(m, flow(m, 0.3, pi0))
+    expected = jump_update(m, flow(m, 0.3, pi0), 0.0)
     assert np.allclose(traj.evaluate(0.3), expected, atol=1e-12)
 
 
@@ -351,30 +375,41 @@ def test_filter_jump_records_consistent():
               ArrivalEvent(0.9, 0.0)]
     traj = filter_path(m, [1 / 3, 1 / 3, 1 / 3], events, 1.0)
     for _, pre, post in traj.jumps:
-        assert np.max(np.abs(post - jump_update(m, pre))) < 1e-10
+        assert np.max(np.abs(post - jump_update(m, pre, 0.0))) < 1e-10
+
+
+def gamma_density(shape, rate, y):
+    return rate ** shape * y ** (shape - 1) * math.exp(-rate * y) \
+        / math.gamma(shape)
 
 
 def test_filter_absorbing_one_shot_likelihood():
     # Q = 0: the posterior factorizes, so ten updates must agree with a
     # single likelihood evaluation
     #   post_i  propto  pi_i (lam_i)^k (prod_j f_i(y_j)) e^{-lam_i t}
-    m = make_model(
-        n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 3.0],
-        marks=discrete_marks([1.0, 2.0], [[0.3, 0.7], [0.6, 0.4]]),
-        mu=[[1.0, 0.0]], horizon=5.0,
-    )
+    # for discrete marks, and for gamma marks, whose pdf is written out
+    pmf = [[0.3, 0.7], [0.6, 0.4]]
+    shape, rate = [2.0, 5.0], [1.0, 2.0]
+    laws = [
+        (discrete_marks([1.0, 2.0], pmf), [1.0, 2.0] * 5,
+         lambda i, y: pmf[i][int(y) - 1]),
+        (gamma_marks(shape, rate, n_quad=8),
+         [0.7, 3.1, 1.9, 0.2, 2.5, 4.4, 1.1, 0.9, 3.6, 2.2],
+         lambda i, y: gamma_density(shape[i], rate[i], y)),
+    ]
     times = np.linspace(0.3, 4.2, 10)
-    marks = [1.0, 2.0] * 5
-    events = [ArrivalEvent(float(t), y) for t, y in zip(times, marks)]
-    traj = filter_path(m, [0.5, 0.5], events, 5.0)
     t_eval = 4.5
-    f = np.array([[0.3, 0.7], [0.6, 0.4]])
-    w = 0.5 * np.ones(2)
-    for y in marks:
-        w = w * m.lam * f[:, int(y) - 1]
-    w = w * np.exp(-m.lam * t_eval)
-    w /= w.sum()
-    assert np.max(np.abs(traj.evaluate(t_eval) - w)) < 1e-8
+    for law, marks, f in laws:
+        m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 3.0],
+                       marks=law, mu=[[1.0, 0.0]], horizon=5.0)
+        events = [ArrivalEvent(float(t), y) for t, y in zip(times, marks)]
+        traj = filter_path(m, [0.5, 0.5], events, 5.0)
+        w = 0.5 * np.ones(2)
+        for y in marks:
+            w = w * m.lam * [f(0, y), f(1, y)]
+        w = w * np.exp(-m.lam * t_eval)
+        w /= w.sum()
+        assert np.max(np.abs(traj.evaluate(t_eval) - w)) < 1e-8
 
 
 def test_filter_rejects_unsorted_events():
@@ -382,6 +417,18 @@ def test_filter_rejects_unsorted_events():
     with pytest.raises(FilterError):
         filter_path(m, [1 / 3, 1 / 3, 1 / 3],
                     [ArrivalEvent(0.5, 0.0), ArrivalEvent(0.2, 0.0)], 1.0)
+
+
+@pytest.mark.parametrize("mark, why", [(np.nan, "is not a finite number"),
+                                       (1.5, "not in the model's support")])
+def test_filter_names_the_event_of_a_bad_mark(mark, why):
+    # a NaN mark used to pass as the mark 1.0, and an off-support mark
+    # lost the event's index and time
+    model, info = load_preset("techadopt")
+    events = [ArrivalEvent(0.05, 1.0), ArrivalEvent(0.1, mark)]
+    with pytest.raises(FilterError, match=f"^event 1 at t=0.1: mark {mark} "
+                                          + why):
+        filter_path(model, info["initial"], events, model.horizon)
 
 
 # -- batch propagation and CSV ----------------------------------------------
@@ -485,8 +532,11 @@ def test_flow_propagator_complex_spectrum_matches_flow():
 
 
 def test_events_csv_round_trip(tmp_path):
-    events = [ArrivalEvent(0.25, 1.0), ArrivalEvent(0.875, 2.0)]
+    events = [ArrivalEvent(0.25, 1.0), ArrivalEvent(0.875, 2.0),
+              ArrivalEvent(0.1 + 0.2, 1.0 / 3.0)]
     path = tmp_path / "events.csv"
     events_to_csv(events, path)
-    back = events_from_csv(path)
+    with open(path, newline="") as fh:
+        back = [ArrivalEvent(float(row["time"]), float(row["mark"]))
+                for row in csv.DictReader(fh)]
     assert back == events

@@ -1,6 +1,7 @@
 """Model assembly, validation and reward primitives."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ def test_label_counts_sense_and_mark_table_are_checked():
         model_from_dict(dict(d, n=-1))
 
 
+def test_a_large_n_is_refused_before_anything_is_built_to_it():
+    # n = 10**6 next to a 2 x 2 Q: the default marks and c were built to
+    # size n before Q was compared with it, a 17 MB peak
+    d = model_to_dict(two_state())
+    del d["c"]
+    gamma = {"kind": "gamma", "shape": [2.0, 3.0], "rate": [1.0, 1.0]}
+    tracemalloc.start()
+    try:
+        for marks in ({"kind": "none"}, gamma):
+            with pytest.raises(ModelError, match=r"Q: expected shape "
+                                                 r"\(1000000, 1000000\)"):
+                model_from_dict(dict(d, n=10 ** 6, marks=marks))
+        with pytest.raises(ModelError, match="Q: expected shape"):
+            make_model(n=10 ** 6, Q=d["Q"], lam=d["lambda"], mu=d["mu"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.nan, np.nan],
                                  [np.inf, 0.0]])
 def test_check_belief_rejects_non_finite(bad):
@@ -312,6 +333,9 @@ def test_check_belief_rejects_non_finite(bad):
            "cost_mode": "discrete", "K": [np.nan, -1.0]}),
     # a NaN shape makes NaN weights, whose row sums pass |sum - 1| > 1e-8
     ("marks", {"marks": gamma_marks([np.nan, 2.0], [1.0, 1.0], n_quad=4)}),
+    # a NaN support point was the nearest point of every mark (argmin)
+    ("marks.support", {"marks": discrete_marks([np.nan, 2.0],
+                                               [[0.5, 0.5], [0.5, 0.5]])}),
 ])
 def test_non_finite_model_numbers_rejected(field, kw):
     # filterwarnings: the check comes before any arithmetic that would warn

@@ -339,9 +339,10 @@ def replay_policy(model, surface, eps, pi0, batch):
 @pytest.mark.parametrize("name, R", [("regime", 40), ("techadopt", 10),
                                      ("insurance", 10)])
 def test_evaluate_follows_the_exact_filter(name, R):
-    # the batched filter of evaluate_policy (eigenbasis flow, inline Bayes
-    # update, stop checks at knots and arrivals) against filter_path on the
-    # same 30 paths: a two-state model, discrete marks and costs, gamma marks
+    # the batched filter of evaluate_policy (eigenbasis flow, bayes_update
+    # on every arrival, stop checks at knots and arrivals) against
+    # filter_path on the same 30 paths: a two-state model, discrete marks
+    # and costs, gamma marks
     model, info = load_preset(name)
     surface = solve_finite(model, grid=build_grid(model.n, R))
     pi0, eps, seed, P = info["initial"], 0.01, 5, 30

@@ -27,7 +27,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop.filter import propagator
-from poistop.model import terminal_reward
+from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
 from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
@@ -400,6 +400,21 @@ def test_jump_operators_match_reference(name, R):
     assert len(ref) == len(ws.B) == solver.L + 1
     for B, Br in zip(ws.B, ref):
         assert_csr_matches(B, Br)
+
+
+def test_jump_operator_drops_an_impossible_mark():
+    # mark 2 never comes from state 0: at the corner (1, 0) its Bayes
+    # update is dead, and its rate in G0 must be 0, not the kept belief's
+    model = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[1.0, 2.0],
+                       marks=discrete_marks([1.0, 2.0],
+                                            [[1.0, 0.0], [0.5, 0.5]]),
+                       mu=[[1.0, 0.0]], horizon=1.0)
+    solver = FiniteHorizonSolver(model, grid=build_grid(2, 4))
+    G0 = solver.ws.G0
+    assert_csr_matches(G0, reference_G(solver)[0])
+    corner = int(np.flatnonzero(solver.grid.nodes[:, 0] == 1.0)[0])
+    row = G0.getrow(corner)
+    assert row.indices.tolist() == [corner] and row.data.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("name, R", [("insurance", 10), ("techadopt", 10)])
