@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 
 from .model import (MarkModel, ModelSpec, discrete_marks, gamma_marks,
                     load_model, make_model, net_return_rate, no_marks,
-                    running_cost, save_model, terminal_reward,
-                    validate_model)
+                    save_model, terminal_reward, validate_model)
 from .filter import (ArrivalEvent, BeliefTrajectory, bayes_update,
                      filter_path, flow, jump_update)
 from .grid import SimplexGrid, build_grid

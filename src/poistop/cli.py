@@ -237,7 +237,7 @@ def cmd_diagnose(args):
         surface = valueiter.solve_finite(
             model, grid=build_grid(model.n, R), L=args.L, tol=args.tol)
         region = policy.extract_regions(surface, args.eps)
-        stop = region.stop_mask(surface.L)
+        stop = region.labels[surface.L] != policy.CONTINUE
         ila_stop = surface.grid.nodes @ r <= 0.0
         report["ila_match_score"] = float(np.mean(stop == ila_stop))
     try:

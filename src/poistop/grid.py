@@ -27,7 +27,6 @@ class SimplexGrid:
     n: int
     R: int
     nodes: np.ndarray        # (N, n) beliefs
-    comps: np.ndarray        # (N, n) integer compositions summing to R
 
     @property
     def n_nodes(self):
@@ -44,21 +43,6 @@ class SimplexGrid:
         object.__setattr__(self, "_rank", U)
         object.__setattr__(self, "_step", U[:, :-1] - U[:, 1:])
         object.__setattr__(self, "_c0", comb(R + n - 1, n - 1) - 1)
-
-    def index_of(self, comps):
-        """Node indices for integer compositions (vectorized)."""
-        comps = np.asarray(comps)
-        bad = comps.reshape(-1, comps.shape[-1] if comps.ndim else 1)
-        if comps.shape[-1:] == (self.n,) and comps.dtype.kind in "iu":
-            bad = bad[(bad < 0).any(axis=1) | (bad.sum(axis=1) != self.R)]
-        if bad.size:
-            raise ValueError(f"index_of: {bad[0].tolist()} is not a "
-                             f"composition of {self.R} into {self.n} parts")
-        B = np.cumsum(comps[..., :-1], axis=-1)
-        idx = np.full(comps.shape[:-1], self._c0, dtype=np.int64)
-        for d in range(self.n - 1):
-            idx -= self._rank[d, B[..., d]]
-        return idx
 
     def barycentric(self, points):
         """Containing-simplex vertices and weights for query beliefs.
@@ -176,9 +160,8 @@ def build_grid(n, R):
     if count > NODE_CAP:
         raise ValueError(f"build_grid: {count} nodes exceeds the cap "
                          f"of {NODE_CAP}")
-    comps = _compositions(n, R, count)
-    nodes = comps.astype(float) / R
-    return SimplexGrid(n=n, R=R, nodes=nodes, comps=comps)
+    nodes = _compositions(n, R, count) / R
+    return SimplexGrid(n=n, R=R, nodes=nodes)
 
 
 def _compositions(n, R, count):

@@ -113,6 +113,7 @@ def discrete_marks(support, pmf):
 
 
 GAMMA_Q_HI = 0.9999            # quantile at which gamma_marks cuts its marks
+N_QUAD_CAP = 1000              # most quadrature nodes of gamma_marks
 
 
 def gamma_marks(shape, rate, n_quad=40):
@@ -122,7 +123,11 @@ def gamma_marks(shape, rate, n_quad=40):
     the widest of the Gamma laws; each state's weight row is renormalized so
     it integrates to one exactly (the discarded tail mass is below
     1 - GAMMA_Q_HI and would otherwise break the normalization invariant).
+    At most N_QUAD_CAP nodes: leggauss's memory grows with n_quad squared.
     """
+    if not 1 <= n_quad <= N_QUAD_CAP:
+        raise ValueError(f"gamma_marks: n_quad must lie in [1, {N_QUAD_CAP}]"
+                         f", got {n_quad}")
     from scipy import special
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
@@ -174,12 +179,6 @@ class ModelSpec:
         """Q - diag(lambda), the generator of the killed/no-arrival dynamics."""
         return self.Q - np.diag(self.lam)
 
-    def nu_K(self):
-        """Per-state expected mark cost (nu_i K), for discrete cost mode."""
-        if self.K is None:
-            raise ValueError("model has no mark-cost function K")
-        return self.marks.weights @ np.asarray(self.K, dtype=float)
-
     def effective_cost_rates(self):
         """The c_i analogue entering the DP integrand and the error bounds.
 
@@ -187,7 +186,7 @@ class ModelSpec:
         expected information-cost rate while observing.
         """
         if self.cost_mode == "discrete":
-            return self.lam * self.nu_K()
+            return self.lam * (self.marks.weights @ self.K)
         return self.c
 
     def norm_C(self):
@@ -326,19 +325,19 @@ def check_belief(pi, n=None):
     return pi / pi.sum()
 
 
+def check_time(s, horizon, name="s"):
+    """Validate and return a time to maturity (clipped to [0, horizon])."""
+    if not -1e-12 <= float(s) <= horizon + 1e-12:      # also NaN
+        raise ValueError(f"{name}: time to maturity must be a finite number "
+                         f"in [0, {horizon:g}], got {s}")
+    return min(max(float(s), 0.0), horizon)
+
+
 def terminal_reward(model, beliefs):
     """(H, best) at beliefs of shape (..., n): H = max_k sum_i mu[k, i]
     pi_i and the action attaining it, the smallest index on ties."""
     hv = np.asarray(beliefs, dtype=float) @ model.mu.T
     return hv.max(axis=-1), hv.argmax(axis=-1)
-
-
-def running_cost(model, pi):
-    """C(pi) = sum_i c_i pi_i (running cost mode only)."""
-    if model.cost_mode != "running":
-        raise ValueError("running_cost undefined: model uses discrete "
-                         "information costs")
-    return float(np.dot(model.c, pi))
 
 
 def net_return_rate(model, i, k):
@@ -451,8 +450,9 @@ def model_from_dict(d):
             *(_mark_field(md, k, lambda a: a.shape == (n,),
                           f"{n} values, one per state")
               for k in ("shape", "rate")),
-            n_quad=_mark_field(md, "n_quad", lambda q: q >= 1,
-                               "an integer >= 1", 40, kind="an integer"))
+            n_quad=_mark_field(md, "n_quad", lambda q: 1 <= q <= N_QUAD_CAP,
+                               f"an integer in [1, {N_QUAD_CAP}]", 40,
+                               kind="an integer"))
     else:
         raise ModelError([f"marks.kind: unknown kind {kind!r}"])
     return make_model(

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import check_belief, net_return_rate, terminal_reward
+from .model import (check_belief, check_time, net_return_rate,
+                    terminal_reward)
 from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
@@ -32,14 +33,6 @@ class StoppingRegion:
     surface: object
     eps_tol: float
     labels: np.ndarray           # (L+1, N); -1 = continue, else action index
-
-    def stop_mask(self, k=None):
-        lab = self.labels if k is None else self.labels[k]
-        return lab != CONTINUE
-
-    def action_nodes(self, k, action):
-        """Node indices labeled with the given action at knot k."""
-        return np.nonzero(self.labels[k] == action)[0]
 
     def to_csv(self, path):
         """Rows (s, coordinates, label), each row's text taken from a
@@ -152,6 +145,7 @@ class Recommendation:
 
 def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
     """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
+    s_remaining = check_time(s_remaining, model.horizon)
     pi = check_belief(pi, model.n)
     v = surface.value_at(s_remaining, pi)
     stop, best, h = stop_rule(model, v, pi, eps)
@@ -167,10 +161,9 @@ def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
 def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
+    s = check_time(s, model.horizon)
     pi = check_belief(pi, model.n)
     t = surface.knots[surface.knots <= s + 1e-12]
-    if not t.size:                    # s < 0: no time left to wait
-        return float(s)
     X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
     stop = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)[0]
     return float(t[stop][0]) if stop.any() else float(s)

@@ -15,14 +15,13 @@ own key (seed, i), so it is the same whichever paths share its batch.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
                      events_to_csv, propagator)
-from .model import check_belief, terminal_reward
+from .model import check_belief, model_hash, terminal_reward
 from .policy import stop_rule
 
 RNG_ALGORITHM = "philox4x64"
@@ -35,10 +34,6 @@ class PathSample:
     t_end: float
     seed: int
     path_index: int = 0
-
-    def state_at(self, t):
-        times = [h[0] for h in self.hidden]
-        return self.hidden[bisect_right(times, t) - 1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +293,6 @@ class EvalReport:
         return asdict(self)
 
 
-def _mark_costs(model, marks_flat):
-    if model.K is None:
-        return np.zeros(marks_flat.size)
-    return np.asarray(model.K)[model.marks.mark_index(marks_flat)]
-
-
 def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     """Monte Carlo value of the eps-stop rule driven by the given surface.
 
@@ -311,7 +300,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     time knot and at every arrival, and is forced at the horizon.  Rewards
     use the simulated hidden state for the terminal payoff.
     """
-    if surface.model.n != model.n or surface.model.mu.shape != model.mu.shape:
+    if model_hash(surface.model) != model_hash(model):
         raise ValueError("evaluate_policy: surface was solved for a "
                          "different model")
     if n_paths < 1:
@@ -325,10 +314,10 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     arr_t, arr_y = paths.arrival_t, paths.arrival_y
     hid_t, hid_s = paths.hidden_t, paths.hidden_s
     kmax, jmax = arr_y.shape[1], hid_s.shape[1]
-    flat_marks = arr_y[arr_t[:, :kmax] < np.inf]
-    dens_flat = model.marks.density_at(flat_marks)
+    seen = arr_t[:, :kmax] < np.inf      # the slots that hold an arrival
+    flat_marks = arr_y[seen]
     arr_dens = np.ones((P, kmax, n))
-    arr_dens[arr_t[:, :kmax] < np.inf] = dens_flat
+    arr_dens[seen] = model.marks.density_at(flat_marks)
 
     prop = FlowPropagator(model)
     belief = np.tile(pi0, (P, 1))
@@ -388,9 +377,8 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     else:
         counted = arr_t[:, :kmax] <= tau[:, None]
         kcost = np.zeros((P, kmax))
-        kcost[arr_t[:, :kmax] < np.inf] = _mark_costs(model, flat_marks)
-        disc = np.exp(-rho * np.where(np.isfinite(arr_t[:, :kmax]),
-                                      arr_t[:, :kmax], 0.0))
+        kcost[seen] = model.K[model.marks.mark_index(flat_marks)]
+        disc = np.exp(-rho * np.where(seen, arr_t[:, :kmax], 0.0))
         reward += np.sum(counted * disc * kcost, axis=1)
     # hidden state at tau
     j_at = np.sum(hid_t[:, :jmax] <= tau[:, None], axis=1) - 1

@@ -47,7 +47,7 @@ import numpy as np
 from . import model as model_mod
 from .filter import bayes_update, flow_path
 from .grid import SimplexGrid, build_grid
-from .model import check_belief, terminal_reward
+from .model import check_belief, check_time, terminal_reward
 
 
 class NumericalError(RuntimeError):
@@ -72,8 +72,9 @@ def _write_knots(fh, knots, lines):
 # the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
 # 2 T lam_bar)) knots (FiniteHorizonSolver._certificate)
 CERT_R, CERT_L = 16, 60
-# Picard steps allowed per slice of the march; knots of solve_infinite
-PICARD_CAP, INF_L_CAP = 1000, 6000
+# Picard steps allowed per slice of the march; value-iteration sweeps of
+# FiniteHorizonSolver.iterate; knots of solve_infinite
+PICARD_CAP, SWEEP_CAP, INF_L_CAP = 1000, 200, 6000
 
 
 def default_knot_count(model, T=None):
@@ -102,10 +103,8 @@ class ValueSurface:
     def dt(self):
         return float(self.knots[1] - self.knots[0]) if self.L > 0 else 0.0
 
-    def h_nodes(self):
-        return terminal_reward(self.model, self.grid.nodes)[0]
-
     def value_at(self, s, pi):
+        s = check_time(s, self.model.horizon)
         pi = check_belief(pi, self.model.n)
         return float(self.value_at_batch(s, pi)[0])
 
@@ -235,7 +234,7 @@ class FiniteHorizonSolver:
     """The fixed point of the discretized J0 on the full (s, pi) lattice:
     solve marches it, iterate runs value iteration v_{m+1} = J0 v_m."""
 
-    def __init__(self, model, grid, L=None, tol=1e-4, m_max=200):
+    def __init__(self, model, grid, L=None, tol=1e-4):
         self.model = model
         self.grid = grid
         self.L = default_knot_count(model) if L is None else int(L)
@@ -244,7 +243,6 @@ class FiniteHorizonSolver:
             self.L = 0
         self.knots = np.linspace(0.0, T, self.L + 1)
         self.tol = float(tol)
-        self.m_max = int(m_max)
         self.ws = _Workspace(model, self.grid, self.knots)
 
     def sweep(self, v):
@@ -353,12 +351,12 @@ class FiniteHorizonSolver:
 
     def iterate(self):
         """Value iteration v_0 = H, v_{m+1} = sweep(v_m) until the step is
-        at most tol (or m_max sweeps): the reference for march and the
+        at most tol (or SWEEP_CAP sweeps): the reference for march and the
         certificate of solve."""
         v = np.tile(self.ws.Hnodes, (self.L + 1, 1))
         deltas = []
         m = 0
-        while m < self.m_max:
+        while m < SWEEP_CAP:
             vnew = self.sweep(v)
             worst = float(np.min(vnew - v))
             if worst < -10.0 * self.tol:
@@ -394,8 +392,7 @@ class FiniteHorizonSolver:
             return self
         grid = self.grid if self.grid.R <= CERT_R \
             else build_grid(model.n, CERT_R)
-        return FiniteHorizonSolver(model, grid=grid, L=L, tol=self.tol,
-                                   m_max=self.m_max)
+        return FiniteHorizonSolver(model, grid=grid, L=L, tol=self.tol)
 
     def solve(self):
         """The marched surface, certified on the certificate problem.
@@ -471,6 +468,8 @@ def apply_J(model, surface, t, s, pi):
     L = 0 surface): the march's step, so at a knot t and a lattice node
     this is the J of the solved lattice.
     """
+    s = check_time(s, model.horizon)
+    t = check_time(t, model.horizon, "t")
     if t > s + 1e-12:
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
     pi = check_belief(pi, model.n)
@@ -486,11 +485,11 @@ def apply_J0(model, surface, s, pi):
     One flow path at the surface's step gives J at every knot in [0, s];
     an off-knot t = s adds one apply_J.
     """
+    s = check_time(s, model.horizon)
     pi = check_belief(pi, model.n)
     ts = [float(t) for t in surface.knots if t <= s + 1e-12]
-    vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1)) \
-        if ts else []
-    if not ts or abs(ts[-1] - s) > 1e-12:
+    vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1))
+    if abs(ts[-1] - s) > 1e-12:
         ts.append(float(s))
         vals.append(apply_J(model, surface, s, s, pi))
     best = int(np.argmax(vals))

@@ -106,7 +106,7 @@ def test_reliability_ila_agreement():
         m = dataclasses.replace(model, horizon=T)
         surf = solve_finite(m, grid=grid, tol=1e-4)
         region = extract_regions(surf, 1e-3)
-        stop = region.stop_mask(surf.L)
+        stop = region.labels[surf.L] != CONTINUE
         ila_stop = grid.nodes @ r <= 0.0
         agree = np.mean(stop == ila_stop)
         assert agree >= 0.98, f"T={T}: only {agree:.3f} agreement"
@@ -125,12 +125,12 @@ def test_insurance_structure():
     grid = build_grid(3, 100)
     surf = solve_finite(model, grid=grid, tol=1e-4)
     region = extract_regions(surf, 1e-3)
-    corner_G = grid.index_of(np.array([[0, grid.R, 0]]))[0]
+    corner_G = grid.barycentric([0.0, 1.0, 0.0])[0][0, 0]
     assert np.all(region.labels[1:, corner_G] == CONTINUE)
 
     # stop regions shrink as time-to-maturity grows, slice by slice
     knots = surf.knots
-    masks = {T: region.stop_mask(int(np.argmin(np.abs(knots - T))))
+    masks = {T: region.labels[int(np.argmin(np.abs(knots - T)))] != CONTINUE
              for T in (0.1, 0.2, 0.4, 0.8)}
     assert np.all(masks[0.2] <= masks[0.1])
     assert np.all(masks[0.4] <= masks[0.2])
@@ -315,7 +315,7 @@ def test_discrete_cost_no_quit_at_full_horizon(techadopt_surface):
     model, grid, surf = techadopt_surface
     eps_tol = 1e-3
     nodes, low = grid.nodes, grid.nodes[:, 0]
-    H = surf.h_nodes()
+    H = terminal_reward(model, nodes)[0]
     quit_T = np.nonzero(extract_regions(surf, eps_tol).labels[-1] == 0)[0]
 
     # 1: no node quits where an explicit plan (wait t, then take action k)
@@ -362,7 +362,7 @@ def test_discrete_cost_quit_region_near_low_corner(techadopt_surface):
     m_small = dataclasses.replace(model, horizon=0.05)
     surf = solve_finite(m_small, grid=grid, tol=1e-4)
     region = extract_regions(surf, 1e-3)
-    quit_nodes = region.action_nodes(surf.L, 0)
+    quit_nodes = np.nonzero(region.labels[surf.L] == 0)[0]
     assert len(quit_nodes) > 0
     # all of them cluster at the Low corner
     assert np.min(grid.nodes[quit_nodes, 0]) >= 0.5

@@ -192,6 +192,7 @@ def test_malformed_model_file_is_config_error(tmp_path, out, capsys, case):
     ("insurance", {"n_quad": 0}, "marks.n_quad"),
     ("techadopt", {"pmf": [[0.2, 0.8]] * 2}, "marks.pmf"),
     ("techadopt", {"support": [[1.0, 2.0]]}, "marks.support"),
+    ("insurance", {"n_quad": 1001}, "marks.n_quad"),
 ])
 def test_malformed_mark_law_names_its_field(tmp_path, out, capsys, example,
                                             law, field):

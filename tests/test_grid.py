@@ -29,7 +29,7 @@ def test_nodes_on_simplex():
     g = build_grid(3, 7)
     assert np.allclose(g.nodes.sum(axis=1), 1.0)
     assert np.all(g.nodes >= 0.0)
-    assert np.all(g.comps.sum(axis=1) == 7)
+    assert np.all(np.rint(g.nodes * 7).sum(axis=1) == 7)
 
 
 def reference_compositions(n, R):
@@ -48,21 +48,14 @@ def reference_compositions(n, R):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("R", [1, 2, 7, 20])
 def test_compositions_match_recursive_reference(n, R):
-    comps = build_grid(n, R).comps
+    # the nodes are the compositions over R, bit for bit
     ref = reference_compositions(n, R)
-    assert comps.dtype == ref.dtype == np.int64
-    assert np.array_equal(comps, ref)
+    assert np.array_equal(build_grid(n, R).nodes, ref / R)
 
 
 def test_node_cap():
     with pytest.raises(ValueError):
         build_grid(6, 200)
-
-
-def test_index_of_round_trip():
-    g = build_grid(4, 9)
-    idx = g.index_of(g.comps)
-    assert np.array_equal(idx, np.arange(g.n_nodes))
 
 
 # -- interpolation ----------------------------------------------------------
@@ -238,7 +231,7 @@ def reference_index_of(grid, comps):
         for j in range(c.shape[-1]):
             codes = codes * (grid.R + 1) + c[..., j]
         return codes
-    codes = encode(grid.comps)
+    codes = encode(np.rint(grid.nodes * grid.R).astype(np.int64))
     order = np.argsort(codes)
     return order[np.searchsorted(codes[order], encode(np.asarray(comps)))]
 
@@ -374,24 +367,24 @@ def test_barycentric_rows_independent_of_batch(n, R):
                           np.concatenate([r[1] for r in rows]).view(np.int64))
 
 
-def test_index_of_closed_form():
-    g = build_grid(3, 10)
-    assert g.index_of(np.array([[3, 3, 4]]))[0] == 33
-    for n, R in [(1, 4), (2, 6), (3, 10), (4, 7), (5, 4)]:
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_nodes_locate_to_themselves(n):
+    # a node's index is the base vertex of its own cell, with weight 1
+    for R in (1, 3, 7, 12):
         g = build_grid(n, R)
-        assert np.array_equal(g.index_of(g.comps),
-                              reference_index_of(g, g.comps))
+        idx, w = g.barycentric(g.nodes)
+        assert np.array_equal(idx[:, 0], np.arange(g.n_nodes))
+        assert np.all(w[:, 0] == 1.0)
+    # the closed-form rank of composition (3, 3, 4) of 10
+    assert build_grid(3, 10).barycentric([0.3, 0.3, 0.4])[0][0, 0] == 33
 
 
-@pytest.mark.parametrize("comps", [[[3, 3, 3]], [[5, 5, 1]], [[11, -1, 0]],
-                                   [[3, 7]], [[2, 3, 4, 1]],
-                                   [[2.0, 4.0, 4.0]]])
-def test_index_of_rejects_non_compositions(comps):
-    g = build_grid(3, 10)
-    with pytest.raises(ValueError, match=r"index_of: .*\[") as err:
-        g.index_of(np.array(comps))
-    assert str(comps[0])[1:-1] in str(err.value)
-    # a bad row among good ones is caught too
-    if len(comps[0]) == 3:
-        with pytest.raises(ValueError):
-            g.index_of(np.array([[0, 0, 10], comps[0]]))
+@pytest.mark.parametrize("pts, match", [
+    ([[0.3, 0.7]], "need width 3"), ([[0.2, 0.3, 0.4, 0.1]], "need width 3"),
+    ([[0.3, 0.3, 0.3]], "outside the simplex"),
+    ([[1.1, -0.1, 0.0]], "outside the simplex"),
+    ([[0.5, 0.5, 0.0], [np.nan, 0.5, 0.5]], "non-finite point"),
+])
+def test_barycentric_rejects_points_off_the_simplex(pts, match):
+    with pytest.raises(ValueError, match=match):
+        build_grid(3, 10).barycentric(pts)

@@ -10,12 +10,13 @@ from poistop import (
     load_preset,
     make_model,
     net_return_rate,
-    running_cost,
     terminal_reward,
 )
 from poistop.model import (
+    N_QUAD_CAP,
     ModelError,
     check_belief,
+    check_time,
     discrete_marks,
     gamma_marks,
     gamma_pdf,
@@ -182,17 +183,7 @@ def test_best_action_invariant_under_common_shift():
 
 def test_running_cost_zero_vector():
     m = two_state()
-    assert running_cost(m, [0.3, 0.7]) == 0.0
-
-
-def test_running_cost_rejected_in_discrete_mode():
-    m = two_state(
-        marks=discrete_marks([1.0, 2.0], [[0.5, 0.5], [0.2, 0.8]]),
-        cost_mode="discrete",
-        K=[-3.0, -1.0],
-    )
-    with pytest.raises(ValueError):
-        running_cost(m, [0.5, 0.5])
+    assert m.c @ [0.3, 0.7] == 0.0
 
 
 def test_net_return_rate_degenerate_zero():
@@ -310,6 +301,28 @@ def test_a_large_n_is_refused_before_anything_is_built_to_it():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_gamma_marks_refuse_more_nodes_than_the_cap():
+    # leggauss's memory grows with n_quad squared (7.7 MB at 1,000), and a
+    # model file reached it with any n_quad >= 1
+    assert N_QUAD_CAP == 1000
+    with pytest.raises(ValueError, match=r"n_quad must lie in \[1, 1000\]"):
+        gamma_marks([3.0, 4.0], [2.0, 2.0], n_quad=N_QUAD_CAP + 1)
+    d = model_to_dict(load_preset("insurance")[0])
+    d["marks"]["n_quad"] = N_QUAD_CAP + 1
+    with pytest.raises(ModelError, match=r"marks\.n_quad: expected an "
+                                         r"integer in \[1, 1000\]"):
+        model_from_dict(d)
+
+
+def test_check_time_clips_within_slack_and_refuses_the_rest():
+    assert check_time(0.7, 2.0) == 0.7
+    assert check_time(2.0 + 1e-13, 2.0) == 2.0
+    assert check_time(-1e-13, 2.0) == 0.0
+    for bad in (np.nan, np.inf, -np.inf, -1e-11, 2.0 + 1e-11):
+        with pytest.raises(ValueError, match="^t: time to maturity"):
+            check_time(bad, 2.0, "t")
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.nan, np.nan],

@@ -61,9 +61,9 @@ def test_regions_action_nodes_partition(regime):
     model, surf = regime
     region = extract_regions(surf, 1e-3)
     k = surf.L
-    n0 = region.action_nodes(k, 0)
-    n1 = region.action_nodes(k, 1)
-    assert len(n0) + len(n1) == region.stop_mask(k).sum()
+    n0 = np.nonzero(region.labels[k] == 0)[0]
+    n1 = np.nonzero(region.labels[k] == 1)[0]
+    assert len(n0) + len(n1) == np.sum(region.labels[k] != CONTINUE)
     # declare-slow nodes sit at low pi_2, declare-fast at high pi_2
     assert surf.grid.nodes[n0, 1].max() < surf.grid.nodes[n1, 1].min()
 
@@ -253,6 +253,17 @@ def test_recommend_continue_midpoint(regime):
     assert rec.wait is not None and 0.0 < rec.wait <= 2.0
 
 
+@pytest.mark.parametrize("s", [np.nan, np.inf, 1e300, -0.5, 2.5])
+def test_recommend_and_stop_time_refuse_a_bad_time_to_maturity(regime, s):
+    # NaN was an IndexError, inf an OverflowError, 1e300 a flow path of
+    # round(s / dt) steps; s outside [0, T = 2] was clamped
+    model, surf = regime
+    with pytest.raises(ValueError, match="time to maturity"):
+        recommend(model, surf, s, [0.5, 0.5], 1e-3, compute_wait=True)
+    with pytest.raises(ValueError, match="time to maturity"):
+        deterministic_stop_time(model, surf, s, [0.5, 0.5], 1e-3)
+
+
 def test_recommend_inside_stop_region(regime):
     model, surf = regime
     rec = recommend(model, surf, 2.0, [0.95, 0.05], 1e-3)
@@ -340,13 +351,15 @@ def test_stop_time_matches_reference(case, regime, techadopt):
 
 def test_stop_time_matches_reference_on_one_knot_surface():
     model, _ = load_preset("regime")
-    surf = solve_finite(dataclasses.replace(model, horizon=0.0),
-                        grid=build_grid(2, 20))
+    model = dataclasses.replace(model, horizon=0.0)
+    surf = solve_finite(model, grid=build_grid(2, 20))
     assert surf.L == 0
     for pi in ([0.5, 0.5], [0.9, 0.1], [0.1, 0.9]):
-        for s in (0.0, 0.3):
-            t = deterministic_stop_time(model, surf, s, pi, 1e-3)
-            assert t == reference_stop_time(model, surf, s, pi, 1e-3)
+        t = deterministic_stop_time(model, surf, 0.0, pi, 1e-3)
+        assert t == reference_stop_time(model, surf, 0.0, pi, 1e-3)
+        # a time to maturity past the horizon is refused, not clamped
+        with pytest.raises(ValueError, match="time to maturity"):
+            deterministic_stop_time(model, surf, 0.3, pi, 1e-3)
 
 
 @pytest.fixture(scope="module")

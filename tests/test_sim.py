@@ -54,9 +54,6 @@ def test_path_structure():
     arr = [e.time for e in p.arrivals]
     assert all(t2 > t1 for t1, t2 in zip(arr, arr[1:]))
     assert all(0.0 < t <= 20.0 for t in arr)
-    # state_at agrees with the records
-    for t, st in p.hidden:
-        assert p.state_at(t) == st
 
 
 def test_absorbing_chain_never_jumps():
@@ -225,7 +222,8 @@ def test_evaluate_immediate_stop_matches_H():
     model, _ = load_preset("regime")
     grid = build_grid(2, 40)
     surf = solve_finite(model, grid=grid, L=50, tol=1e-4)
-    eps = float(np.max(surf.values[-1] - surf.h_nodes())) + 1e-9
+    H = terminal_reward(model, grid.nodes)[0]
+    eps = float(np.max(surf.values[-1] - H)) + 1e-9
     rep = evaluate_policy(model, surf, eps, [0.5, 0.5], 500, seed=4)
     assert rep.stop_time_mean == 0.0
     assert rep.frac_at_horizon == 0.0
@@ -284,6 +282,16 @@ def test_evaluate_rejects_foreign_surface():
         evaluate_policy(model, surf, 0.01, [0.5, 0.5], 10, seed=0)
 
 
+def test_evaluate_rejects_a_surface_of_other_model_numbers():
+    # the same n and mu shape under another rho ran silently
+    model, _ = load_preset("insurance")
+    surf = solve_finite(model, grid=build_grid(3, 4), L=10, tol=1e-2)
+    evaluate_policy(model, surf, 0.01, [0.2, 0.5, 0.3], 10, seed=0)
+    other = dataclasses.replace(model, rho=model.rho + 0.5)
+    with pytest.raises(ValueError, match="different model"):
+        evaluate_policy(other, surf, 0.01, [0.2, 0.5, 0.3], 10, seed=0)
+
+
 def test_evaluate_rejects_fewer_than_one_path():
     m = single_state(lam=1.0, c=-1.0, rho=0.5, mu=2.0, T=1.0)
     surf = flat_surface(m, build_grid(1, 1), 1000.0)
@@ -329,7 +337,7 @@ def replay_policy(model, surface, eps, pi0, batch):
             r = sum(np.exp(-model.rho * e.time)
                     * model.K[model.marks.mark_index(e.mark)]
                     for e in path.arrivals if e.time <= tau)
-        state = path.state_at(tau)
+        state = [st for t, st in path.hidden if t <= tau][-1]
         r += np.exp(-model.rho * tau) * model.mu[np.argmax(hv), state]
         taus.append(tau)
         rewards.append(r)

@@ -26,6 +26,7 @@ from poistop import (
     truncated_rule_slack,
     uniform_error_bound,
 )
+from poistop import valueiter
 from poistop.filter import propagator
 from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
@@ -51,16 +52,16 @@ def test_zero_horizon_surface_is_H():
     model, _ = load_preset("regime")
     m0 = dataclasses.replace(model, horizon=0.0)
     surf = solve_finite(m0, grid=build_grid(2, 20))
-    H = surf.h_nodes()
+    H = terminal_reward(m0, surf.grid.nodes)[0]
     assert surf.values.shape == (1, surf.grid.n_nodes)
     assert np.array_equal(surf.values[0], H)
 
 
-def test_zero_iterations_surface_is_H():
+def test_zero_iterations_surface_is_H(monkeypatch):
     model, _ = load_preset("regime")
-    surf = FiniteHorizonSolver(model, grid=build_grid(2, 20), L=40,
-                               m_max=0).iterate()
-    H = surf.h_nodes()
+    monkeypatch.setattr(valueiter, "SWEEP_CAP", 0)
+    surf = FiniteHorizonSolver(model, grid=build_grid(2, 20), L=40).iterate()
+    H = terminal_reward(model, surf.grid.nodes)[0]
     assert np.array_equal(surf.values, np.tile(H, (41, 1)))
 
 
@@ -68,7 +69,8 @@ def test_zero_iterations_surface_is_H():
 
 def test_surface_slice_zero_is_H(regime_surface):
     model, surf = regime_surface
-    assert np.array_equal(surf.values[0], surf.h_nodes())
+    assert np.array_equal(surf.values[0],
+                          terminal_reward(model, surf.grid.nodes)[0])
 
 
 def test_surface_monotone_in_s(regime_surface):
@@ -78,7 +80,7 @@ def test_surface_monotone_in_s(regime_surface):
 
 def test_surface_dominates_H(regime_surface):
     model, surf = regime_surface
-    H = surf.h_nodes()
+    H = terminal_reward(model, surf.grid.nodes)[0]
     assert np.min(surf.values - H[None, :]) >= -1e-9
 
 
@@ -249,7 +251,7 @@ def test_sweep_zero_knots_is_identity():
 
 def reference_surface_csv(surface, path):
     """The per-row writer: every field formatted at every knot."""
-    H = surface.h_nodes()
+    H = terminal_reward(surface.model, surface.grid.nodes)[0]
     best = terminal_reward(surface.model, surface.grid.nodes)[1]
     cols = ",".join(f"pi{i + 1}" for i in range(surface.model.n))
     with open(path, "w") as fh:
@@ -281,7 +283,7 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
                           -0.1]
     # a -0.0 and a 0.0 value at a node whose H is +0.0: only the second
     # has H's bits, so only it may reuse H's text
-    H = surf.h_nodes()
+    H = terminal_reward(model, surf.grid.nodes)[0]
     zero = int(np.flatnonzero(H.view(np.int64) == 0)[0])
     surf.values[2:4, zero] = [-0.0, 0.0]
     same = surf.values.view(np.int64) == H.view(np.int64)
@@ -553,11 +555,11 @@ def test_solve_long_horizon_certificate_keeps_self_term_small():
 
 
 def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
-    # value iteration stops at m_max: its flag is reported on its own, and
+    # value iteration stops at SWEEP_CAP: its flag is reported on its own, and
     # the march is still checked to lie above the last iterate
     model, _ = load_preset("reliability")
-    solver = FiniteHorizonSolver(model, grid=build_grid(3, 8), L=40,
-                                 m_max=3)
+    monkeypatch.setattr(valueiter, "SWEEP_CAP", 3)
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 8), L=40)
     surf = solver.solve()
     ref = solver.iterate()
     assert not ref.meta["converged"] and ref.meta["iterations"] == 3
@@ -604,6 +606,23 @@ def test_apply_J0_zero_horizon(regime_surface):
     model, surf = regime_surface
     v, t = apply_J0(model, surf, 0.0, [0.5, 0.5])
     assert (v, t) == (pytest.approx(-1.0, abs=1e-12), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, 1e300, -0.5, 2.5])
+def test_pointwise_operators_refuse_a_bad_time_to_maturity(regime_surface,
+                                                           s):
+    # NaN was an IndexError after a cast warning, inf an OverflowError and
+    # 1e300 a flow path of round(s / dt) steps; s outside [0, T = 2] was
+    # clamped, or read as t = 0
+    model, surf = regime_surface
+    pi = [0.5, 0.5]
+    for call in (lambda: surf.value_at(s, pi),
+                 lambda: apply_J0(model, surf, s, pi),
+                 lambda: apply_J(model, surf, 0.0, s, pi),
+                 lambda: apply_J(model, surf, s, model.horizon, pi)):
+        with pytest.raises(ValueError, match="time to maturity"):
+            call()
 
 
 def test_apply_J0_decreasing_integrand_stops_at_zero():
@@ -851,7 +870,7 @@ def test_one_arrival_value_against_quadrature():
     solver = FiniteHorizonSolver(model, grid=grid, L=200, tol=1e-6)
     v0 = np.tile(solver.ws.Hnodes, (201, 1))
     v1 = solver.sweep(v0)
-    node = grid.index_of(np.array([[20, 20]]))[0]
+    node = grid.barycentric([0.5, 0.5])[0][0, 0]
     assert v1[-1][node] == pytest.approx(direct, abs=1e-4)
 
 
