@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import (check_belief, check_time, net_return_rate,
-                    terminal_reward)
+from .model import net_return_rate, terminal_reward
 from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
@@ -145,8 +144,7 @@ class Recommendation:
 
 def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
     """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
-    s_remaining = check_time(s_remaining, model.horizon)
-    pi = check_belief(pi, model.n)
+    s_remaining, pi = surface.check_query(model, s_remaining, pi)
     v = surface.value_at(s_remaining, pi)
     stop, best, h = stop_rule(model, v, pi, eps)
     h = float(h)
@@ -161,8 +159,7 @@ def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
 def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
-    s = check_time(s, model.horizon)
-    pi = check_belief(pi, model.n)
+    s, pi = surface.check_query(model, s, pi)
     t = surface.knots[surface.knots <= s + 1e-12]
     X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
     stop = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)[0]

@@ -37,7 +37,12 @@ solve of the Richardson check.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 import struct
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, sqrt
@@ -52,6 +57,53 @@ from .model import check_belief, check_time, terminal_reward
 
 class NumericalError(RuntimeError):
     pass
+
+
+@contextmanager
+def _forked(fn, *args):
+    """Runs fn(*args) in a forked child while the with-block runs and yields
+    join(): fn's result, or its exception raised here.  A child not joined
+    when the block ends is killed; every child is reaped.  Off Linux, join
+    calls fn inline."""
+    if sys.platform != "linux":
+        yield lambda: fn(*args)
+        return
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:                          # compute, send, leave by _exit
+        try:
+            os.close(r)
+            try:
+                out = fn(*args), None
+            except Exception as exc:
+                out = None, exc
+            with open(w, "wb") as fh:
+                pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    status = None                         # set once the child is reaped
+
+    def join():
+        nonlocal status
+        blob = fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise NumericalError(f"the certificate process ended with exit "
+                                 f"status {status} and sent no result")
+        result, exc = pickle.loads(blob)  # bytes our own child wrote
+        if exc is not None:
+            raise exc
+        return result
+
+    with open(r, "rb") as fh:
+        try:
+            yield join
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _format_nodes(nodes):
@@ -104,9 +156,18 @@ class ValueSurface:
         return float(self.knots[1] - self.knots[0]) if self.L > 0 else 0.0
 
     def value_at(self, s, pi):
-        s = check_time(s, self.model.horizon)
-        pi = check_belief(pi, self.model.n)
+        s, pi = self.check_query(self.model, s, pi)
         return float(self.value_at_batch(s, pi)[0])
+
+    def check_query(self, model, s, pi):
+        """(s, pi) checked for a pointwise query under model, which must be
+        the one this surface was solved for: the same object, or one with
+        the same model_hash."""
+        if model is not self.model and (model_mod.model_hash(model)
+                                         != model_mod.model_hash(self.model)):
+            raise ValueError("the surface was solved for another model "
+                             "(model hashes differ); query it with its own")
+        return check_time(s, model.horizon), check_belief(pi, model.n)
 
     def value_at_batch(self, s, pts):
         """Vectorized evaluation for arrays of horizons and beliefs."""
@@ -295,24 +356,25 @@ class FiniteHorizonSolver:
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
         P, mx = np.empty((2, L + 1, N))
+        # b^2 / 2 single-slice products per block against L block products
+        b = max(1, ceil(sqrt(2 * L)))
+        h, S_buf, D_buf = np.empty((3, b, N))
 
         def arrive(t, h, A):              # rows h reach the targets t
-            S = P[t] + h
-            np.maximum(mx[t], A - S, out=mx[t])
+            S = np.add(P[t], h, out=S_buf[: len(h)])
+            D = np.subtract(A, S, out=D_buf[: len(h)])
+            np.maximum(mx[t], D, out=mx[t])
             np.add(S, h, out=P[t])
 
         # slice 0 arrives first everywhere: S_ell = 0, nothing past u_ell
         for j in range(1, L + 1):
             P[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
         mx[1:] = ws.Aterm[1:]
-        # b^2 / 2 single-slice products per block against L block products
-        b = max(1, ceil(sqrt(2 * L)))
-        h = np.empty((b, N))
         for a in range(1, L + 1, b):
             e = min(a + b, L + 1)
             for d in range(a, e):
                 v[d], steps[d] = self._picard(
-                    v[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
+                    v[d - 1], F[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
                 F[d] = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
@@ -324,24 +386,26 @@ class FiniteHorizonSolver:
             for j in range(L - a, 0, -1):
                 lo, hi = max(a, e - j), min(e, L + 1 - j)
                 if lo < hi:               # targets lo + j .. hi + j - 1 >= e
-                    hj = (ws.B[j] @ F[lo:hi].T).T
+                    hj = (ws.B[j] @ F[lo:hi].T).T.copy()   # C order
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
         return v, steps
 
-    def _picard(self, v, base):
-        """Fixed point of w -> max(H, base + dt/2 G0 w) (B_0 = I), from v."""
+    def _picard(self, v, Gv, base):
+        """Fixed point of w -> max(H, base + dt/2 G0 w) (B_0 = I), from v,
+        whose jump values G0 v are Gv."""
         ws = self.ws
         H, G0, half_dt = ws.Aterm[0], ws.G0, 0.5 * ws.dt
         for step in range(1, PICARD_CAP + 1):
-            w = np.maximum(H, base + half_dt * (G0 @ v))
+            w = np.maximum(H, base + half_dt * Gv)
             delta = float(np.max(np.abs(w - v)))
             v = w
             if delta <= 1e-15 * (1.0 + float(np.max(np.abs(w)))):
                 return w, step
             if not np.isfinite(delta):
                 break
+            Gv = G0 @ w
         q = half_dt * self.model.lam_bar
         L_min = int(self.model.horizon * self.model.lam_bar / 2.0) + 1
         raise NumericalError(
@@ -394,19 +458,14 @@ class FiniteHorizonSolver:
             else build_grid(model.n, CERT_R)
         return FiniteHorizonSolver(model, grid=grid, L=L, tol=self.tol)
 
-    def solve(self):
-        """The marched surface, certified on the certificate problem.
-
-        That problem is marched and value-iterated once each.  meta carries
-        the value iteration's iterations, deltas, uniform_error_bound b(m)
-        (which bounds V minus the marched surface too) and its convergence
-        (certificate_converged); march_gap, the sup gap between the two
-        solutions; richardson_delta, the Richardson check of the march.
-        The march lies above every iterate and within 10 tol of a converged
-        one; a gap beyond either is a NumericalError."""
-        values, steps = self.march()
+    def _certify(self):
+        """The certificate problem marched and value-iterated once each:
+        the value iteration's meta, the sup gap between the two solutions
+        and the Richardson check of the march.  The march lies above every
+        iterate and within 10 tol of a converged one; a gap beyond either
+        is a NumericalError."""
         cert = self._certificate()
-        coarse = values if cert is self else cert.march()[0]
+        coarse = cert.march()[0]
         ref = cert.iterate()
         diff = coarse - ref.values
         gap = float(np.max(np.abs(diff)))
@@ -415,11 +474,22 @@ class FiniteHorizonSolver:
             raise NumericalError(
                 f"march and value iteration differ by {gap} on the "
                 f"certificate problem (tol {self.tol}); discretization bug")
-        meta = dict(ref.meta, converged=True,
-                    certificate_converged=ref.meta["converged"],
+        return ref.meta, gap, richardson_check(self.model, grid=cert.grid,
+                                               L=cert.L, coarse=coarse)
+
+    def solve(self):
+        """The marched surface, certified by _certify in a forked child
+        while this process marches.  meta carries the value iteration's
+        iterations, deltas, uniform_error_bound b(m) (which bounds V minus
+        the marched surface too) and its convergence
+        (certificate_converged); march_gap; richardson_delta."""
+        with _forked(self._certify) as join:
+            values, steps = self.march()
+            ref_meta, gap, delta = join()
+        meta = dict(ref_meta, converged=True,
+                    certificate_converged=ref_meta["converged"],
                     picard_max=int(steps.max()), march_gap=gap,
-                    richardson_delta=richardson_check(
-                        self.model, grid=cert.grid, L=cert.L, coarse=coarse))
+                    richardson_delta=delta)
         return ValueSurface(model=self.model, grid=self.grid,
                             knots=self.knots, values=values, meta=meta)
 
@@ -468,11 +538,10 @@ def apply_J(model, surface, t, s, pi):
     L = 0 surface): the march's step, so at a knot t and a lattice node
     this is the J of the solved lattice.
     """
-    s = check_time(s, model.horizon)
+    s, pi = surface.check_query(model, s, pi)
     t = check_time(t, model.horizon, "t")
     if t > s + 1e-12:
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
-    pi = check_belief(pi, model.n)
     if t <= 0:
         return float(terminal_reward(model, pi)[0])
     n_sub = max(1, int(round(t / surface.dt))) if surface.L else 1
@@ -485,8 +554,7 @@ def apply_J0(model, surface, s, pi):
     One flow path at the surface's step gives J at every knot in [0, s];
     an off-knot t = s adds one apply_J.
     """
-    s = check_time(s, model.horizon)
-    pi = check_belief(pi, model.n)
+    s, pi = surface.check_query(model, s, pi)
     ts = [float(t) for t in surface.knots if t <= s + 1e-12]
     vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1))
     if abs(ts[-1] - s) > 1e-12:

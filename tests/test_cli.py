@@ -1,13 +1,14 @@
 """Command-line interface: artifacts, exit codes, overrides."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from poistop import load_preset
+from poistop import FiniteHorizonSolver, load_preset
 from poistop.cli import main
 from poistop.model import model_hash, model_to_dict, save_model
 
@@ -274,6 +275,20 @@ def test_unknown_command_exits_one():
 def test_grid_cap_exit_code(out):
     assert run(["solve", "--example", "targeting", "--R", "5000",
                 "--out", str(out)]) == 2
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the certificate runs inline")
+def test_certificate_child_without_result_exit_code(out, capsys,
+                                                    monkeypatch):
+    # value iteration runs only in the certificate's forked child
+    monkeypatch.setattr(FiniteHorizonSolver, "iterate",
+                        lambda self: os._exit(3))
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "exit status 3" in err
+    assert "Traceback" not in err and not (out / "report.json").exists()
 
 
 def test_diverging_time_grid_exit_code(out, capsys):

@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import signal
 import struct
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +19,13 @@ from poistop import (
     apply_J,
     apply_J0,
     build_grid,
+    deterministic_stop_time,
     err_infinity,
     extract_regions,
     horizon_error,
     load_preset,
     make_model,
+    recommend,
     richardson_check,
     solve_finite,
     solve_infinite,
@@ -575,6 +581,86 @@ def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
         solver.solve()
 
 
+# -- the certificate in a forked child ---------------------------------------
+
+forked = pytest.mark.skipif(sys.platform != "linux",
+                            reason="off Linux the certificate runs inline")
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after 120 s (a join that hangs)."""
+    def expire(signum, frame):
+        raise TimeoutError("solve did not return within 120 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child():
+    # no child process at all, running or left unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forked
+@pytest.mark.parametrize("name, R, L, is_main", [
+    ("insurance", 20, None, False), ("regime", 16, 40, True)])
+def test_forked_certificate_equals_inline(monkeypatch, deadline, name, R, L,
+                                          is_main):
+    model, _ = load_preset(name)
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L)
+    assert (solver._certificate() is solver) == is_main
+    surf = solver.solve()
+    assert_no_child()
+    # the helper's own inline path, as off Linux
+    monkeypatch.setattr(valueiter, "sys", SimpleNamespace(platform="darwin"))
+    ref = solver.solve()
+    assert_no_child()
+    assert_bitwise_equal(surf.values, ref.values)
+    assert list(surf.meta.items()) == list(ref.meta.items())
+
+
+@forked
+def test_failed_march_kills_and_reaps_the_certificate_child(monkeypatch,
+                                                            deadline):
+    model, _ = load_preset("reliability")
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 20), L=80)
+    parent, march = os.getpid(), FiniteHorizonSolver.march
+
+    def march_here_fails(self):
+        if os.getpid() == parent:
+            raise FloatingPointError("the main march failed")
+        return march(self)
+
+    monkeypatch.setattr(FiniteHorizonSolver, "march", march_here_fails)
+    with pytest.raises(FloatingPointError, match="main march"):
+        solver.solve()
+    assert_no_child()
+
+
+def certificate_raises(self):
+    raise NumericalError("value iteration failed in the child")
+
+
+@forked
+@pytest.mark.parametrize("iterate, message", [
+    (certificate_raises, "value iteration failed in the child"),
+    (lambda self: os._exit(3), "exit status 3 and sent no result")])
+def test_failed_certificate_reaches_the_caller(monkeypatch, deadline,
+                                               iterate, message):
+    # iterate runs only in the child: its exception is sent back; a child
+    # that leaves without a result is named by its exit status
+    model, _ = load_preset("reliability")
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 20), L=80)
+    monkeypatch.setattr(FiniteHorizonSolver, "iterate", iterate)
+    with pytest.raises(NumericalError, match=message):
+        solver.solve()
+    assert_no_child()
+
+
 # -- pointwise J and J0 -----------------------------------------------------
 
 def test_apply_J_zero_time_is_H(regime_surface):
@@ -623,6 +709,24 @@ def test_pointwise_operators_refuse_a_bad_time_to_maturity(regime_surface,
                  lambda: apply_J(model, surf, s, model.horizon, pi)):
         with pytest.raises(ValueError, match="time to maturity"):
             call()
+
+
+def test_pointwise_calls_refuse_a_surface_of_another_model():
+    # insurance with rho raised by 0.5 once read the insurance surface
+    # silently: apply_J0 returned 0.985 against 1.058 under its own model
+    model, _ = load_preset("insurance")
+    surf = solve_finite(model, grid=build_grid(3, 4), L=10)
+    other = dataclasses.replace(model, rho=model.rho + 0.5)
+    pi = (0.2, 0.5, 0.3)
+    for call in (lambda m: apply_J0(m, surf, 0.5, pi),
+                 lambda m: apply_J(m, surf, 0.25, 0.5, pi),
+                 lambda m: recommend(m, surf, 0.5, pi, 1e-3,
+                                     compute_wait=True),
+                 lambda m: deterministic_stop_time(m, surf, 0.5, pi, 1e-3)):
+        with pytest.raises(ValueError, match="solved for another model"):
+            call(other)
+        # an equal copy is the same model
+        assert call(dataclasses.replace(model)) == call(model)
 
 
 def test_apply_J0_decreasing_integrand_stops_at_zero():
