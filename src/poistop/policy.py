@@ -171,20 +171,13 @@ def deterministic_stop_time(model, surface, s, pi, eps):
 # ---------------------------------------------------------------------------
 
 def ila_boundary(model):
-    """Infinitesimal look-ahead coefficients r_i = c_i + sum_{j != i}
-    (mu_j - mu_i) q_{i,j} for single-action models; the rule stops when
-    sum_i r_i Pi_i < 0."""
+    """Infinitesimal look-ahead coefficients r_i, the net return rate of
+    waiting at corner i (model.net_return_rate) for single-action models;
+    the rule stops when sum_i r_i Pi_i < 0."""
     if model.n_actions != 1:
         raise ValueError("ila_boundary: defined for single-action models "
                          f"only (model has {model.n_actions} actions)")
-    mu = model.mu[0]
-    c = model.effective_cost_rates()
-    r = np.array([
-        c[i] + sum((mu[j] - mu[i]) * model.Q[i, j]
-                   for j in range(model.n) if j != i)
-        for i in range(model.n)
-    ])
-    return r
+    return np.array([net_return_rate(model, i, 0) for i in range(model.n)])
 
 
 def corner_diagnostics(model):

@@ -296,9 +296,12 @@ class EvalReport:
 def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     """Monte Carlo value of the eps-stop rule driven by the given surface.
 
-    Each path runs the exact filter; stopping is checked at every solver
-    time knot and at every arrival, and is forced at the horizon.  Rewards
-    use the simulated hidden state for the terminal payoff.
+    Each path runs the exact filter, from event to event: its next arrival
+    if that comes at or before its next solver time knot, else the knot.
+    One loop moves every live path to its own next event at once (one flow
+    advance, the Bayes update on the rows at an arrival, one stop check),
+    and the stop is forced at the last knot, the horizon.  Rewards use the
+    simulated hidden state for the terminal payoff.
     """
     if model_hash(surface.model) != model_hash(model):
         raise ValueError("evaluate_policy: surface was solved for a "
@@ -326,41 +329,36 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     tau = np.full(P, T)
     act = np.zeros(P, dtype=np.int64)
     evptr = np.zeros(P, dtype=np.int64)
+    nxt_k = np.ones(P, dtype=np.int64)
     rows = np.arange(P)
 
     def check_stop(idx, t_now, force=False):
-        if idx.size == 0:
-            return
         v = surface.value_at_batch(np.maximum(T - t_now, 0.0), belief[idx])
         stop, best, _ = stop_rule(model, v, belief[idx], eps)
         stop |= force
         hit = idx[stop]
-        if hit.size:
-            tau[hit] = np.broadcast_to(t_now, idx.shape)[stop]
-            act[hit] = best[stop]
-            alive[hit] = False
+        tau[hit] = t_now[stop]
+        act[hit] = best[stop]
+        alive[hit] = False
 
     knots = surface.knots if surface.L else np.array([0.0, T])
-    check_stop(np.nonzero(alive)[0], 0.0)
-    for t_hi in knots[1:]:
-        while True:
-            nxt = arr_t[rows, evptr]
-            m = alive & (nxt <= t_hi)
-            if not m.any():
-                break
-            idx = np.nonzero(m)[0]
-            te = arr_t[idx, evptr[idx]]
-            belief[idx] = prop.advance(belief[idx], te - cur_t[idx])
-            belief[idx] = bayes_update(model, belief[idx],
-                                       arr_dens[idx, evptr[idx]])[0]
-            cur_t[idx] = te
-            evptr[idx] += 1
-            check_stop(idx[alive[idx]], te[alive[idx]])
+    check_stop(rows, cur_t)
+    while alive.any():
+        # every live path to its own next event: an arrival at or before
+        # its next knot, else the knot
         idx = np.nonzero(alive)[0]
-        if idx.size:
-            belief[idx] = prop.advance(belief[idx], t_hi - cur_t[idx])
-            cur_t[idx] = t_hi
-        check_stop(idx, float(t_hi), force=t_hi >= T - 1e-12)
+        t_arr = arr_t[idx, evptr[idx]]
+        t_knot = knots[nxt_k[idx]]
+        at_arr = t_arr <= t_knot
+        te = np.where(at_arr, t_arr, t_knot)
+        belief[idx] = prop.advance(belief[idx], te - cur_t[idx])
+        hit = idx[at_arr]
+        belief[hit] = bayes_update(model, belief[hit],
+                                   arr_dens[hit, evptr[hit]])[0]
+        evptr[hit] += 1
+        nxt_k[idx[~at_arr]] += 1
+        cur_t[idx] = te
+        check_stop(idx, te, force=~at_arr & (t_knot == knots[-1]))
 
     # rewards ------------------------------------------------------------
     rho = model.rho

@@ -48,6 +48,7 @@ from functools import cached_property
 from math import ceil, sqrt
 
 import numpy as np
+from scipy import sparse
 
 from . import model as model_mod
 from .filter import bayes_update, flow_path
@@ -661,15 +662,14 @@ def solve_infinite(model, grid, tol=1e-4, m_max=500):
     L = min(default_knot_count(model, t_max), INF_L_CAP)
     knots = np.linspace(0.0, t_max, L + 1)
     ws = _Workspace(model, grid, knots)
+    B = sparse.vstack(ws.B, format="csr")     # every B_j F in one product
     dt = ws.dt
     v = ws.Hnodes.copy()
     deltas = []
     m = 0
     while m < m_max:
-        F = ws.G0 @ v
-        phi = np.empty((L + 1, grid.n_nodes))
-        for j in range(L + 1):
-            phi[j] = ws.disc[j] * (ws.costM[j] + ws.B[j] @ F)
+        W = (B @ (ws.G0 @ v)).reshape(L + 1, grid.n_nodes)
+        phi = ws.disc[:, None] * (ws.costM + W)
         inc = 0.5 * dt * (phi[:-1] + phi[1:])
         I = np.concatenate([np.zeros((1, grid.n_nodes)),
                             np.cumsum(inc, axis=0)])

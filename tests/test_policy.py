@@ -433,6 +433,14 @@ def test_ila_reliability_coefficients():
     assert np.allclose(ila_boundary(model), [3.5, 1.5, -1.0])
 
 
+def test_ila_is_the_net_return_rate_under_discounting():
+    # r_i = c_i - rho mu_i + sum_j (mu_j - mu_i) q_ij: at rho = 2 the two
+    # working corners gain 2 * 1 (mu = -1 there), the failed one nothing
+    model, _ = load_preset("reliability")
+    m = dataclasses.replace(model, rho=2.0)
+    assert np.allclose(ila_boundary(m), [5.5, 3.5, -1.0])
+
+
 def test_ila_rejects_multiple_actions():
     model, _ = load_preset("insurance")
     with pytest.raises(ValueError):

@@ -248,17 +248,21 @@ def test_evaluate_single_state_discounting_exact():
 
 def test_evaluate_discrete_costs_wald_identity():
     # forced to the horizon, the collected marks cost sum has expectation
-    # lam T E[K(Y)] (Wald), terminal reward 0
+    # lam T E[K(Y)] (Wald), terminal reward 0; also on a one-knot surface
+    # (L = 0), whose only knot after 0 is the horizon
     m = make_model(
         n=1, Q=[[0.0]], lam=[4.0],
         marks=discrete_marks([1.0, 2.0], [[0.5, 0.5]]),
         mu=[[0.0]], horizon=2.0, cost_mode="discrete", K=[-3.0, -1.0],
     )
     grid = build_grid(1, 1)
-    surf = flat_surface(m, grid, 1000.0)
-    rep = evaluate_policy(m, surf, 0.0, [1.0], 600, seed=8)
-    want = 4.0 * 2.0 * (-2.0)
-    assert abs(rep.mean - want) <= 3.0 * rep.se
+    one_knot = ValueSurface(m, grid, np.array([0.0]),
+                            np.full((1, 1), 1000.0), {"tol": 1e-4})
+    for surf in (flat_surface(m, grid, 1000.0), one_knot):
+        rep = evaluate_policy(m, surf, 0.0, [1.0], 600, seed=8)
+        assert rep.frac_at_horizon == 1.0
+        want = 4.0 * 2.0 * (-2.0)
+        assert abs(rep.mean - want) <= 3.0 * rep.se
 
 
 def test_evaluate_quantiles_ordered():
@@ -345,12 +349,13 @@ def replay_policy(model, surface, eps, pi0, batch):
 
 
 @pytest.mark.parametrize("name, R", [("regime", 40), ("techadopt", 10),
-                                     ("insurance", 10)])
+                                     ("insurance", 10), ("reliability", 10)])
 def test_evaluate_follows_the_exact_filter(name, R):
     # the batched filter of evaluate_policy (eigenbasis flow, bayes_update
     # on every arrival, stop checks at knots and arrivals) against
     # filter_path on the same 30 paths: a two-state model, discrete marks
-    # and costs, gamma marks
+    # and costs, gamma marks, hidden transitions with a running cost and
+    # no marks
     model, info = load_preset(name)
     surface = solve_finite(model, grid=build_grid(model.n, R))
     pi0, eps, seed, P = info["initial"], 0.01, 5, 30

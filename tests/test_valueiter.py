@@ -1063,6 +1063,42 @@ def test_infinite_fixed_point_residual():
     assert again.meta["deltas"][-1] <= 3.0 * tol
 
 
+def per_knot_infinite(model, grid, tol):
+    """solve_infinite's iteration with one product B_j F per knot: the
+    reference for its single stacked product.  Returns the values and the
+    sup change of each iteration."""
+    rho_hat = valueiter._rho_hat(model)
+    t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
+    L = min(default_knot_count(model, t_max), valueiter.INF_L_CAP)
+    ws = valueiter._Workspace(model, grid, np.linspace(0.0, t_max, L + 1))
+    v, deltas = ws.Hnodes.copy(), []
+    while len(deltas) < 500:
+        F = ws.G0 @ v
+        phi = np.empty((L + 1, grid.n_nodes))
+        for j in range(L + 1):
+            phi[j] = ws.disc[j] * (ws.costM[j] + ws.B[j] @ F)
+        inc = 0.5 * ws.dt * (phi[:-1] + phi[1:])
+        I = np.concatenate([np.zeros((1, grid.n_nodes)),
+                            np.cumsum(inc, axis=0)])
+        vnew = np.max(ws.Aterm + I, axis=0)
+        deltas.append(float(np.max(np.abs(vnew - v))))
+        v = vnew
+        if deltas[-1] <= tol:
+            break
+    return v, deltas
+
+
+@pytest.mark.parametrize("name, R", [("regime", 20), ("insurance", 6)])
+def test_infinite_stacked_product_matches_per_knot_loop(name, R):
+    model, _ = load_preset(name)
+    grid = build_grid(model.n, R)
+    stat = solve_infinite(model, grid=grid, tol=1e-4)
+    v, deltas = per_knot_infinite(model, grid, 1e-4)
+    assert np.array_equal(stat.values, v)
+    assert stat.meta["deltas"] == deltas
+    assert stat.meta["iterations"] == len(deltas)
+
+
 def test_infinite_dominates_finite():
     model, _ = load_preset("regime")
     grid = build_grid(2, 60)
