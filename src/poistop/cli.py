@@ -7,7 +7,8 @@ Grammar:
             [--tol float] [--eps float] [--seed u64] [--paths int]
             [--out DIR] [--override key=value]
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure.  Every run
+Exit codes: 0 success, 1 configuration error (also an output directory or
+artifact that cannot be written), 2 numeric failure.  Every run
 writes into a single output directory containing manifest.json (resolved
 configuration plus library versions) and the CSV/JSON artifacts.
 """
@@ -104,7 +105,6 @@ def _apply_overrides(d, overrides):
 def _resolve(args):
     """Model, preset info and output directory from parsed arguments."""
     info = {"R": 40, "initial": None, "description": ""}
-    name = None
     if args.example and args.model:
         raise ConfigError("give either --example or --model, not both")
     if args.example:
@@ -116,7 +116,6 @@ def _resolve(args):
         info.update(info0)
     elif args.model:
         path = Path(args.model)
-        name = path.stem
         try:
             model = load_model(path)
         except (OSError, ValueError) as exc:  # unreadable, bad JSON, bad model
@@ -131,8 +130,16 @@ def _resolve(args):
             raise ConfigError(f"--override: {exc}") from None
     if info["initial"] is None:
         info["initial"] = np.full(model.n, 1.0 / model.n)
-    out = Path(args.out) if args.out else Path("runs") / name
-    return model, info, out
+    return model, info, _out_dir(args)
+
+
+def _out_dir(args):
+    """--out, by default runs/<preset or model-file stem>; None for a
+    command without a model source."""
+    if args.out:
+        return Path(args.out)
+    name = args.example or (args.model and Path(args.model).stem)
+    return Path("runs") / name if name else None
 
 
 def _manifest(args, model, extra):
@@ -357,6 +364,11 @@ def main(argv=None):
         return handlers[args.command](args)
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except OSError as exc:           # --out or an artifact not writable
+        out = None if exc.filename else _out_dir(args)
+        where = f"{out}: " if out else ""    # the path the error lacks
+        sys.stderr.write(f"error: {where}{exc}\n")
         return 1
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError,
             ValueError) as exc:          # ValueError: also a ModelError

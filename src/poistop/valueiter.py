@@ -39,13 +39,16 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import signal
 import struct
 import sys
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import ceil, sqrt
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -60,20 +63,38 @@ class NumericalError(RuntimeError):
     pass
 
 
+def _current_cpu():
+    """The CPU this process runs on (field 39 of /proc/self/stat), or None
+    where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # fields 3 on follow the ")" that closes the command name
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 @contextmanager
 def _forked(fn, *args):
     """Runs fn(*args) in a forked child while the with-block runs and yields
-    join(): fn's result, or its exception raised here.  A child not joined
-    when the block ends is killed; every child is reaped.  Off Linux, join
-    calls fn inline."""
+    join(): fn's result, or its exception raised here.  The child leaves
+    the parent's current CPU to the parent when it may run elsewhere (its
+    own mask only).  A child not joined when the block ends is killed;
+    every child is reaped.  Off Linux, join calls fn inline."""
     if sys.platform != "linux":
         yield lambda: fn(*args)
         return
+    cpu = _current_cpu()
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:                          # compute, send, leave by _exit
         try:
             os.close(r)
+            if cpu is not None:           # a hint: a refusal is no error
+                with suppress(OSError):
+                    others = os.sched_getaffinity(0) - {cpu}
+                    if others:
+                        os.sched_setaffinity(0, others)
             try:
                 out = fn(*args), None
             except Exception as exc:
@@ -91,8 +112,9 @@ def _forked(fn, *args):
         blob = fh.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status:
-            raise NumericalError(f"the certificate process ended with exit "
-                                 f"status {status} and sent no result")
+            raise NumericalError(
+                f"the child process running {fn.__qualname__} ended with "
+                f"exit status {status} and sent no result")
         result, exc = pickle.loads(blob)  # bytes our own child wrote
         if exc is not None:
             raise exc
@@ -196,7 +218,11 @@ class ValueSurface:
     def to_csv(self, path):
         """Rows (s, coordinates, value, H, best action) per knot and node;
         all but s and the value are formatted once, in row templates, and a
-        value with the bits of H (a stop cell) reuses H's text."""
+        value with the bits of H (a stop cell) reuses H's text.  A forked
+        child writes the knots from cut on, which hold about half of the
+        %.17g fields (s, and every value off H's bits), to a temporary file
+        beside path while this process writes the rest; its file is then
+        appended to path, so the tail never enters this process."""
         H, best = terminal_reward(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
         text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
@@ -206,11 +232,30 @@ class ValueSurface:
         fmt, same = np.array(text, dtype=object).T
         # bits, not ==, so that -0.0 and 0.0 keep their own text
         eq = self.values.view(np.int64) == H.view(np.int64)
-        lines = ((np.where(e, same, fmt).tolist(), tuple(v[~e].tolist()))
-                 for v, e in zip(self.values, eq))
-        with open(path, "w") as fh:
-            fh.write(f"s,{cols},value,H,best_action\n")
-            _write_knots(fh, self.knots, lines)
+        fields = np.cumsum(self.grid.n_nodes + 1 - np.sum(eq, axis=1))
+        cut = int(np.searchsorted(fields, fields[-1] / 2))
+
+        def write(fh, ks):
+            lines = ((np.where(e, same, fmt).tolist(), tuple(v[~e].tolist()))
+                     for v, e in zip(self.values[ks], eq[ks]))
+            _write_knots(fh, self.knots[ks], lines)
+
+        def write_tail(part):
+            with open(part, "w") as fh:
+                write(fh, slice(cut, None))
+
+        fd, part = tempfile.mkstemp(suffix=".part", dir=Path(path).parent)
+        os.close(fd)
+        try:
+            with _forked(write_tail, part) as join:
+                with open(path, "w") as fh:
+                    fh.write(f"s,{cols},value,H,best_action\n")
+                    write(fh, slice(cut))
+                join()
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+        finally:
+            os.remove(part)
 
     def save(self, path):
         """Binary layout: magic, int64 (n, R, L+1, N), little-endian doubles
@@ -603,15 +648,15 @@ def _rho_hat(model):
 
 def err_infinity(model, m):
     """Err_inf(m): gap between the m-arrival-truncated and the full
-    infinite-horizon value."""
+    infinite-horizon value; inf where no bound is known (m < 2 at rho = 0,
+    or max mu / max c not positive there)."""
     _check_infinite_assumptions(model)
     lb = model.lam_bar
     if model.rho > 0:
         return float((lb / (model.rho + lb)) ** m)
-    if m < 2:
+    ratio = float(np.max(model.mu) / np.max(model.effective_cost_rates()))
+    if m < 2 or not ratio > 0.0:
         return float("inf")
-    c_eff = model.effective_cost_rates()
-    ratio = max(float(np.max(model.mu) / np.max(c_eff)), 0.0)
     return float(np.sqrt(ratio * lb / (m - 1)))
 
 

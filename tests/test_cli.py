@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from poistop import FiniteHorizonSolver, load_preset
+from poistop import FiniteHorizonSolver, load_preset, valueiter
 from poistop.cli import main
 from poistop.model import model_hash, model_to_dict, save_model
 
@@ -79,9 +79,10 @@ def test_import_footprint_beyond_numpy_and_scipy_sparse():
 def test_solve_regime_artifacts(out):
     assert run(["solve", "--example", "regime", "--R", "40", "--L", "60",
                 "--out", str(out)]) == 0
-    for name in ("surface.csv", "surface.bin", "regions.csv",
-                 "boundary.csv", "report.json", "manifest.json"):
-        assert (out / name).exists(), name
+    # these and nothing else: no temporary file of the CSV writer is left
+    assert sorted(os.listdir(out)) == [
+        "boundary.csv", "manifest.json", "regions.csv", "report.json",
+        "surface.bin", "surface.csv"]
     report = json.loads((out / "report.json").read_text())
     assert report["converged"]
     assert report["objective_sense"] == "min"
@@ -268,6 +269,52 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_command_exits_one():
     assert run(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose", "simulate"])
+def test_unwritable_out_exits_one(tmp_path, capsys, command):
+    # --out below a regular file cannot be made; this used to end in a
+    # NotADirectoryError traceback
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    assert run([command, "--example", "regime", "--R", "4", "--L", "4",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, whose writes fail with ENOSPC")
+def test_artifact_write_error_names_the_output_directory(out, capsys):
+    # the OSError of a failed write carries no file name: the error line
+    # names the output directory instead
+    out.mkdir()
+    (out / "regions.csv").symlink_to("/dev/full")
+    assert run(["solve", "--example", "regime", "--R", "4", "--L", "4",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the CSV tail is written inline")
+def test_writer_child_error_exits_one(out, capsys, monkeypatch):
+    # the forked writer of surface.csv fails; its OSError reaches main
+    parent, write = os.getpid(), valueiter._write_knots
+
+    def write_here_only(fh, knots, lines):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device", "surface.csv.part")
+        return write(fh, knots, lines)
+
+    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "surface.csv.part" in err
+    assert not (out / "report.json").exists()
+    assert not [p for p in os.listdir(out) if p.endswith(".part")]
 
 
 # -- numeric failures (exit code 2) -----------------------------------------

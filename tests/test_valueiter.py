@@ -296,6 +296,7 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     assert same[4:].any() and not same[2, zero] and same[3, zero]
     region = extract_regions(surf)
     surf.to_csv(tmp_path / "surface.csv")
+    assert os.listdir(tmp_path) == ["surface.csv"]   # no temporary file
     reference_surface_csv(surf, tmp_path / "surface_ref.csv")
     region.to_csv(tmp_path / "regions.csv")
     reference_regions_csv(region, tmp_path / "regions_ref.csv")
@@ -310,6 +311,53 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
     labels = (tmp_path / "regions.csv").read_bytes()
     assert labels == (tmp_path / "regions_ref.csv").read_bytes()
     assert (region.labels == CONTINUE).any() and b",-1\n" in labels
+
+
+def edge_surface(kind):
+    """Insurance surfaces at the edges of the writer's split: one knot,
+    two knots, and every cell a stop cell (each knot one %.17g field)."""
+    model, _ = load_preset("insurance")
+    grid = build_grid(3, 6)
+    H = terminal_reward(model, grid.nodes)[0]
+    L = {"L = 0": 0, "L = 1": 1, "all stop": 12}[kind]
+    values = np.tile(H, (L + 1, 1))
+    if kind != "all stop":
+        values[-1] += np.linspace(0.0, 1.0, grid.n_nodes)
+    return ValueSurface(model, grid, np.linspace(0.0, model.horizon, L + 1),
+                        values)
+
+
+@pytest.mark.parametrize("kind", ["L = 0", "L = 1", "all stop"])
+def test_surface_csv_byte_equal_reference_at_the_split_edges(tmp_path, kind):
+    surf = edge_surface(kind)
+    out = tmp_path / "out"
+    out.mkdir()
+    surf.to_csv(out / "surface.csv")
+    assert os.listdir(out) == ["surface.csv"]
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    text = (out / "surface.csv").read_bytes()
+    assert text == (tmp_path / "surface_ref.csv").read_bytes()
+    assert len(text.splitlines()) == 1 + (surf.L + 1) * surf.grid.n_nodes
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the CSV tail is written inline")
+def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
+                                                           monkeypatch):
+    # _write_knots fails only in the forked writer: its exception is raised
+    # here, its temporary file removed and the child reaped
+    parent, write = os.getpid(), valueiter._write_knots
+
+    def write_here_only(fh, knots, lines):
+        if os.getpid() != parent:
+            raise OSError(28, "No space left on device")
+        return write(fh, knots, lines)
+
+    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    with pytest.raises(OSError, match="No space left on device"):
+        edge_surface("all stop").to_csv(tmp_path / "surface.csv")
+    assert os.listdir(tmp_path) == ["surface.csv"]
+    assert_no_child()
 
 
 # -- jump operators against the sparse-product assembly ----------------------
@@ -658,6 +706,48 @@ def test_failed_certificate_reaches_the_caller(monkeypatch, deadline,
     monkeypatch.setattr(FiniteHorizonSolver, "iterate", iterate)
     with pytest.raises(NumericalError, match=message):
         solver.solve()
+    assert_no_child()
+
+
+@forked
+def test_current_cpu_is_the_cpu_the_process_is_pinned_to():
+    mask = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(mask):
+            os.sched_setaffinity(0, {cpu})    # this process moves to cpu
+            assert valueiter._current_cpu() == cpu
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+@forked
+@pytest.mark.parametrize("readable", [True, False])
+def test_forked_child_leaves_the_parents_cpu(monkeypatch, deadline,
+                                             readable):
+    # the child's mask lacks the parent's CPU when another CPU is left, is
+    # the whole mask when the CPU cannot be read; the parent's is unchanged
+    mask = os.sched_getaffinity(0)
+    cpu = min(mask)
+    monkeypatch.setattr(valueiter, "_current_cpu",
+                        lambda: cpu if readable else None)
+    with valueiter._forked(os.sched_getaffinity, 0) as join:
+        child = join()
+    assert child == (mask - {cpu} if readable and len(mask) >= 2 else mask)
+    assert os.sched_getaffinity(0) == mask
+    assert_no_child()
+
+
+@forked
+def test_forked_child_keeps_a_one_cpu_mask(deadline):
+    mask = os.sched_getaffinity(0)
+    cpu = min(mask)
+    try:
+        os.sched_setaffinity(0, {cpu})
+        with valueiter._forked(os.sched_getaffinity, 0) as join:
+            assert join() == {cpu}
+        assert os.sched_getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, mask)
     assert_no_child()
 
 
@@ -1011,6 +1101,16 @@ def test_err_infinity_hand_value():
     assert err_infinity(model, 50) == pytest.approx((5.0 / 5.1) ** 50,
                                                     rel=1e-12)
     assert err_infinity(model, 50) == pytest.approx(0.372, abs=5e-3)
+
+
+@pytest.mark.parametrize("name", ["regime", "targeting", "techadopt"])
+def test_err_infinity_claims_no_exact_truncation_at_rho_zero(name):
+    # max mu / max c <= 0 on these presets: no bound is known, so none is
+    # given; it used to read 0 (exact from m = 2 on)
+    model, _ = load_preset(name)
+    assert model.rho == 0.0
+    for m in (0, 1, 2, 5, 30):
+        assert err_infinity(model, m) == np.inf
 
 
 def test_horizon_error_hand_value():
