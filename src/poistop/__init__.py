@@ -14,11 +14,11 @@ from .grid import SimplexGrid, build_grid
 from .valueiter import (FiniteHorizonSolver, StationaryValue, ValueSurface,
                         apply_J, apply_J0, err_infinity, horizon_error,
                         richardson_check, solve_finite, solve_infinite,
-                        truncated_rule_slack, uniform_error_bound)
+                        uniform_error_bound)
 from .policy import (Recommendation, StoppingRegion, boundary_curve,
                      continuation_interval, corner_diagnostics,
                      deterministic_stop_time, extract_regions, ila_boundary,
                      recommend, stop_rule, two_hypothesis_diagnostics)
-from .sim import (EvalReport, PathSample, evaluate_policy, oracle_filter,
-                  oracle_value, simulate_path, simulate_paths)
+from .sim import (EvalReport, PathSample, evaluate_policy, oracle_value,
+                  simulate_path, simulate_paths)
 from .presets import load_preset, preset_names

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import check_belief
+from .model import check_belief, combine_rows
 
 
 class ArrivalEvent(NamedTuple):
@@ -229,27 +229,29 @@ class FlowPropagator:
             self.vecs_inv = np.linalg.inv(vecs)
 
     def advance(self, beliefs, durations):
-        """Normalized flow of each belief over its own duration."""
+        """Normalized flow of each belief over its own duration.  Every step
+        is elementwise along the batch, on one contiguous row per state, so
+        a belief's result does not depend on the other beliefs."""
         beliefs = np.atleast_2d(beliefs)
         durations = np.asarray(durations, dtype=float)
         if self._ok:
-            z = beliefs @ self.vecs
-            # shift each row's exponents by the largest real part among the
-            # modes it excites: the factor cancels in the normalization,
+            z = combine_rows(np.ascontiguousarray(beliefs.T), self.vecs)
+            # shift each belief's exponents by the largest real part among
+            # the modes it excites: the factor cancels in the normalization,
             # and the leading mode no longer underflows on long durations;
             # an unexcited mode gets 0, not 0 * exp(shift), which may be inf
             on = z != 0
-            top = np.where(on, self.vals.real, -np.inf).max(axis=1)
-            shift = durations[:, None] * (self.vals[None, :] - top[:, None])
-            z = z * np.exp(shift, out=np.zeros_like(shift), where=on)
-            m = np.real(z @ self.vecs_inv)
+            top = np.where(on, self.vals.real[:, None], -np.inf).max(axis=0)
+            shift = durations * (self.vals[:, None] - top)
+            z *= np.exp(shift, out=np.zeros_like(shift), where=on)
+            m = np.real(combine_rows(z, self.vecs_inv))
         else:
             m = np.array([flow(self.model, t, pi) for pi, t
-                          in zip(beliefs, durations)]).reshape(beliefs.shape)
+                          in zip(beliefs, durations)]).reshape(beliefs.shape).T
         m = np.clip(m, 0.0, None)
-        s = m.sum(axis=1, keepdims=True)
+        s = m.sum(axis=0)
         s[s <= 0] = np.nan
-        return m / s
+        return (m / s).T
 
 
 # ---------------------------------------------------------------------------

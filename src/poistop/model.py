@@ -333,11 +333,24 @@ def check_time(s, horizon, name="s"):
     return min(max(float(s), 0.0), horizon)
 
 
-def terminal_reward(model, beliefs):
+def combine_rows(xt, a):
+    """x @ a with its last axis first, from xt = x with its last axis first:
+    the terms a[k] xt[k] added in k order, so each entry depends on its own
+    row of x alone (a BLAS product rounds a row by the batch size)."""
+    out = np.multiply.outer(a[0], xt[0])
+    for k in range(1, len(a)):
+        out += np.multiply.outer(a[k], xt[k])
+    return out
+
+
+def terminal_reward(model, beliefs, rowwise=False):
     """(H, best) at beliefs of shape (..., n): H = max_k sum_i mu[k, i]
-    pi_i and the action attaining it, the smallest index on ties."""
-    hv = np.asarray(beliefs, dtype=float) @ model.mu.T
-    return hv.max(axis=-1), hv.argmax(axis=-1)
+    pi_i and the action attaining it, the smallest index on ties; rowwise
+    sums by combine_rows, batch-independent, maybe an ulp off BLAS's."""
+    beliefs = np.asarray(beliefs, dtype=float)
+    hv = combine_rows(np.moveaxis(beliefs, -1, 0), model.mu.T) if rowwise \
+        else np.moveaxis(beliefs @ model.mu.T, -1, 0)
+    return hv.max(axis=0), hv.argmax(axis=0)
 
 
 def net_return_rate(model, i, k):

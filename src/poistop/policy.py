@@ -19,11 +19,11 @@ from .valueiter import _format_nodes, _write_knots, apply_J0
 CONTINUE = -1
 
 
-def stop_rule(model, v, beliefs, eps):
+def stop_rule(model, v, beliefs, eps, rowwise=False):
     """The eps-optimal rule at beliefs (..., n) with values v (broadcast
     against the leading shape): (stop, action, H) with stop iff v - H <= eps
-    and action the best terminal action, smallest index on ties."""
-    H, best = terminal_reward(model, beliefs)
+    and action the best terminal action (terminal_reward's, with rowwise)."""
+    H, best = terminal_reward(model, beliefs, rowwise)
     return v - H <= eps, best, H
 
 

@@ -23,6 +23,7 @@ from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
                      events_to_csv, propagator)
 from .model import check_belief, model_hash, terminal_reward
 from .policy import stop_rule
+from .valueiter import NumericalError, _forked
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -302,17 +303,47 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     advance, the Bayes update on the rows at an arrival, one stop check),
     and the stop is forced at the last knot, the horizon.  Rewards use the
     simulated hidden state for the terminal payoff.
+
+    This process runs paths 0 .. n_paths // 2 - 1 and a forked child the
+    rest.  A path reads only its own stream and every step of the loop
+    computes its row from that row alone, so the report is bitwise that of
+    one process.
     """
     if model_hash(surface.model) != model_hash(model):
         raise ValueError("evaluate_policy: surface was solved for a "
                          "different model")
     if n_paths < 1:
         raise ValueError(f"evaluate_policy: need n_paths >= 1, got {n_paths}")
-    T = model.horizon
-    pi0 = check_belief(initial, model.n)
-    paths = simulate_paths(model, pi0, T, seed, np.arange(n_paths))
+    task = (model, surface, eps, check_belief(initial, model.n), seed)
+    half = n_paths // 2
+    if half:
+        with _forked(_run_paths, *task, half, n_paths) as join:
+            first = _run_paths(*task, 0, half)
+            try:
+                rest = join()
+            except ChildProcessError as exc:
+                raise NumericalError(str(exc)) from exc
+        reward, tau = (np.concatenate(x) for x in zip(first, rest))
+    else:
+        reward, tau = _run_paths(*task, 0, n_paths)
 
-    P = n_paths
+    mean = float(reward.mean())
+    se = float(reward.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    qs = {q: float(np.quantile(tau, q)) for q in (0.1, 0.5, 0.9)}
+    return EvalReport(
+        mean=mean, se=se, n_paths=n_paths, eps=float(eps),
+        stop_time_mean=float(tau.mean()),
+        stop_time_quantiles=qs,
+        frac_at_horizon=float(np.mean(tau >= model.horizon * (1.0 - 1e-12))),
+    )
+
+
+def _run_paths(model, surface, eps, pi0, seed, lo, hi):
+    """(reward, tau) of paths lo .. hi - 1 under the rule of
+    evaluate_policy."""
+    T = model.horizon
+    P = hi - lo
+    paths = simulate_paths(model, pi0, T, seed, np.arange(lo, hi))
     n = model.n
     arr_t, arr_y = paths.arrival_t, paths.arrival_y
     hid_t, hid_s = paths.hidden_t, paths.hidden_s
@@ -333,8 +364,9 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     rows = np.arange(P)
 
     def check_stop(idx, t_now, force=False):
-        v = surface.value_at_batch(np.maximum(T - t_now, 0.0), belief[idx])
-        stop, best, _ = stop_rule(model, v, belief[idx], eps)
+        x = belief[idx]
+        v = surface.value_at_batch(np.maximum(T - t_now, 0.0), x)
+        stop, best, _ = stop_rule(model, v, x, eps, rowwise=True)
         stop |= force
         hit = idx[stop]
         tau[hit] = t_now[stop]
@@ -360,7 +392,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
         cur_t[idx] = te
         check_stop(idx, te, force=~at_arr & (t_knot == knots[-1]))
 
-    # rewards ------------------------------------------------------------
+    # rewards, each summed in time order (the padding adds exact zeros)
     rho = model.rho
     reward = np.zeros(P)
     if model.cost_mode == "running":
@@ -377,64 +409,18 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
         kcost = np.zeros((P, kmax))
         kcost[seen] = model.K[model.marks.mark_index(flat_marks)]
         disc = np.exp(-rho * np.where(seen, arr_t[:, :kmax], 0.0))
-        reward += np.sum(counted * disc * kcost, axis=1)
+        for term in (counted * disc * kcost).T:
+            reward += term
     # hidden state at tau
     j_at = np.sum(hid_t[:, :jmax] <= tau[:, None], axis=1) - 1
     state_at_tau = hid_s[rows, j_at]
     reward += np.exp(-rho * tau) * model.mu[act, state_at_tau]
-
-    mean = float(reward.mean())
-    se = float(reward.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
-    qs = {q: float(np.quantile(tau, q)) for q in (0.1, 0.5, 0.9)}
-    return EvalReport(
-        mean=mean, se=se, n_paths=P, eps=float(eps),
-        stop_time_mean=float(tau.mean()),
-        stop_time_quantiles=qs,
-        frac_at_horizon=float(np.mean(tau >= T * (1.0 - 1e-12))),
-    )
+    return reward, tau
 
 
 # ---------------------------------------------------------------------------
 # discrete-time oracles
 # ---------------------------------------------------------------------------
-
-def oracle_filter(model, path, dt, pi0=None):
-    """First-order discrete-time Bayes recursion along a simulated path.
-
-    Starts from the prior ``pi0``, or from a point mass at the path's first
-    hidden state when it is None.  Returns (times, posteriors) on the
-    uniform dt-grid; each arrival is bucketed into the step that contains it.
-    """
-    if model.lam_bar * dt >= 0.1:
-        raise ValueError("oracle_filter: need lam_bar * dt < 0.1")
-    if pi0 is None:
-        pi = np.zeros(model.n)
-        pi[path.hidden[0][1]] = 1.0
-    else:
-        pi = check_belief(pi0, model.n)
-    steps = int(np.ceil(path.t_end / dt - 1e-12))
-    Ppred = propagator(model.Q, dt)
-    surv = np.exp(-model.lam * dt)
-    times = np.linspace(0.0, steps * dt, steps + 1)
-    post = np.empty((steps + 1, model.n))
-    post[0] = pi
-    arr = list(path.arrivals)
-    a = 0
-    for k in range(1, steps + 1):
-        pi = pi @ Ppred
-        hi = times[k]
-        updated = False
-        while a < len(arr) and arr[a].time <= hi + 1e-15:
-            dens = model.marks.density_at(arr[a].mark)
-            pi = pi * (model.lam * dt * dens)
-            a += 1
-            updated = True
-        if not updated:
-            pi = pi * surv
-        pi = pi / pi.sum()
-        post[k] = pi
-    return times, post
-
 
 @dataclass
 class OracleSurface:
@@ -447,10 +433,10 @@ class OracleSurface:
 def oracle_value(model, dt, grid, T=None, snapshot_times=None):
     """Discrete-time DP approximation of the value function.
 
-    Backward induction value = max(H, cost + e^{-rho dt} E[next]) with the
-    one-step belief kernel of oracle_filter (predict, then branch on
-    no-arrival / arrival-with-mark).  Returns snapshots of the value for
-    the requested horizons (all multiples of dt are available).
+    Backward induction value = max(H, cost + e^{-rho dt} E[next]) with a
+    first-order one-step belief kernel (predict with exp(dt Q), then branch
+    on no arrival / an arrival with each mark).  Returns snapshots of the
+    value for the requested horizons (all multiples of dt are available).
     """
     if model.n > 3:
         raise ValueError("oracle_value: n <= 3 only (resource cap)")

@@ -77,9 +77,10 @@ def _current_cpu():
 @contextmanager
 def _forked(fn, *args):
     """Runs fn(*args) in a forked child while the with-block runs and yields
-    join(): fn's result, or its exception raised here.  The child leaves
-    the parent's current CPU to the parent when it may run elsewhere (its
-    own mask only).  A child not joined when the block ends is killed;
+    join(): fn's result, or its exception raised here, or for a child that
+    sent neither a ChildProcessError naming its exit status.  The child
+    leaves the parent's current CPU to the parent when it may run elsewhere
+    (its own mask only).  A child not joined when the block ends is killed;
     every child is reaped.  Off Linux, join calls fn inline."""
     if sys.platform != "linux":
         yield lambda: fn(*args)
@@ -112,7 +113,7 @@ def _forked(fn, *args):
         blob = fh.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if status:
-            raise NumericalError(
+            raise ChildProcessError(
                 f"the child process running {fn.__qualname__} ended with "
                 f"exit status {status} and sent no result")
         result, exc = pickle.loads(blob)  # bytes our own child wrote
@@ -531,7 +532,10 @@ class FiniteHorizonSolver:
         (certificate_converged); march_gap; richardson_delta."""
         with _forked(self._certify) as join:
             values, steps = self.march()
-            ref_meta, gap, delta = join()
+            try:
+                ref_meta, gap, delta = join()
+            except ChildProcessError as exc:
+                raise NumericalError(str(exc)) from exc
         meta = dict(ref_meta, converged=True,
                     certificate_converged=ref_meta["converged"],
                     picard_max=int(steps.max()), march_gap=gap,
@@ -672,13 +676,6 @@ def horizon_error(model, T=None):
     c_eff = model.effective_cost_rates()
     spread = float(np.min(model.mu) - np.max(model.mu))
     return float(2.0 * model.norm_H() / T * spread / np.max(c_eff))
-
-
-def truncated_rule_slack(model, eps, m):
-    """Total optimality slack of the truncated infinite-horizon rule:
-    eps + Err_inf(m) + Err_inf(0) * Err(T)."""
-    return float(eps + err_infinity(model, m)
-                 + err_infinity(model, 0) * horizon_error(model))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from poistop import FiniteHorizonSolver, load_preset, valueiter
+from poistop import FiniteHorizonSolver, load_preset, sim, valueiter
 from poistop.cli import main
 from poistop.model import model_hash, model_to_dict, save_model
+from test_valueiter import assert_no_child
 
 
 def run(args):
@@ -315,6 +316,29 @@ def test_writer_child_error_exits_one(out, capsys, monkeypatch):
     assert err.startswith("error: ") and "surface.csv.part" in err
     assert not (out / "report.json").exists()
     assert not [p for p in os.listdir(out) if p.endswith(".part")]
+    assert_no_child()
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the CSV tail is written inline")
+def test_writer_child_without_result_exits_one(out, capsys, monkeypatch):
+    # a writer that ends without a result is an output failure, not a
+    # numeric one
+    parent, write = os.getpid(), valueiter._write_knots
+
+    def write_here_only(fh, knots, lines):
+        if os.getpid() != parent:
+            os._exit(9)
+        return write(fh, knots, lines)
+
+    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "exit status 9" in err
+    assert "Traceback" not in err and not (out / "report.json").exists()
+    assert not [p for p in os.listdir(out) if p.endswith(".part")]
+    assert_no_child()
 
 
 # -- numeric failures (exit code 2) -----------------------------------------
@@ -336,6 +360,31 @@ def test_certificate_child_without_result_exit_code(out, capsys,
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ") and "exit status 3" in err
     assert "Traceback" not in err and not (out / "report.json").exists()
+    assert_no_child()
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the Monte Carlo runs in one process")
+def test_evaluation_child_without_result_exit_code(out, capsys,
+                                                   monkeypatch):
+    # the second half of the paths runs only in evaluate's forked child
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
+                "--out", str(out)]) == 0
+    parent, simulate = os.getpid(), sim.simulate_paths
+
+    def simulate_here_only(*args):
+        if os.getpid() != parent:
+            os._exit(5)
+        return simulate(*args)
+
+    monkeypatch.setattr(sim, "simulate_paths", simulate_here_only)
+    assert run(["evaluate", "--example", "regime", "--paths", "50",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "exit status 5" in err
+    assert "Traceback" not in err
+    assert not (out / "evaluation.json").exists()
+    assert_no_child()
 
 
 def test_diverging_time_grid_exit_code(out, capsys):

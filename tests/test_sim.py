@@ -1,6 +1,8 @@
 """Simulation, Monte Carlo evaluation and the discrete-time oracles."""
 
 import dataclasses
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,15 +14,20 @@ from poistop import (
     filter_path,
     load_preset,
     make_model,
-    oracle_filter,
     oracle_value,
+    preset_names,
     simulate_path,
     simulate_paths,
     solve_finite,
 )
+from poistop import sim, valueiter
+from poistop.filter import FlowPropagator, bayes_update
 from poistop.model import discrete_marks, gamma_marks, terminal_reward
 from poistop.sim import (RNG_ALGORITHM, _uniform, path_to_csv,
                          philox_blocks)
+from poistop.valueiter import NumericalError
+from test_valueiter import (assert_bitwise_equal, assert_no_child,
+                            deadline, forked)
 
 
 def single_state(lam=3.0, c=0.0, rho=0.0, mu=1.0, T=1.0, **kw):
@@ -372,6 +379,107 @@ def test_evaluate_follows_the_exact_filter(name, R):
     assert rep.mean == pytest.approx(rewards.mean(), rel=1e-12, abs=1e-12)
 
 
+# -- the paths split between two processes -----------------------------------
+
+@pytest.mark.parametrize("name", preset_names())
+def test_loop_steps_do_not_depend_on_the_batch(name):
+    # every per-row step of evaluate_policy's loop gives a row the same
+    # bits in any batch, so the paths can be split between processes
+    model, _ = load_preset(name)
+    rng = np.random.default_rng(3)
+    P, L = 3000, 20
+    beliefs = rng.dirichlet(np.ones(model.n), P)
+    durations = rng.exponential(0.05, P)
+    dens = rng.uniform(0.1, 2.0, (P, model.n))
+    s = rng.uniform(0.0, model.horizon, P)
+    grid = build_grid(model.n, 12)
+    surface = ValueSurface(model, grid, np.linspace(0, model.horizon, L + 1),
+                           rng.standard_normal((L + 1, grid.n_nodes)))
+    prop = FlowPropagator(model)
+    steps = [lambda r: prop.advance(beliefs[r], durations[r]),
+             lambda r: bayes_update(model, beliefs[r], dens[r])[0],
+             lambda r: terminal_reward(model, beliefs[r], rowwise=True)[0],
+             lambda r: surface.value_at_batch(s[r], beliefs[r])]
+    batches = [slice(lo, lo + size) for lo in (0, 17, 1999)
+               for size in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100, 1001)]
+    for step in steps:
+        whole = step(slice(None))
+        for rows in batches:
+            assert_bitwise_equal(step(rows), whole[rows])
+
+
+SPLIT_CASES = preset_names() + ["techadopt discounted"]
+
+
+@pytest.fixture(scope="module")
+def small_surfaces():
+    # techadopt at rho = 0.5: discounted discrete costs, whose sums are not
+    # integers as at rho = 0
+    out = {}
+    for case in SPLIT_CASES:
+        model, info = load_preset(case.split()[0])
+        if case.endswith("discounted"):
+            model = dataclasses.replace(model, rho=0.5)
+        out[case] = model, np.asarray(info["initial"]), solve_finite(
+            model, grid=build_grid(model.n, 6))
+    return out
+
+
+@forked
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_evaluate_split_equals_one_process(monkeypatch, deadline,
+                                           small_surfaces, case):
+    model, pi0, surface = small_surfaces[case]
+    for seed in (1, 2):
+        def run(lo, hi):
+            return sim._run_paths(model, surface, 0.01, pi0, seed, lo, hi)
+
+        # at P = 40 and seed 1 the first half pads to 6 arrivals and the
+        # whole batch to 10: np.sum(axis=1) would sum those rows otherwise
+        for P in (1, 2, 3, 40, 1001):
+            rep = evaluate_policy(model, surface, 0.01, pi0, P, seed)
+            assert_no_child()
+            # the helper's own inline path, as off Linux
+            with monkeypatch.context() as inline:
+                inline.setattr(valueiter, "sys",
+                               SimpleNamespace(platform="darwin"))
+                ref = evaluate_policy(model, surface, 0.01, pi0, P, seed)
+            # repr gives every float exactly, -0.0 apart from 0.0
+            assert repr(rep) == repr(ref)
+            # the two halves are the rows of one batch
+            halves = zip(run(0, P // 2), run(P // 2, P))
+            for whole, parts in zip(run(0, P), halves):
+                assert_bitwise_equal(np.concatenate(parts), whole)
+
+
+def child_raises():
+    raise ValueError("simulation failed in the child")
+
+
+@forked
+@pytest.mark.parametrize("fail, error, message", [
+    (child_raises, ValueError, "simulation failed in the child"),
+    (lambda: os._exit(3), NumericalError, "exit status 3 and sent no result")])
+def test_failed_evaluation_child_reaches_the_caller(monkeypatch, deadline,
+                                                    fail, error, message):
+    # simulate_paths fails only in the forked child: its exception is
+    # raised here; a child that leaves without a result is named by its
+    # exit status
+    model, info = load_preset("regime")
+    surface = flat_surface(model, build_grid(2, 10), 1000.0)
+    parent, simulate = os.getpid(), sim.simulate_paths
+
+    def simulate_here_only(*args):
+        if os.getpid() != parent:
+            fail()
+        return simulate(*args)
+
+    monkeypatch.setattr(sim, "simulate_paths", simulate_here_only)
+    with pytest.raises(error, match=message):
+        evaluate_policy(model, surface, 0.01, info["initial"], 100, 1)
+    assert_no_child()
+
+
 # -- appendix-style Laplace bound -------------------------------------------
 
 def test_arrival_time_laplace_bound():
@@ -386,63 +494,6 @@ def test_arrival_time_laplace_bound():
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
     assert mean <= (4.0 / (u + 4.0)) ** k + 3.0 * se
-
-
-# -- discrete-time filter oracle --------------------------------------------
-
-def test_oracle_filter_single_state():
-    m = single_state(lam=2.0, T=1.0)
-    p = simulate_path(m, 0, 1.0, seed=14)
-    _, post = oracle_filter(m, p, dt=0.01)
-    assert np.allclose(post, 1.0)
-
-
-def test_oracle_filter_no_arrivals_matches_flow():
-    from poistop import flow
-    m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
-                   mu=[[1.0, 0.0]], horizon=1.0)
-    p = simulate_path(m, 0, 1.0, seed=16)
-    p = dataclasses.replace(p, arrivals=())
-    times, post = oracle_filter(m, p, dt=0.01, pi0=[0.5, 0.5])
-    want = flow(m, times[-1], [0.5, 0.5])
-    assert np.max(np.abs(post[-1] - want)) < 0.01
-
-
-def test_oracle_filter_first_order_in_dt():
-    m = switching_two_state()
-    p = simulate_path(m, [0.5, 0.5], 2.0, seed=18)
-    exact = filter_path(m, [0.5, 0.5], list(p.arrivals), 2.0)
-
-    def gap(dt):
-        times, post = oracle_filter(m, p, dt, pi0=[0.5, 0.5])
-        errs = [np.max(np.abs(post[k] - exact.evaluate(t)))
-                for k, t in enumerate(times)]
-        return max(errs)
-
-    g1, g2 = gap(0.02), gap(0.01)
-    assert g2 < g1
-    assert g2 < 0.75 * g1  # roughly first order: halving dt shrinks the gap
-
-
-def test_oracle_filter_prior():
-    m = switching_two_state()
-    p = simulate_path(m, [0.5, 0.5], 1.0, seed=22)
-    times, point = oracle_filter(m, p, 0.01)
-    start = np.eye(2)[p.hidden[0][1]]
-    assert np.array_equal(point[0], start)
-    assert np.array_equal(oracle_filter(m, p, 0.01, pi0=start)[1], point)
-    _, post = oracle_filter(m, p, 0.01, pi0=[0.5, 0.5])
-    assert np.array_equal(post[0], [0.5, 0.5])
-    assert not np.allclose(post[1], point[1])
-    with pytest.raises(ValueError):
-        oracle_filter(m, p, 0.01, pi0=[0.7, 0.7])
-
-
-def test_oracle_filter_rejects_coarse_dt():
-    m = switching_two_state()
-    p = simulate_path(m, [0.5, 0.5], 1.0, seed=20)
-    with pytest.raises(ValueError):
-        oracle_filter(m, p, dt=0.5)
 
 
 # -- discrete-time value oracle ---------------------------------------------

@@ -29,7 +29,6 @@ from poistop import (
     richardson_check,
     solve_finite,
     solve_infinite,
-    truncated_rule_slack,
     uniform_error_bound,
 )
 from poistop import valueiter
@@ -1128,15 +1127,6 @@ def test_horizon_error_rho_zero_scales_inverse_T():
     model, _ = load_preset("regime")  # rho = 0, c = -1 < 0
     assert horizon_error(model, 4.0) == pytest.approx(
         0.5 * horizon_error(model, 2.0), rel=1e-12)
-
-
-def test_truncated_rule_slack_additive():
-    model, _ = load_preset("insurance")
-    eps, m = 0.02, 30
-    want = eps + err_infinity(model, m) \
-        + err_infinity(model, 0) * horizon_error(model)
-    assert truncated_rule_slack(model, eps, m) == pytest.approx(want,
-                                                                rel=1e-12)
 
 
 def test_infinite_requires_discount_or_strict_cost():
