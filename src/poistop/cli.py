@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import platform
 import sys
 from math import inf
@@ -185,16 +186,21 @@ def cmd_solve(args):
     model, info, out = _resolve(args)
     out.mkdir(parents=True, exist_ok=True)
     R = args.R or info["R"]
-    grid = build_grid(model.n, R)
-    surface = valueiter.solve_finite(model, grid=grid, L=args.L,
-                                     tol=args.tol)
-    region = policy.extract_regions(surface, args.eps)
-    surface.to_csv(out / "surface.csv")
-    surface.save(out / "surface.bin")
-    region.to_csv(out / "regions.csv")
-    if model.n == 2:
-        curve = policy.boundary_curve(surface, region.eps_tol)
-        policy.boundary_curve_to_csv(curve, out / "boundary.csv")
+    # written by a child during the march; named surface.csv once whole
+    part = out / "surface.csv.part"
+    try:
+        with valueiter.solve_to_csv(model, build_grid(model.n, R), part,
+                                    args.L, args.tol) as (surface, join):
+            region = policy.extract_regions(surface, args.eps)
+            surface.save(out / "surface.bin")
+            region.to_csv(out / "regions.csv")
+            if model.n == 2:
+                curve = policy.boundary_curve(surface, region.eps_tol)
+                policy.boundary_curve_to_csv(curve, out / "boundary.csv")
+            join()
+        os.replace(part, out / "surface.csv")
+    finally:
+        part.unlink(missing_ok=True)
     sign = -1.0 if model.sense == "min" else 1.0
     v0 = surface.value_at(model.horizon, info["initial"])
     report = {

@@ -37,18 +37,17 @@ solve of the Richardson check.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
-import shutil
 import signal
 import struct
 import sys
-import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import ceil, sqrt
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -75,13 +74,13 @@ def _current_cpu():
 
 
 @contextmanager
-def _forked(fn, *args):
-    """Runs fn(*args) in a forked child while the with-block runs and yields
-    join(): fn's result, or its exception raised here, or for a child that
-    sent neither a ChildProcessError naming its exit status.  The child
-    leaves the parent's current CPU to the parent when it may run elsewhere
-    (its own mask only).  A child not joined when the block ends is killed;
-    every child is reaped.  Off Linux, join calls fn inline."""
+def _forked(fn, *args, close=()):
+    """Runs fn(*args) in a forked child, which first closes the fds close,
+    while the with-block runs, and yields join(): fn's result, its exception
+    raised here, or for a child that sent neither a ChildProcessError naming
+    its exit status.  The child leaves the parent's current CPU to the
+    parent when it may (setting its own mask).  A child not joined when the
+    block ends is killed; every child is reaped.  Off Linux, join runs fn."""
     if sys.platform != "linux":
         yield lambda: fn(*args)
         return
@@ -90,7 +89,8 @@ def _forked(fn, *args):
     pid = os.fork()
     if pid == 0:                          # compute, send, leave by _exit
         try:
-            os.close(r)
+            for fd in (r, *close):
+                os.close(fd)
             if cpu is not None:           # a hint: a refusal is no error
                 with suppress(OSError):
                     others = os.sched_getaffinity(0) - {cpu}
@@ -216,14 +216,12 @@ class ValueSurface:
 
     # -- persistence ------------------------------------------------------
 
-    def to_csv(self, path):
+    def to_csv(self, path, ready=()):
         """Rows (s, coordinates, value, H, best action) per knot and node;
         all but s and the value are formatted once, in row templates, and a
-        value with the bits of H (a stop cell) reuses H's text.  A forked
-        child writes the knots from cut on, which hold about half of the
-        %.17g fields (s, and every value off H's bits), to a temporary file
-        beside path while this process writes the rest; its file is then
-        appended to path, so the tail never enters this process."""
+        value with the bits of H (a stop cell) reuses H's text.  Each count
+        e that ready yields, "the slices below e are final", has the block
+        up to it written before the next is read; the rest follows."""
         H, best = terminal_reward(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
         text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
@@ -231,32 +229,17 @@ class ValueSurface:
                                    [f"{h:.17g}" for h in H.tolist()],
                                    best.tolist())]
         fmt, same = np.array(text, dtype=object).T
-        # bits, not ==, so that -0.0 and 0.0 keep their own text
-        eq = self.values.view(np.int64) == H.view(np.int64)
-        fields = np.cumsum(self.grid.n_nodes + 1 - np.sum(eq, axis=1))
-        cut = int(np.searchsorted(fields, fields[-1] / 2))
-
-        def write(fh, ks):
-            lines = ((np.where(e, same, fmt).tolist(), tuple(v[~e].tolist()))
-                     for v, e in zip(self.values[ks], eq[ks]))
-            _write_knots(fh, self.knots[ks], lines)
-
-        def write_tail(part):
-            with open(part, "w") as fh:
-                write(fh, slice(cut, None))
-
-        fd, part = tempfile.mkstemp(suffix=".part", dir=Path(path).parent)
-        os.close(fd)
-        try:
-            with _forked(write_tail, part) as join:
-                with open(path, "w") as fh:
-                    fh.write(f"s,{cols},value,H,best_action\n")
-                    write(fh, slice(cut))
-                join()
-            with open(part, "rb") as src, open(path, "ab") as dst:
-                shutil.copyfileobj(src, dst)
-        finally:
-            os.remove(part)
+        with open(path, "w") as fh:
+            fh.write(f"s,{cols},value,H,best_action\n")
+            a = 0
+            for e in chain(ready, [self.L + 1]):
+                # bits, not ==, so that -0.0 and 0.0 keep their own text
+                eq = self.values[a:e].view(np.int64) == H.view(np.int64)
+                lines = ((np.where(q, same, fmt).tolist(),
+                          tuple(v[~q].tolist()))
+                         for v, q in zip(self.values[a:e], eq))
+                _write_knots(fh, self.knots[a:e], lines)
+                a = e
 
     def save(self, path):
         """Binary layout: magic, int64 (n, R, L+1, N), little-endian doubles
@@ -351,7 +334,12 @@ class FiniteHorizonSolver:
             self.L = 0
         self.knots = np.linspace(0.0, T, self.L + 1)
         self.tol = float(tol)
-        self.ws = _Workspace(model, self.grid, self.knots)
+
+    @cached_property
+    def ws(self):
+        """The workspace, built on first use, so solve's children are forked
+        before it."""
+        return _Workspace(self.model, self.grid, self.knots)
 
     def sweep(self, v):
         """One application of the discretized J0 to a full surface.
@@ -382,7 +370,7 @@ class FiniteHorizonSolver:
             prev = phi
         return vnew
 
-    def march(self):
+    def march(self, v=None, final=lambda e: None):
         """The fixed point of sweep, one slice at a time in increasing s.
 
         Slice ell of J0 v is max(H, h_0[ell] + C_ell), with h_j[d] =
@@ -395,10 +383,14 @@ class FiniteHorizonSolver:
         have arrived in increasing d.  Slices go in blocks of b: a slice is
         pushed at once within its block, and the block to later targets by
         one multi-column product per j, in decreasing j.  Returns the
-        (L+1, N) values and the Picard steps of each slice."""
+        (L+1, N) values, written into v if given, and the Picard steps of
+        each slice.  final(e), if given, is called once the slices below e
+        are final: after slice 0 and after each block, ending at L + 1."""
         ws, L, N = self.ws, self.L, self.grid.n_nodes
-        v, F = np.empty((2, L + 1, N))
+        v = np.empty((L + 1, N)) if v is None else v
+        F = np.empty((L + 1, N))
         v[0] = ws.Hnodes
+        final(1)
         F[0] = ws.G0 @ v[0]
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
@@ -437,6 +429,7 @@ class FiniteHorizonSolver:
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
+            final(e)
         return v, steps
 
     def _picard(self, v, Gv, base):
@@ -524,14 +517,15 @@ class FiniteHorizonSolver:
         return ref.meta, gap, richardson_check(self.model, grid=cert.grid,
                                                L=cert.L, coarse=coarse)
 
-    def solve(self):
-        """The marched surface, certified by _certify in a forked child
-        while this process marches.  meta carries the value iteration's
-        iterations, deltas, uniform_error_bound b(m) (which bounds V minus
-        the marched surface too) and its convergence
-        (certificate_converged); march_gap; richardson_delta."""
+    def solve(self, v=None, final=lambda e: None):
+        """The marched surface (v and final as in march), certified by
+        _certify in a forked child while this process builds the workspace
+        and marches.  meta carries the value iteration's iterations, deltas,
+        uniform_error_bound b(m) (which bounds V minus the marched surface
+        too) and its convergence (certificate_converged); march_gap;
+        richardson_delta."""
         with _forked(self._certify) as join:
-            values, steps = self.march()
+            values, steps = self.march(v, final)
             try:
                 ref_meta, gap, delta = join()
             except ChildProcessError as exc:
@@ -547,6 +541,31 @@ class FiniteHorizonSolver:
 def solve_finite(model, grid, L=None, tol=1e-4):
     """Solve the finite-horizon problem; see FiniteHorizonSolver.solve."""
     return FiniteHorizonSolver(model, grid=grid, L=L, tol=tol).solve()
+
+
+@contextmanager
+def solve_to_csv(model, grid, path, L=None, tol=1e-4):
+    """solve_finite while a child, forked before the workspace is built,
+    writes the surface's to_csv to path: each block of slices once the
+    march has sent its count through a pipe.  The values are a shared
+    anonymous mapping.  Yields (surface, join): join() waits for the file;
+    a writer not joined when the block ends is killed.  Off Linux join
+    writes the file."""
+    solver = FiniteHorizonSolver(model, grid=grid, L=L, tol=tol)
+    size = 8 * (solver.L + 1) * grid.n_nodes
+    values = np.frombuffer(mmap.mmap(-1, size)).reshape(solver.L + 1, -1)
+    r, w = os.pipe()
+    # one count at a time up to L + 1, as the certificate holds w too
+    counts = iter(lambda: struct.unpack("<q", os.read(r, 8))[0], solver.L + 1)
+    try:
+        writer = ValueSurface(model, grid, solver.knots, values).to_csv
+        # the writer drops w, so a parent killed from outside ends it too
+        with _forked(writer, path, counts, close=(w,)) as join:
+            yield solver.solve(values, lambda e: os.write(
+                w, struct.pack("<q", e))), join
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def richardson_check(model, grid, L, coarse=None):

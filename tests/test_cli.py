@@ -2,16 +2,20 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from poistop import FiniteHorizonSolver, load_preset, sim, valueiter
+from poistop import (FiniteHorizonSolver, ValueSurface, load_preset,
+                     preset_names, sim, valueiter)
 from poistop.cli import main
 from poistop.model import model_hash, model_to_dict, save_model
-from test_valueiter import assert_no_child
+from test_valueiter import (assert_no_child, deadline,  # noqa: F401
+                            reference_surface_csv)
 
 
 def run(args):
@@ -296,10 +300,60 @@ def test_artifact_write_error_names_the_output_directory(out, capsys):
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert_nothing_left(out)
+
+
+def assert_nothing_left(out):
+    # a failed solve leaves no surface.csv, no .part file and no child
+    assert not (out / "surface.csv").exists()
+    assert not [p for p in os.listdir(out) if p.endswith(".part")]
+    assert not (out / "report.json").exists()
+    assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, whose writes fail with ENOSPC")
+def test_artifact_write_error_while_the_writer_runs_leaves_nothing(
+        out, capsys, monkeypatch, deadline):
+    # regions.csv fails while the surface.csv writer still sleeps: the
+    # writer is killed and its .part file removed
+    parent, write = os.getpid(), valueiter._write_knots
+
+    def slow_here_only(fh, knots, lines):
+        if os.getpid() != parent:
+            time.sleep(0.5)
+        return write(fh, knots, lines)
+
+    monkeypatch.setattr(valueiter, "_write_knots", slow_here_only)
+    out.mkdir()
+    (out / "regions.csv").symlink_to("/dev/full")
+    assert run(["solve", "--example", "reliability", "--R", "8", "--L", "20",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert_nothing_left(out)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_streamed_surface_csv_equals_in_memory_writer(out, deadline, name):
+    # the file the writer child streamed during the march, against to_csv
+    # of the finished surface and the per-row reference
+    model, _ = load_preset(name)
+    assert run(["solve", "--example", name, "--R", "5", "--L", "24",
+                "--out", str(out)]) == 0
+    surf = ValueSurface.load(out / "surface.bin", model)
+    surf.to_csv(out / "in_memory.csv")
+    reference_surface_csv(surf, out / "reference.csv")
+    text = (out / "surface.csv").read_bytes()
+    assert text == (out / "in_memory.csv").read_bytes()
+    assert text == (out / "reference.csv").read_bytes()
+    assert not [p for p in os.listdir(out) if p.endswith(".part")]
+    assert_no_child()
 
 
 @pytest.mark.skipif(sys.platform != "linux",
-                    reason="off Linux the CSV tail is written inline")
+                    reason="off Linux the CSV is written inline")
 def test_writer_child_error_exits_one(out, capsys, monkeypatch):
     # the forked writer of surface.csv fails; its OSError reaches main
     parent, write = os.getpid(), valueiter._write_knots
@@ -320,7 +374,7 @@ def test_writer_child_error_exits_one(out, capsys, monkeypatch):
 
 
 @pytest.mark.skipif(sys.platform != "linux",
-                    reason="off Linux the CSV tail is written inline")
+                    reason="off Linux the CSV is written inline")
 def test_writer_child_without_result_exits_one(out, capsys, monkeypatch):
     # a writer that ends without a result is an output failure, not a
     # numeric one
@@ -395,13 +449,99 @@ def test_diverging_time_grid_exit_code(out, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: ")
     assert "dt * lam_bar / 2 = 2" in err and "L = 3" in err
-    assert not (out / "report.json").exists()
+    assert_nothing_left(out)
     assert run(["solve", "--example", "insurance", "--R", "10", "--L", "3",
                 "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] and report["certificate_converged"]
     assert report["march_gap"] <= 10.0 * 1e-4
     assert report["picard_max"] > 1
+
+
+def test_march_failing_after_the_writer_started_leaves_nothing(
+        out, capsys, monkeypatch, deadline):
+    # a NumericalError in the main march once the writer has put rows on
+    # disk: the writer is killed and its .part file removed
+    parent, picard = os.getpid(), FiniteHorizonSolver._picard
+    calls = []
+
+    def picard_fails_late(self, *args):
+        if os.getpid() == parent:
+            calls.append(1)
+            if len(calls) == 30:
+                part = out / "surface.csv.part"
+                t0 = time.monotonic()
+                while not (part.exists() and part.stat().st_size) \
+                        and time.monotonic() - t0 < 30:
+                    time.sleep(0.01)
+                assert part.stat().st_size > 0
+                raise valueiter.NumericalError("injected mid-march")
+        return picard(self, *args)
+
+    monkeypatch.setattr(FiniteHorizonSolver, "_picard", picard_fails_late)
+    assert run(["solve", "--example", "reliability", "--R", "20", "--L", "40",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "numeric failure: injected mid-march\n"
+    assert len(calls) == 30
+    assert_nothing_left(out)
+
+
+def pids_running(text):
+    """Processes whose command line holds text (a zombie's is empty)."""
+    found = []
+    for d in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{d}/cmdline", "rb") as fh:
+                if text.encode() in fh.read():
+                    found.append(int(d))
+        except OSError:                 # ended while being read
+            pass
+    return found
+
+
+def wait_for(cond, timeout=20.0):
+    t0 = time.monotonic()
+    while not cond() and time.monotonic() - t0 < timeout:
+        time.sleep(0.02)
+    return cond()
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="off Linux the CSV is written inline")
+def test_solve_killed_from_outside_leaves_no_writer(tmp_path, deadline):
+    # the solving process is SIGKILLed mid-march (only the main march, the
+    # one given v, stalls), after the certificate child has ended: the
+    # writer child, which dropped its own copy of the pipe's write end,
+    # sees the end of the pipe and exits
+    out = tmp_path / "killed-solve"
+    code = (
+        "import sys, time\n"
+        "from poistop import cli, valueiter\n"
+        "march = valueiter.FiniteHorizonSolver.march\n"
+        "def stalled(self, v=None, final=lambda e: None):\n"
+        "    def late(e):\n"
+        "        final(e)\n"
+        "        time.sleep(120)\n"
+        "    return march(self, v, final if v is None else late)\n"
+        "valueiter.FiniteHorizonSolver.march = stalled\n"
+        "cli.main(sys.argv[1:])\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "solve", "--example", "reliability",
+         "--R", "8", "--L", "20", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    try:
+        # the parent and the writer, the certificate child gone
+        assert wait_for(lambda: (out / "surface.csv.part").exists()
+                        and len(pids_running(str(out))) == 2)
+        proc.kill()
+        proc.wait()
+        assert wait_for(lambda: not pids_running(str(out)))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in pids_running(str(out)):
+            os.kill(pid, signal.SIGKILL)
 
 
 # -- diagnose ---------------------------------------------------------------

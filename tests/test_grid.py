@@ -335,7 +335,7 @@ def test_barycentric_matches_reference_on_workspace_points(monkeypatch,
                         lambda g, p: seen.append(p) or lookup(g, p))
     model, _ = load_preset(name)
     grid = build_grid(model.n, R)
-    FiniteHorizonSolver(model, grid=grid)
+    FiniteHorizonSolver(model, grid=grid).ws   # built on first use
     monkeypatch.undo()
     assert seen
     assert_matches_reference(grid, np.concatenate(seen), name)

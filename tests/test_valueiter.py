@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import mmap
 import os
 import signal
 import struct
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,7 +315,7 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
 
 
 def edge_surface(kind):
-    """Insurance surfaces at the edges of the writer's split: one knot,
+    """Insurance surfaces at the edges of the writer's blocks: one knot,
     two knots, and every cell a stop cell (each knot one %.17g field)."""
     model, _ = load_preset("insurance")
     grid = build_grid(3, 6)
@@ -326,25 +328,113 @@ def edge_surface(kind):
                         values)
 
 
+def solve_as(surf, block=5):
+    """A FiniteHorizonSolver.solve that writes surf's values into the
+    march's v and reports them final as the march does: slice 0, then
+    blocks of up to block slices, ending at L + 1."""
+    def solve(self, v, final):
+        v[0] = surf.values[0]
+        final(1)
+        for a in range(1, self.L + 1, block):
+            e = min(a + block, self.L + 1)
+            v[a:e] = surf.values[a:e]
+            final(e)
+        return ValueSurface(self.model, self.grid, self.knots, v)
+    return solve
+
+
+def mapping_of(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
 @pytest.mark.parametrize("kind", ["L = 0", "L = 1", "all stop"])
-def test_surface_csv_byte_equal_reference_at_the_split_edges(tmp_path, kind):
+def test_streamed_surface_csv_byte_equal_reference_at_the_edges(
+        tmp_path, monkeypatch, deadline, kind):
     surf = edge_surface(kind)
+    monkeypatch.setattr(FiniteHorizonSolver, "solve", solve_as(surf))
     out = tmp_path / "out"
     out.mkdir()
+    with valueiter.solve_to_csv(surf.model, surf.grid, out / "streamed.csv",
+                                L=surf.L) as (streamed, join):
+        join()
+    assert_no_child()
+    # the surface keeps the shared mapping the writer read, not a copy
+    assert isinstance(mapping_of(streamed.values), mmap.mmap)
+    assert_bitwise_equal(streamed.values, surf.values)
     surf.to_csv(out / "surface.csv")
-    assert os.listdir(out) == ["surface.csv"]
+    assert sorted(os.listdir(out)) == ["streamed.csv", "surface.csv"]
     reference_surface_csv(surf, tmp_path / "surface_ref.csv")
     text = (out / "surface.csv").read_bytes()
     assert text == (tmp_path / "surface_ref.csv").read_bytes()
+    assert (out / "streamed.csv").read_bytes() == text
     assert len(text.splitlines()) == 1 + (surf.L + 1) * surf.grid.n_nodes
 
 
+@pytest.mark.parametrize("L", [0, 1, 2, 12, 40, 121])
+def test_march_reports_final_slices_once_per_block(L):
+    # counts 1, then one per block of ceil(sqrt(2 L)) slices, ending at
+    # L + 1: a few 8-byte messages, far below a pipe's buffer, and the
+    # last one the writer's sentinel
+    model, _ = load_preset("regime")
+    solver = FiniteHorizonSolver(model, grid=build_grid(2, 8), L=L)
+    counts = []
+    v, _ = solver.march(final=counts.append)
+    b = max(1, int(np.ceil(np.sqrt(2 * L))))
+    assert counts == [1] + [min(a + b, L + 1) for a in range(1, L + 1, b)]
+    assert len(counts) <= 2 + np.sqrt(L)
+    assert_bitwise_equal(v, FiniteHorizonSolver(
+        model, grid=build_grid(2, 8), L=L).march()[0])
+
+
+def test_slow_march_streams_the_same_bytes(tmp_path, monkeypatch, deadline):
+    # each block is reported late, so the writer waits on the pipe
+    model, _ = load_preset("reliability")
+    grid = build_grid(3, 8)
+    march = FiniteHorizonSolver.march
+
+    def slow_march(self, v=None, final=lambda e: None):
+        def late(e):
+            time.sleep(0.05)
+            final(e)
+        return march(self, v, late)
+
+    monkeypatch.setattr(FiniteHorizonSolver, "march", slow_march)
+    path = tmp_path / "surface.csv"
+    with valueiter.solve_to_csv(model, grid, path, L=40) as (surf, join):
+        join()
+    assert_no_child()
+    ref = solve_finite(model, grid=grid, L=40)
+    assert_bitwise_equal(surf.values, ref.values)
+    ref.to_csv(tmp_path / "in_memory.csv")
+    reference_surface_csv(ref, tmp_path / "surface_ref.csv")
+    text = path.read_bytes()
+    assert text == (tmp_path / "in_memory.csv").read_bytes()
+    assert text == (tmp_path / "surface_ref.csv").read_bytes()
+
+
+def test_streamed_surface_csv_inline_as_off_linux(tmp_path, monkeypatch):
+    # _forked's inline path: join runs the writer, which finds every count
+    # already in the pipe
+    model, _ = load_preset("techadopt")
+    grid = build_grid(model.n, 6)
+    monkeypatch.setattr(valueiter, "sys", SimpleNamespace(platform="darwin"))
+    path = tmp_path / "surface.csv"
+    with valueiter.solve_to_csv(model, grid, path, L=30) as (surf, join):
+        assert not path.exists()
+        join()
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    assert path.read_bytes() == (tmp_path / "surface_ref.csv").read_bytes()
+
+
 @pytest.mark.skipif(sys.platform != "linux",
-                    reason="off Linux the CSV tail is written inline")
+                    reason="off Linux the CSV is written inline")
 def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
-                                                           monkeypatch):
+                                                           monkeypatch,
+                                                           deadline):
     # _write_knots fails only in the forked writer: its exception is raised
-    # here, its temporary file removed and the child reaped
+    # by join and the child reaped
     parent, write = os.getpid(), valueiter._write_knots
 
     def write_here_only(fh, knots, lines):
@@ -353,8 +443,13 @@ def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
         return write(fh, knots, lines)
 
     monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
-    with pytest.raises(OSError, match="No space left on device"):
-        edge_surface("all stop").to_csv(tmp_path / "surface.csv")
+    surf = edge_surface("all stop")
+    monkeypatch.setattr(FiniteHorizonSolver, "solve", solve_as(surf))
+    with valueiter.solve_to_csv(surf.model, surf.grid,
+                                tmp_path / "surface.csv",
+                                L=surf.L) as (_, join):
+        with pytest.raises(OSError, match="No space left on device"):
+            join()
     assert os.listdir(tmp_path) == ["surface.csv"]
     assert_no_child()
 
@@ -622,8 +717,8 @@ def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
     assert surf.meta["march_gap"] > 10.0 * solver.tol
     march = FiniteHorizonSolver.march
     monkeypatch.setattr(FiniteHorizonSolver, "march",
-                        lambda self: (lambda v, k: (v - 1e-2, k))(
-                            *march(self)))
+                        lambda self, *args: (lambda v, k: (v - 1e-2, k))(
+                            *march(self, *args)))
     with pytest.raises(NumericalError, match="certificate problem"):
         solver.solve()
 
@@ -677,10 +772,10 @@ def test_failed_march_kills_and_reaps_the_certificate_child(monkeypatch,
     solver = FiniteHorizonSolver(model, grid=build_grid(3, 20), L=80)
     parent, march = os.getpid(), FiniteHorizonSolver.march
 
-    def march_here_fails(self):
+    def march_here_fails(self, *args):
         if os.getpid() == parent:
             raise FloatingPointError("the main march failed")
-        return march(self)
+        return march(self, *args)
 
     monkeypatch.setattr(FiniteHorizonSolver, "march", march_here_fails)
     with pytest.raises(FloatingPointError, match="main march"):
