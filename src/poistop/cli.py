@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import sys
 from math import inf
@@ -186,21 +185,15 @@ def cmd_solve(args):
     model, info, out = _resolve(args)
     out.mkdir(parents=True, exist_ok=True)
     R = args.R or info["R"]
-    # written by a child during the march; named surface.csv once whole
-    part = out / "surface.csv.part"
-    try:
-        with valueiter.solve_to_csv(model, build_grid(model.n, R), part,
-                                    args.L, args.tol) as (surface, join):
-            region = policy.extract_regions(surface, args.eps)
-            surface.save(out / "surface.bin")
-            region.to_csv(out / "regions.csv")
-            if model.n == 2:
-                curve = policy.boundary_curve(surface, region.eps_tol)
-                policy.boundary_curve_to_csv(curve, out / "boundary.csv")
-            join()
-        os.replace(part, out / "surface.csv")
-    finally:
-        part.unlink(missing_ok=True)
+    with valueiter.solve_to_csv(model, build_grid(model.n, R),
+                                out / "surface.csv", args.L,
+                                args.tol) as surface:
+        region = policy.extract_regions(surface, args.eps)
+        surface.save(out / "surface.bin")
+        region.to_csv(out / "regions.csv")
+        if model.n == 2:
+            curve = policy.boundary_curve(surface, region.eps_tol)
+            policy.boundary_curve_to_csv(curve, out / "boundary.csv")
     sign = -1.0 if model.sense == "min" else 1.0
     v0 = surface.value_at(model.horizon, info["initial"])
     report = {

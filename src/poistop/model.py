@@ -343,13 +343,12 @@ def combine_rows(xt, a):
     return out
 
 
-def terminal_reward(model, beliefs, rowwise=False):
+def terminal_reward(model, beliefs):
     """(H, best) at beliefs of shape (..., n): H = max_k sum_i mu[k, i]
-    pi_i and the action attaining it, the smallest index on ties; rowwise
-    sums by combine_rows, batch-independent, maybe an ulp off BLAS's."""
+    pi_i, summed by combine_rows (so a belief has the same H in any batch),
+    and the action attaining it, the smallest index on ties."""
     beliefs = np.asarray(beliefs, dtype=float)
-    hv = combine_rows(np.moveaxis(beliefs, -1, 0), model.mu.T) if rowwise \
-        else np.moveaxis(beliefs @ model.mu.T, -1, 0)
+    hv = combine_rows(np.moveaxis(beliefs, -1, 0), model.mu.T)
     return hv.max(axis=0), hv.argmax(axis=0)
 
 

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import net_return_rate, terminal_reward
+from .model import combine_rows, net_return_rate, terminal_reward
 from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
 
 
-def stop_rule(model, v, beliefs, eps, rowwise=False):
+def stop_rule(model, v, beliefs, eps):
     """The eps-optimal rule at beliefs (..., n) with values v (broadcast
     against the leading shape): (stop, action, H) with stop iff v - H <= eps
-    and action the best terminal action (terminal_reward's, with rowwise)."""
-    H, best = terminal_reward(model, beliefs, rowwise)
+    and action the best terminal action (terminal_reward's)."""
+    H, best = terminal_reward(model, beliefs)
     return v - H <= eps, best, H
 
 
@@ -101,7 +101,7 @@ def _continuation_intervals(model, grid, V, eps_tol):
     col = np.repeat([0, 1], [lo.sum(), hi.sum()])
     a = np.concatenate([first[lo] - 1, last[hi] + 1])
     b = np.concatenate([first[lo], last[hi]])
-    hv = nodes @ model.mu.T
+    hv = combine_rows(nodes.T, model.mu.T).T      # terminal_reward's sums
     ga = V[k, a][:, None] - hv[a] - eps_tol
     gb = V[k, b][:, None] - hv[b] - eps_tol
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -190,7 +190,7 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
     """Hidden trajectories and modulated compound-Poisson arrivals of the
     paths ``path_indices`` of ``seed``, simulated together.
 
-    ``initial`` is a start state or a belief to draw it from (with the
+    ``initial`` is the belief the start state is drawn from (with the
     first word of block 0).  Events read blocks 1, 2, ... of the path's
     stream, a chunk of blocks at a time for every path still short of
     ``t_end``; event times are accumulated in path order, so a path's
@@ -207,15 +207,9 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
                          "integers in [0, 2**64)")
     keys = keys.astype(np.uint64)
     P, n = keys.size, model.n
-    if np.ndim(initial) == 0:
-        s0 = operator.index(initial)
-        if not 0 <= s0 < n:
-            raise ValueError(f"initial state {s0} outside 0..{n - 1}")
-        state = np.full(P, s0, dtype=np.int64)
-    else:
-        cdf0 = _cdf(check_belief(initial, n))
-        state = _categorical(cdf0, _uniform(philox_blocks(seed, keys, 0, 1)
-                                            [0][:, 0]))
+    cdf0 = _cdf(check_belief(initial, n))
+    state = _categorical(cdf0, _uniform(philox_blocks(seed, keys, 0, 1)
+                                        [0][:, 0]))
     q_bar = float(np.max(-np.diag(model.Q)))
     rate = q_bar + model.lam_bar
     step_cdf = _cdf(np.eye(n) + model.Q / q_bar) if q_bar > 0 else None
@@ -270,8 +264,8 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
 
 
 def simulate_path(model, initial, t_end, seed, path_index=0):
-    """One hidden trajectory plus its modulated compound-Poisson arrivals:
-    the one-path call of simulate_paths."""
+    """One hidden trajectory from a start drawn from the belief initial plus
+    its modulated compound-Poisson arrivals: simulate_paths for one path."""
     return simulate_paths(model, initial, t_end, seed, [path_index]).sample(0)
 
 
@@ -366,7 +360,7 @@ def _run_paths(model, surface, eps, pi0, seed, lo, hi):
     def check_stop(idx, t_now, force=False):
         x = belief[idx]
         v = surface.value_at_batch(np.maximum(T - t_now, 0.0), x)
-        stop, best, _ = stop_rule(model, v, x, eps, rowwise=True)
+        stop, best, _ = stop_rule(model, v, x, eps)
         stop |= force
         hit = idx[stop]
         tau[hit] = t_now[stop]

@@ -47,7 +47,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from math import ceil, sqrt
+from math import ceil, comb, sqrt
 
 import numpy as np
 from scipy import sparse
@@ -258,6 +258,8 @@ class ValueSurface:
 
     @classmethod
     def load(cls, path, model):
+        """The surface saved at path for model; a ValueError naming path
+        refuses a file of another model or whose header does not fit it."""
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != b"PSTSURF1":
@@ -277,6 +279,11 @@ class ValueSurface:
             raise ValueError(f"{path}: surface was solved for another model "
                              "(model hash missing or different); solve "
                              "again with the same model and overrides")
+        T = model.horizon
+        if n != model.n or R < 1 or N != comb(R + n - 1, n - 1) or nk < 1 \
+                or not np.array_equal(knots, np.linspace(0.0, T, nk)):
+            raise ValueError(f"{path}: corrupt value-surface header (n = {n}, "
+                             f"R = {R}, {N} nodes, {nk} knots) for this model")
         grid = build_grid(model.n, R)
         return cls(model=model, grid=grid, knots=knots, values=values,
                    meta=meta)
@@ -545,27 +552,32 @@ def solve_finite(model, grid, L=None, tol=1e-4):
 
 @contextmanager
 def solve_to_csv(model, grid, path, L=None, tol=1e-4):
-    """solve_finite while a child, forked before the workspace is built,
-    writes the surface's to_csv to path: each block of slices once the
-    march has sent its count through a pipe.  The values are a shared
-    anonymous mapping.  Yields (surface, join): join() waits for the file;
-    a writer not joined when the block ends is killed.  Off Linux join
-    writes the file."""
+    """Yields solve_finite's surface, its values a shared anonymous mapping,
+    while a child forked before the workspace writes its to_csv to path +
+    ".part", each block once the march sends its count through a pipe.  A
+    with-block that ends normally joins the writer (off Linux the join
+    writes) and renames the file to path; else the writer is killed.  No
+    .part file outlives the call."""
     solver = FiniteHorizonSolver(model, grid=grid, L=L, tol=tol)
     size = 8 * (solver.L + 1) * grid.n_nodes
     values = np.frombuffer(mmap.mmap(-1, size)).reshape(solver.L + 1, -1)
+    part = f"{path}.part"
     r, w = os.pipe()
     # one count at a time up to L + 1, as the certificate holds w too
     counts = iter(lambda: struct.unpack("<q", os.read(r, 8))[0], solver.L + 1)
     try:
         writer = ValueSurface(model, grid, solver.knots, values).to_csv
         # the writer drops w, so a parent killed from outside ends it too
-        with _forked(writer, path, counts, close=(w,)) as join:
+        with _forked(writer, part, counts, close=(w,)) as join:
             yield solver.solve(values, lambda e: os.write(
-                w, struct.pack("<q", e))), join
+                w, struct.pack("<q", e)))
+            join()
+        os.replace(part, path)
     finally:
         os.close(r)
         os.close(w)
+        with suppress(FileNotFoundError):
+            os.remove(part)
 
 
 def richardson_check(model, grid, L, coarse=None):

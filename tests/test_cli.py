@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -683,6 +684,26 @@ def test_evaluate_truncated_surface_is_config_error(out, capsys, cut):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "surface.bin: truncated" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("R", [15, 5])
+def test_evaluate_surface_with_a_wrong_grid_size_is_config_error(out, capsys,
+                                                                 R):
+    # R rewritten in the header of a regime surface solved at R = 10: at
+    # 15 the lattice outgrows the stored values (an IndexError), at 5 it
+    # reads another lattice from them (a wrong mean and exit code 0)
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
+                "--out", str(out)]) == 0
+    with open(out / "surface.bin", "r+b") as fh:
+        fh.seek(16)
+        fh.write(struct.pack("<q", R))
+    capsys.readouterr()
+    assert run(["evaluate", "--example", "regime", "--paths", "50",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"surface.bin: corrupt value-surface header (n = 2, R = {R}" in err
+    assert not (out / "evaluation.json").exists()
 
 
 def test_evaluate_refuses_surface_of_other_model(out, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from poistop import (
+    build_grid,
     load_preset,
     make_model,
     net_return_rate,
@@ -171,6 +172,14 @@ def test_terminal_reward_tie_breaks_smallest_index():
     m = two_state(mu=[[1.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
     _, a = terminal_reward(m, [0.5, 0.5])
     assert a == 0  # all three actions give 0.5; smallest index wins
+    # lattice nodes k / 60 with 6 k1 + k2 - 3 k3 = 0, where launch and quit
+    # tie on insurance, alone and in the whole lattice
+    model, _ = load_preset("insurance")
+    nodes = build_grid(3, 60).nodes
+    for i in (487, 865):
+        assert np.array_equal(np.rint(60 * nodes[i]) @ [6, 1, -3], 0.0)
+        assert terminal_reward(model, nodes[i])[1] == 0
+        assert terminal_reward(model, nodes)[1][i] == 0
 
 
 def test_best_action_invariant_under_common_shift():

@@ -66,14 +66,16 @@ def test_path_structure():
 def test_absorbing_chain_never_jumps():
     m = make_model(n=2, Q=[[0.0, 0.0], [0.0, 0.0]], lam=[1.0, 2.0],
                    mu=[[1.0, 0.0]], horizon=1.0)
-    batch = simulate_paths(m, 1, 10.0, seed=7, path_indices=range(10))
+    batch = simulate_paths(m, np.eye(2)[1], 10.0, seed=7,
+                           path_indices=range(10))
     for i in range(10):
         assert batch.sample(i).hidden == ((0.0, 1),)
 
 
 def test_homogeneous_poisson_rate():
     m = single_state(lam=3.0, T=2.0)
-    batch = simulate_paths(m, 0, 2.0, seed=5, path_indices=range(400))
+    batch = simulate_paths(m, np.eye(1)[0], 2.0, seed=5,
+                           path_indices=range(400))
     counts = np.isfinite(batch.arrival_t).sum(axis=1)
     mean = np.mean(counts)
     se = np.std(counts, ddof=1) / np.sqrt(len(counts))
@@ -98,7 +100,8 @@ def test_marks_follow_state_law():
         marks=discrete_marks([1.0, 2.0], [[0.2, 0.8]]),
         mu=[[0.0]], horizon=25.0,
     )
-    batch = simulate_paths(m, 0, 25.0, seed=3, path_indices=range(40))
+    batch = simulate_paths(m, np.eye(1)[0], 25.0, seed=3,
+                           path_indices=range(40))
     marks = batch.arrival_y[np.isfinite(batch.arrival_t[:, :-1])]
     frac = np.mean(np.asarray(marks) == 1.0)
     se = np.sqrt(0.2 * 0.8 / len(marks))
@@ -167,11 +170,12 @@ def test_simulate_paths_rejects_bad_keys():
     m = switching_two_state()
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError):
-            simulate_paths(m, 0, 1.0, seed, [0])
+            simulate_paths(m, np.eye(2)[0], 1.0, seed, [0])
     with pytest.raises(ValueError):
-        simulate_paths(m, 0, 1.0, 0, [-1])
+        simulate_paths(m, np.eye(2)[0], 1.0, 0, [-1])
     with pytest.raises(ValueError):
-        simulate_path(m, 0, 1.0, 0, 2 ** 64)
+        simulate_path(m, np.eye(2)[0], 1.0, 0, 2 ** 64)
+    # a start state is not a belief
     with pytest.raises(ValueError):
         simulate_paths(m, 2, 1.0, 0, [0])
 
@@ -182,7 +186,7 @@ def test_gamma_marks_moments_per_state():
                    marks=gamma_marks(shape, rate), mu=[[0.0, 0.0, 0.0]],
                    horizon=1.0)
     for i in range(3):
-        batch = simulate_paths(m, i, 100.0, seed=30 + i,
+        batch = simulate_paths(m, np.eye(3)[i], 100.0, seed=30 + i,
                                path_indices=range(20))
         y = batch.arrival_y[np.isfinite(batch.arrival_t[:, :-1])]
         N = y.size
@@ -381,6 +385,10 @@ def test_evaluate_follows_the_exact_filter(name, R):
 
 # -- the paths split between two processes -----------------------------------
 
+BATCHES = [slice(lo, lo + size) for lo in (0, 17, 1999)
+           for size in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100, 1001)]
+
+
 @pytest.mark.parametrize("name", preset_names())
 def test_loop_steps_do_not_depend_on_the_batch(name):
     # every per-row step of evaluate_policy's loop gives a row the same
@@ -398,14 +406,29 @@ def test_loop_steps_do_not_depend_on_the_batch(name):
     prop = FlowPropagator(model)
     steps = [lambda r: prop.advance(beliefs[r], durations[r]),
              lambda r: bayes_update(model, beliefs[r], dens[r])[0],
-             lambda r: terminal_reward(model, beliefs[r], rowwise=True)[0],
+             lambda r: terminal_reward(model, beliefs[r])[0],
              lambda r: surface.value_at_batch(s[r], beliefs[r])]
-    batches = [slice(lo, lo + size) for lo in (0, 17, 1999)
-               for size in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 100, 1001)]
     for step in steps:
         whole = step(slice(None))
-        for rows in batches:
+        for rows in BATCHES:
             assert_bitwise_equal(step(rows), whole[rows])
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_terminal_reward_does_not_depend_on_the_batch(name):
+    # H and the best action at the lattice nodes, which the workspace, the
+    # artifacts, recommend and evaluate_policy all read: the same bits for
+    # the whole lattice, for each node alone and for every sub-batch
+    model, _ = load_preset(name)
+    nodes = build_grid(model.n, 60).nodes
+    H, best = terminal_reward(model, nodes)
+    alone = [terminal_reward(model, x) for x in nodes]
+    assert_bitwise_equal(np.array([h for h, _ in alone]), H)
+    assert [int(b) for _, b in alone] == best.tolist()
+    for rows in BATCHES:
+        h, b = terminal_reward(model, nodes[rows])
+        assert_bitwise_equal(h, H[rows])
+        assert np.array_equal(b, best[rows])
 
 
 SPLIT_CASES = preset_names() + ["techadopt discounted"]

@@ -160,6 +160,29 @@ def test_surface_load_truncated(tmp_path, regime_surface, part):
         ValueSurface.load(path, model)
 
 
+@pytest.mark.parametrize("field", ["n", "R up", "R down", "knot"])
+def test_surface_load_refuses_a_header_that_does_not_fit(tmp_path,
+                                                         regime_surface,
+                                                         field):
+    # the model hash still matches, so each field is checked against the
+    # model itself: a wrong R would index past the values or read another
+    # lattice from them
+    model, surf = regime_surface
+    path = tmp_path / "surface.bin"
+    surf.save(path)
+    blob = bytearray(path.read_bytes())
+    at, word = {"n": (8, struct.pack("<q", 3)),
+                "R up": (16, struct.pack("<q", surf.grid.R + 5)),
+                "R down": (16, struct.pack("<q", surf.grid.R - 5)),
+                "knot": (8 + 32 + 8, struct.pack(
+                    "<d", np.nextafter(surf.knots[1], 1.0)))}[field]
+    blob[at: at + 8] = word
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="surface.bin: corrupt "
+                                         "value-surface header"):
+        ValueSurface.load(path, model)
+
+
 def test_surface_load_refuses_other_model(tmp_path, regime_surface):
     model, surf = regime_surface
     path = tmp_path / "surface.bin"
@@ -357,8 +380,8 @@ def test_streamed_surface_csv_byte_equal_reference_at_the_edges(
     out = tmp_path / "out"
     out.mkdir()
     with valueiter.solve_to_csv(surf.model, surf.grid, out / "streamed.csv",
-                                L=surf.L) as (streamed, join):
-        join()
+                                L=surf.L) as streamed:
+        assert not (out / "streamed.csv").exists()   # named once whole
     assert_no_child()
     # the surface keeps the shared mapping the writer read, not a copy
     assert isinstance(mapping_of(streamed.values), mmap.mmap)
@@ -402,8 +425,8 @@ def test_slow_march_streams_the_same_bytes(tmp_path, monkeypatch, deadline):
 
     monkeypatch.setattr(FiniteHorizonSolver, "march", slow_march)
     path = tmp_path / "surface.csv"
-    with valueiter.solve_to_csv(model, grid, path, L=40) as (surf, join):
-        join()
+    with valueiter.solve_to_csv(model, grid, path, L=40) as surf:
+        pass
     assert_no_child()
     ref = solve_finite(model, grid=grid, L=40)
     assert_bitwise_equal(surf.values, ref.values)
@@ -421,9 +444,9 @@ def test_streamed_surface_csv_inline_as_off_linux(tmp_path, monkeypatch):
     grid = build_grid(model.n, 6)
     monkeypatch.setattr(valueiter, "sys", SimpleNamespace(platform="darwin"))
     path = tmp_path / "surface.csv"
-    with valueiter.solve_to_csv(model, grid, path, L=30) as (surf, join):
-        assert not path.exists()
-        join()
+    with valueiter.solve_to_csv(model, grid, path, L=30) as surf:
+        assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path) == ["surface.csv"]
     reference_surface_csv(surf, tmp_path / "surface_ref.csv")
     assert path.read_bytes() == (tmp_path / "surface_ref.csv").read_bytes()
 
@@ -434,7 +457,7 @@ def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
                                                            monkeypatch,
                                                            deadline):
     # _write_knots fails only in the forked writer: its exception is raised
-    # by join and the child reaped
+    # when the with-block ends, the child reaped and the .part file removed
     parent, write = os.getpid(), valueiter._write_knots
 
     def write_here_only(fh, knots, lines):
@@ -445,12 +468,11 @@ def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
     monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
     surf = edge_surface("all stop")
     monkeypatch.setattr(FiniteHorizonSolver, "solve", solve_as(surf))
-    with valueiter.solve_to_csv(surf.model, surf.grid,
-                                tmp_path / "surface.csv",
-                                L=surf.L) as (_, join):
-        with pytest.raises(OSError, match="No space left on device"):
-            join()
-    assert os.listdir(tmp_path) == ["surface.csv"]
+    with pytest.raises(OSError, match="No space left on device"):
+        with valueiter.solve_to_csv(surf.model, surf.grid,
+                                    tmp_path / "surface.csv", L=surf.L):
+            pass
+    assert os.listdir(tmp_path) == []
     assert_no_child()
 
 
