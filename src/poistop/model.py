@@ -333,6 +333,14 @@ def check_time(s, horizon, name="s"):
     return min(max(float(s), 0.0), horizon)
 
 
+def check_eps(eps):
+    """Validate and return a stopping tolerance (a finite number >= 0)."""
+    if not 0.0 <= float(eps) < np.inf:                 # also NaN
+        raise ValueError(f"eps: tolerance must be a finite number >= 0, "
+                         f"got {eps}")
+    return float(eps)
+
+
 def combine_rows(xt, a):
     """x @ a with its last axis first, from xt = x with its last axis first:
     the terms a[k] xt[k] added in k order, so each entry depends on its own

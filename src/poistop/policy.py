@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow_path
-from .model import combine_rows, net_return_rate, terminal_reward
+from .model import (check_eps, combine_rows, net_return_rate,
+                    terminal_reward)
 from .valueiter import _format_nodes, _write_knots, apply_J0
 
 CONTINUE = -1
@@ -52,12 +53,12 @@ class StoppingRegion:
 
 def extract_regions(surface, eps_tol=None):
     """Label every (knot, node) as continue or stop-with-best-action."""
-    if eps_tol is None:
-        eps_tol = 10.0 * surface.meta.get("tol", 1e-4)
+    eps_tol = 10.0 * surface.meta.get("tol", 1e-4) if eps_tol is None \
+        else check_eps(eps_tol)
     stop, best, _ = stop_rule(surface.model, surface.values,
                               surface.grid.nodes, eps_tol)
     labels = np.where(stop, best, CONTINUE).astype(np.int64)
-    return StoppingRegion(surface=surface, eps_tol=float(eps_tol),
+    return StoppingRegion(surface=surface, eps_tol=eps_tol,
                           labels=labels)
 
 
@@ -86,6 +87,7 @@ def _continuation_intervals(model, grid, V, eps_tol):
     t = max {g_k(a) / (g_k(a) - g_k(b)) : g_k(a) <= 0}."""
     if model.n != 2:
         raise ValueError("continuation_interval is defined for n = 2 only")
+    eps_tol = check_eps(eps_tol)
     order = np.argsort(grid.nodes[:, 1])
     nodes, V = grid.nodes[order], V[:, order]
     p2s = nodes[:, 1]
@@ -146,7 +148,7 @@ def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
     """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
     s_remaining, pi = surface.check_query(model, s_remaining, pi)
     v = surface.value_at(s_remaining, pi)
-    stop, best, h = stop_rule(model, v, pi, eps)
+    stop, best, h = stop_rule(model, v, pi, check_eps(eps))
     h = float(h)
     if stop:
         return Recommendation("stop", int(best), v, h, v - h, wait=0.0)
@@ -160,6 +162,7 @@ def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
     s, pi = surface.check_query(model, s, pi)
+    eps = check_eps(eps)
     t = surface.knots[surface.knots <= s + 1e-12]
     X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
     stop = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)[0]

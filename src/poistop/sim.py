@@ -15,13 +15,14 @@ own key (seed, i), so it is the same whichever paths share its batch.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from math import ceil, sqrt
 
 import numpy as np
 
 from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
                      events_to_csv, propagator)
-from .model import check_belief, model_hash, terminal_reward
+from .model import check_belief, check_eps, model_hash, terminal_reward
 from .policy import stop_rule
 from .valueiter import NumericalError, _forked
 
@@ -158,6 +159,14 @@ class PathBatch:
                           seed=self.seed,
                           path_index=int(self.path_indices[row]))
 
+    def rows(self, sel):
+        """The rows ``sel`` as a PathBatch."""
+        return replace(self, hidden_t=self.hidden_t[sel],
+                       hidden_s=self.hidden_s[sel],
+                       arrival_t=self.arrival_t[sel],
+                       arrival_y=self.arrival_y[sel],
+                       path_indices=self.path_indices[sel])
+
 
 def _pad(rows, times, values, P, fill):
     """Records (rows, times, values), in time order within each row, as
@@ -291,15 +300,18 @@ class EvalReport:
 def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     """Monte Carlo value of the eps-stop rule driven by the given surface.
 
-    Each path runs the exact filter, from event to event: its next arrival
-    if that comes at or before its next solver time knot, else the knot.
-    One loop moves every live path to its own next event at once (one flow
-    advance, the Bayes update on the rows at an arrival, one stop check),
-    and the stop is forced at the last knot, the horizon.  Rewards use the
-    simulated hidden state for the terminal payoff.
+    Each path runs the exact filter.  Its stop is checked at t = 0, just
+    after each arrival and at each solver time knot (an arrival on a knot
+    first), on the belief flowed directly from its last anchor: the start
+    belief or its belief just after an arrival.  The stop is forced at the
+    last knot, the horizon.  The arrival-free trajectory, which every path
+    follows until its first arrival, is walked once; a path whose first
+    arrival comes after that trajectory stops is simulated only just past
+    the stop, and the others are walked from arrival to arrival (_walk).
+    Rewards use the simulated hidden state for the terminal payoff.
 
     This process runs paths 0 .. n_paths // 2 - 1 and a forked child the
-    rest.  A path reads only its own stream and every step of the loop
+    rest.  A path reads only its own stream and every step of the walk
     computes its row from that row alone, so the report is bitwise that of
     one process.
     """
@@ -308,6 +320,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
                          "different model")
     if n_paths < 1:
         raise ValueError(f"evaluate_policy: need n_paths >= 1, got {n_paths}")
+    eps = check_eps(eps)
     task = (model, surface, eps, check_belief(initial, model.n), seed)
     half = n_paths // 2
     if half:
@@ -325,7 +338,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     se = float(reward.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     qs = {q: float(np.quantile(tau, q)) for q in (0.1, 0.5, 0.9)}
     return EvalReport(
-        mean=mean, se=se, n_paths=n_paths, eps=float(eps),
+        mean=mean, se=se, n_paths=n_paths, eps=eps,
         stop_time_mean=float(tau.mean()),
         stop_time_quantiles=qs,
         frac_at_horizon=float(np.mean(tau >= model.horizon * (1.0 - 1e-12))),
@@ -336,61 +349,111 @@ def _run_paths(model, surface, eps, pi0, seed, lo, hi):
     """(reward, tau) of paths lo .. hi - 1 under the rule of
     evaluate_policy."""
     T = model.horizon
-    P = hi - lo
-    paths = simulate_paths(model, pi0, T, seed, np.arange(lo, hi))
     n = model.n
-    arr_t, arr_y = paths.arrival_t, paths.arrival_y
-    hid_t, hid_s = paths.hidden_t, paths.hidden_s
-    kmax, jmax = arr_y.shape[1], hid_s.shape[1]
-    seen = arr_t[:, :kmax] < np.inf      # the slots that hold an arrival
-    flat_marks = arr_y[seen]
-    arr_dens = np.ones((P, kmax, n))
-    arr_dens[seen] = model.marks.density_at(flat_marks)
-
-    prop = FlowPropagator(model)
-    belief = np.tile(pi0, (P, 1))
-    cur_t = np.zeros(P)
-    alive = np.ones(P, dtype=bool)
-    tau = np.full(P, T)
-    act = np.zeros(P, dtype=np.int64)
-    evptr = np.zeros(P, dtype=np.int64)
-    nxt_k = np.ones(P, dtype=np.int64)
-    rows = np.arange(P)
-
-    def check_stop(idx, t_now, force=False):
-        x = belief[idx]
-        v = surface.value_at_batch(np.maximum(T - t_now, 0.0), x)
-        stop, best, _ = stop_rule(model, v, x, eps)
-        stop |= force
-        hit = idx[stop]
-        tau[hit] = t_now[stop]
-        act[hit] = best[stop]
-        alive[hit] = False
-
     knots = surface.knots if surface.L else np.array([0.0, T])
-    check_stop(rows, cur_t)
-    while alive.any():
-        # every live path to its own next event: an arrival at or before
-        # its next knot, else the knot
-        idx = np.nonzero(alive)[0]
-        t_arr = arr_t[idx, evptr[idx]]
-        t_knot = knots[nxt_k[idx]]
-        at_arr = t_arr <= t_knot
-        te = np.where(at_arr, t_arr, t_knot)
-        belief[idx] = prop.advance(belief[idx], te - cur_t[idx])
-        hit = idx[at_arr]
-        belief[hit] = bayes_update(model, belief[hit],
-                                   arr_dens[hit, evptr[hit]])[0]
-        evptr[hit] += 1
-        nxt_k[idx[~at_arr]] += 1
-        cur_t[idx] = te
-        check_stop(idx, te, force=~at_arr & (t_knot == knots[-1]))
+    keys = np.arange(lo, hi)
+    x0 = pi0[None]
+    stop, best, _ = stop_rule(model, surface.value_at_batch(T, x0), x0, eps)
+    if stop[0]:
+        tau0, act0 = 0.0, best[0]
+    else:       # the arrival-free trajectory: one path, from knot 1
+        (tau0,), (act0,) = _walk(model, surface, eps, knots, pi0,
+                                 np.full((1, 1), np.inf),
+                                 np.ones((1, 0, n)), np.ones(1, np.int64))
+    t_first = min(np.nextafter(tau0, np.inf), T)
+    paths = simulate_paths(model, pi0, t_first, seed, keys)
+    tau = np.full(keys.size, tau0)
+    reward = _rewards(model, paths, tau, np.full(keys.size, act0))
+    early = paths.arrival_t[:, 0] <= tau0
+    if early.any():
+        rest = simulate_paths(model, pi0, T, seed, keys[early]) \
+            if t_first < T else paths.rows(early)
+        seen = rest.arrival_t[:, :-1] < np.inf
+        dens = np.ones(rest.arrival_y.shape + (n,))
+        dens[seen] = model.marks.density_at(rest.arrival_y[seen])
+        # the knots before a path's first arrival did not stop it
+        k = np.searchsorted(knots, rest.arrival_t[:, 0])
+        tau[early], act = _walk(model, surface, eps, knots, pi0,
+                                rest.arrival_t, dens, k)
+        reward[early] = _rewards(model, rest, tau[early], act)
+    return reward, tau
 
-    # rewards, each summed in time order (the padding adds exact zeros)
+
+def _walk(model, surface, eps, knots, pi0, arr_t, dens, k):
+    """(tau, action) of the first stop of each path, walked from arrival to
+    arrival from the anchor (0, pi0), which has been checked.
+
+    ``arr_t`` (P, K + 1) holds each path's arrival times padded with inf,
+    ``dens`` (P, K, n) the per-state densities of their marks, and ``k``
+    (P,) the index of each path's first knot left to check.  A pass flows
+    each path's anchor (the belief just after its last arrival) directly to
+    each of up to ceil(sqrt(len(knots))) knots before its next arrival and,
+    once no knot is left before it, to that arrival too, Bayes-updated
+    there: one advance, one value lookup and one stop check for all live
+    paths, of which each keeps its first stop in time order.  An arrival on
+    a knot is thus processed before the knot's check; the stop is forced at
+    the last knot.
+    """
+    T = model.horizon
+    last = len(knots) - 1
+    width = ceil(sqrt(len(knots)))
+    P = len(k)
+    prop = FlowPropagator(model)
+    x_a = np.tile(pi0, (P, 1))
+    t_a = np.zeros(P)
+    nxt = np.zeros(P, dtype=np.int64)        # each path's next arrival
+    tau = np.empty(P)
+    act = np.empty(P, dtype=np.int64)
+    live = np.arange(P)
+    while live.size:
+        t_next = arr_t[live, nxt[live]]
+        kl = k[live]
+        before = np.searchsorted(knots, t_next) - kl
+        w = np.minimum(before, width)
+        jump = (before <= width) & (t_next < np.inf)
+        size = w + jump
+        start = np.cumsum(size) - size
+        owner = np.repeat(np.arange(live.size), size)
+        pos = np.arange(owner.size) - start[owner]
+        at_knot = pos < w[owner]
+        kr = np.where(at_knot, kl[owner] + pos, 0)
+        t = np.where(at_knot, knots[kr], t_next[owner])
+        p = live[owner]
+        x = prop.advance(x_a[p], t - t_a[p])
+        hit = np.flatnonzero(~at_knot)
+        x[hit] = bayes_update(model, x[hit],
+                              dens[p[hit], nxt[p[hit]]])[0]
+        v = surface.value_at_batch(np.maximum(T - t, 0.0), x)
+        stop, best, _ = stop_rule(model, v, x, eps)
+        stop |= at_knot & (kr == last)
+        first = np.minimum.reduceat(
+            np.where(stop, np.arange(stop.size), stop.size), start)
+        done = first < stop.size
+        tau[live[done]] = t[first[done]]
+        act[live[done]] = best[first[done]]
+        # the others past their window, and to their next arrival if in it
+        go = ~done
+        on = go & jump
+        moved = live[on]
+        x_a[moved] = x[(start + size - 1)[on]]
+        t_a[moved] = t_next[on]
+        nxt[moved] += 1
+        k[live[go]] += w[go]
+        live = live[go]
+    return tau, act
+
+
+def _rewards(model, paths, tau, act):
+    """Reward of each path of the PathBatch stopped at tau with action act,
+    each summed in time order: records past tau add exact zeros, so a path
+    simulated only a little past tau gets the same bits."""
     rho = model.rho
+    P = len(tau)
+    hid_t, hid_s = paths.hidden_t, paths.hidden_s
+    arr_t, arr_y = paths.arrival_t[:, :-1], paths.arrival_y
     reward = np.zeros(P)
     if model.cost_mode == "running":
-        for j in range(jmax):
+        for j in range(hid_s.shape[1]):
             a = np.minimum(hid_t[:, j], tau)
             b = np.minimum(hid_t[:, j + 1], tau)
             seg = np.maximum(b - a, 0.0)
@@ -399,17 +462,17 @@ def _run_paths(model, surface, eps, pi0, seed, lo, hi):
                     / rho
             reward += model.c[hid_s[:, j]] * seg
     else:
-        counted = arr_t[:, :kmax] <= tau[:, None]
-        kcost = np.zeros((P, kmax))
-        kcost[seen] = model.K[model.marks.mark_index(flat_marks)]
-        disc = np.exp(-rho * np.where(seen, arr_t[:, :kmax], 0.0))
+        seen = arr_t < np.inf
+        counted = arr_t <= tau[:, None]
+        kcost = np.zeros(arr_y.shape)
+        kcost[seen] = model.K[model.marks.mark_index(arr_y[seen])]
+        disc = np.exp(-rho * np.where(seen, arr_t, 0.0))
         for term in (counted * disc * kcost).T:
             reward += term
     # hidden state at tau
-    j_at = np.sum(hid_t[:, :jmax] <= tau[:, None], axis=1) - 1
-    state_at_tau = hid_s[rows, j_at]
-    reward += np.exp(-rho * tau) * model.mu[act, state_at_tau]
-    return reward, tau
+    j_at = np.sum(hid_t[:, :-1] <= tau[:, None], axis=1) - 1
+    reward += np.exp(-rho * tau) * model.mu[act, hid_s[np.arange(P), j_at]]
+    return reward
 
 
 # ---------------------------------------------------------------------------

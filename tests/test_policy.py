@@ -13,6 +13,7 @@ from poistop import (
     continuation_interval,
     corner_diagnostics,
     deterministic_stop_time,
+    evaluate_policy,
     extract_regions,
     ila_boundary,
     load_preset,
@@ -180,9 +181,9 @@ def regime_small():
     return model, solve_finite(model, grid=grid, L=60, tol=1e-4)
 
 
-# eps 0.3 leaves some knots without continuation nodes, eps -1 makes every
-# node continue (no endpoint to refine), eps 10 makes every node stop
-@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, 1e-3, 0.3, -1.0, 10.0])
+# eps 0.3 leaves some knots without continuation nodes, eps 10 makes every
+# node stop
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, 1e-3, 0.3, 10.0])
 def test_boundary_curve_matches_scalar_bisection(regime_small, eps):
     model, surf = regime_small
     curve = boundary_curve(surf, eps)
@@ -192,6 +193,17 @@ def test_boundary_curve_matches_scalar_bisection(regime_small, eps):
         lo, hi = reference_interval(model, surf.grid, v, eps)
         assert_within_2ulp(row[1], lo)
         assert_within_2ulp(row[2], hi)
+
+
+def test_boundary_curve_every_node_continues(regime_small):
+    # a surface 1 above the solved one continues at every node of every
+    # slice, knot 0 included: no endpoint to refine, the whole [0, 1]
+    model, surf = regime_small
+    raised = ValueSurface(model, surf.grid, surf.knots, surf.values + 1.0)
+    curve = boundary_curve(raised, 0.0)
+    for row, v in zip(curve, raised.values):
+        assert (row[1], row[2]) == (0.0, 1.0)
+        assert reference_interval(model, surf.grid, v, 0.0) == (0, 1)
 
 
 def test_boundary_at_zero_eps_brackets_by_the_cell():
@@ -262,6 +274,31 @@ def test_recommend_and_stop_time_refuse_a_bad_time_to_maturity(regime, s):
         recommend(model, surf, s, [0.5, 0.5], 1e-3, compute_wait=True)
     with pytest.raises(ValueError, match="time to maturity"):
         deterministic_stop_time(model, surf, s, [0.5, 0.5], 1e-3)
+
+
+EPS_ENTRY_POINTS = {
+    "evaluate_policy": lambda m, surf, eps: evaluate_policy(
+        m, surf, eps, [0.5, 0.5], 10, 0),
+    "recommend": lambda m, surf, eps: recommend(m, surf, 1.0, [0.5, 0.5],
+                                                eps),
+    "deterministic_stop_time": lambda m, surf, eps: deterministic_stop_time(
+        m, surf, 1.0, [0.5, 0.5], eps),
+    "extract_regions": lambda m, surf, eps: extract_regions(surf, eps),
+    "boundary_curve": lambda m, surf, eps: boundary_curve(surf, eps),
+    "continuation_interval": lambda m, surf, eps: continuation_interval(
+        m, surf.grid, surf.values[-1], eps),
+}
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(EPS_ENTRY_POINTS))
+def test_entry_points_refuse_a_bad_eps(regime_small, entry, eps):
+    # a NaN eps sent every Monte Carlo path to the horizon and labelled
+    # every cell continue, inf stopped everything at t = 0 and -1 never
+    # stopped: each is refused, as the CLI refuses it
+    model, surf = regime_small
+    with pytest.raises(ValueError, match=f"eps: .*got {eps}"):
+        EPS_ENTRY_POINTS[entry](model, surf, eps)
 
 
 def test_recommend_inside_stop_region(regime):

@@ -10,6 +10,7 @@ import pytest
 from poistop import (
     ValueSurface,
     build_grid,
+    deterministic_stop_time,
     evaluate_policy,
     filter_path,
     load_preset,
@@ -359,28 +360,84 @@ def replay_policy(model, surface, eps, pi0, batch):
     return np.array(taus), np.array(rewards), where, margin
 
 
-@pytest.mark.parametrize("name, R", [("regime", 40), ("techadopt", 10),
-                                     ("insurance", 10), ("reliability", 10)])
-def test_evaluate_follows_the_exact_filter(name, R):
-    # the batched filter of evaluate_policy (eigenbasis flow, bayes_update
-    # on every arrival, stop checks at knots and arrivals) against
-    # filter_path on the same 30 paths: a two-state model, discrete marks
-    # and costs, gamma marks, hidden transitions with a running cost and
-    # no marks
-    model, info = load_preset(name)
-    surface = solve_finite(model, grid=build_grid(model.n, R))
-    pi0, eps, seed, P = info["initial"], 0.01, 5, 30
-    rep = evaluate_policy(model, surface, eps, pi0, P, seed)
+# where the paths stop: at an arrival and at a knot unless listed here
+STOP_KINDS = {("insurance", 0.01): {"arrival", "knot", "horizon"},
+              ("insurance", 0.1): {"start"},
+              ("targeting", 0.01): {"start"}, ("targeting", 0.1): {"start"},
+              ("flat", 0.01): {"horizon"}, ("flat", 0.1): {"horizon"}}
+
+
+@pytest.mark.parametrize("case, R", [
+    ("regime", 40), ("techadopt", 10), ("insurance", 10), ("reliability", 10),
+    ("techadopt discounted", 10), ("reliability2", 10), ("targeting", 10),
+    ("flat", 10)])
+def test_evaluate_follows_the_exact_filter(case, R):
+    # evaluate_policy (eigenbasis flow from each anchor, bayes_update on
+    # every arrival, stop checks at the start, at arrivals and at knots,
+    # forced at T) against filter_path on the same 200 paths: a two-state
+    # model, discrete marks and costs (also discounted, whose sums are not
+    # integers), gamma marks, hidden transitions with a running cost and no
+    # marks, targeting, where every path stops at t = 0, and regime on a
+    # surface so high ("flat") that the arrival-free walk reaches T without
+    # stopping; between the cases, stops at the start, at an arrival, at a
+    # knot and at the horizon all occur
+    model, info = load_preset("regime" if case == "flat"
+                              else case.split()[0])
+    if case.endswith("discounted"):
+        model = dataclasses.replace(model, rho=0.5)
+    grid = build_grid(model.n, R)
+    surface = flat_surface(model, grid, 1000.0) if case == "flat" \
+        else solve_finite(model, grid=grid,
+                          L=60 if case == "reliability2" else None)
+    pi0, seed, P = info["initial"], 5, 200
     batch = simulate_paths(model, pi0, model.horizon, seed, np.arange(P))
-    taus, rewards, where, margin = replay_policy(model, surface, eps, pi0,
-                                                 batch)
-    # no decision is within rounding of the threshold
-    assert margin > 1e-9
-    assert "arrival" in where and "knot" in where
-    assert rep.stop_time_mean == taus.mean()
-    assert rep.frac_at_horizon == np.mean(taus >= model.horizon
-                                          * (1.0 - 1e-12))
-    assert rep.mean == pytest.approx(rewards.mean(), rel=1e-12, abs=1e-12)
+    for eps in (0.01, 0.1):
+        rep = evaluate_policy(model, surface, eps, pi0, P, seed)
+        taus, rewards, where, margin = replay_policy(model, surface, eps,
+                                                     pi0, batch)
+        # no decision is within rounding of the threshold
+        assert margin > 1e-9
+        assert STOP_KINDS.get((case, eps), {"arrival", "knot"}) \
+            <= set(where)
+        assert rep.stop_time_mean == taus.mean()
+        assert rep.frac_at_horizon == np.mean(taus >= model.horizon
+                                              * (1.0 - 1e-12))
+        assert rep.mean == pytest.approx(rewards.mean(), rel=1e-12,
+                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("name, P", [("insurance", 2_000),
+                                     ("targeting", 200)])
+def test_paths_are_simulated_only_as_far_as_the_policy_reads_them(
+        monkeypatch, name, P):
+    # every path is simulated just past the stop tau0 of the arrival-free
+    # trajectory, and only those with an arrival at or before tau0 on to T;
+    # on targeting every path stops at t = 0 and no call reaches T
+    model, info = load_preset(name)
+    pi0, T, eps, seed = info["initial"], model.horizon, 0.01, 4
+    surface = solve_finite(model, grid=build_grid(model.n, 10))
+    tau0 = deterministic_stop_time(model, surface, T, pi0, eps)
+    whole = simulate_paths(model, pi0, T, seed, np.arange(P))
+    early = int(np.sum(whole.arrival_t[:, 0] <= tau0))
+    calls, simulate = [], sim.simulate_paths
+
+    def recorded(model, initial, t_end, seed, path_indices):
+        calls.append((t_end, len(path_indices)))
+        return simulate(model, initial, t_end, seed, path_indices)
+
+    monkeypatch.setattr(sim, "simulate_paths", recorded)
+    # in this process: the forked half's calls would not be recorded
+    monkeypatch.setattr(valueiter, "sys",
+                        SimpleNamespace(platform="darwin"))
+    rep = evaluate_policy(model, surface, eps, pi0, P, seed)
+    assert sum(n for t, n in calls if t < T) == P
+    assert {t for t, _ in calls if t < T} == {np.nextafter(tau0, np.inf)}
+    assert sum(n for t, n in calls if t == T) == early
+    if name == "insurance":
+        assert 0.0 < tau0 < T and 0 < early < P
+    else:
+        assert tau0 == 0.0 and early == 0
+        assert rep.stop_time_mean == 0.0
 
 
 # -- the paths split between two processes -----------------------------------
