@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -339,6 +340,18 @@ def check_eps(eps):
         raise ValueError(f"eps: tolerance must be a finite number >= 0, "
                          f"got {eps}")
     return float(eps)
+
+
+def check_count(k, name, least=0):
+    """Validate and return a count (an integer >= least; a float is refused,
+    not truncated)."""
+    try:
+        count = operator.index(k)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {k!r}")
+    return count
 
 
 def combine_rows(xt, a):

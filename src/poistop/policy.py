@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import flow_path
+from .filter import flow, flow_path
 from .model import (check_eps, combine_rows, net_return_rate,
                     terminal_reward)
 from .valueiter import _format_nodes, _write_knots, apply_J0
@@ -51,10 +51,16 @@ class StoppingRegion:
             _write_knots(fh, self.surface.knots, lines)
 
 
+def _region_tolerance(surface, eps_tol=None):
+    """eps_tol checked, or by default 10 times the tolerance the surface was
+    solved to: the one default of extract_regions and boundary_curve."""
+    return check_eps(10.0 * surface.meta.get("tol", 1e-4)
+                     if eps_tol is None else eps_tol)
+
+
 def extract_regions(surface, eps_tol=None):
     """Label every (knot, node) as continue or stop-with-best-action."""
-    eps_tol = 10.0 * surface.meta.get("tol", 1e-4) if eps_tol is None \
-        else check_eps(eps_tol)
+    eps_tol = _region_tolerance(surface, eps_tol)
     stop, best, _ = stop_rule(surface.model, surface.values,
                               surface.grid.nodes, eps_tol)
     labels = np.where(stop, best, CONTINUE).astype(np.int64)
@@ -117,10 +123,9 @@ def boundary_curve(surface, eps_tol=None):
 
     Returns an (L+1, 3) array of rows (s, lower, upper).
     """
-    if eps_tol is None:
-        eps_tol = 10.0 * surface.meta.get("tol", 1e-4)
     return np.column_stack([surface.knots, _continuation_intervals(
-        surface.model, surface.grid, surface.values, eps_tol)])
+        surface.model, surface.grid, surface.values,
+        _region_tolerance(surface, eps_tol))])
 
 
 def boundary_curve_to_csv(curve, path):
@@ -162,11 +167,20 @@ def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
     s, pi = surface.check_query(model, s, pi)
-    eps = check_eps(eps)
+    return _flow_stop(model, surface, s, pi, check_eps(eps))[0]
+
+
+def _flow_stop(model, surface, s, pi, eps):
+    """(time, action) of deterministic_stop_time on checked arguments: the
+    first knot stop_rule stops and its action, else s and the best action
+    at the flow's belief there."""
     t = surface.knots[surface.knots <= s + 1e-12]
     X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
-    stop = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)[0]
-    return float(t[stop][0]) if stop.any() else float(s)
+    stop, best, _ = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)
+    if stop.any():
+        return float(t[stop][0]), int(best[stop][0])
+    x = flow(model, max(s - t[-1], 0.0), X[-1])     # on to an off-knot s
+    return float(s), int(terminal_reward(model, x)[1])
 
 
 # ---------------------------------------------------------------------------

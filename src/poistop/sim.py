@@ -22,8 +22,8 @@ import numpy as np
 
 from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
                      events_to_csv, propagator)
-from .model import check_belief, check_eps, model_hash, terminal_reward
-from .policy import stop_rule
+from .model import check_belief, check_count, check_eps, terminal_reward
+from .policy import _flow_stop, stop_rule
 from .valueiter import NumericalError, _forked
 
 RNG_ALGORITHM = "philox4x64"
@@ -302,26 +302,23 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
 
     Each path runs the exact filter.  Its stop is checked at t = 0, just
     after each arrival and at each solver time knot (an arrival on a knot
-    first), on the belief flowed directly from its last anchor: the start
-    belief or its belief just after an arrival.  The stop is forced at the
-    last knot, the horizon.  The arrival-free trajectory, which every path
-    follows until its first arrival, is walked once; a path whose first
-    arrival comes after that trajectory stops is simulated only just past
-    the stop, and the others are walked from arrival to arrival (_walk).
-    Rewards use the simulated hidden state for the terminal payoff.
+    first), and forced at the last knot, the horizon.  Until its first
+    arrival a path follows the no-arrival flow, whose stop tau0 and action
+    deterministic_stop_time's rule gives once per call; a path with no
+    arrival at or before tau0 stops there, and the others are walked from
+    arrival to arrival (_walk).  Rewards use the simulated hidden state for
+    the terminal payoff.
 
     This process runs paths 0 .. n_paths // 2 - 1 and a forked child the
     rest.  A path reads only its own stream and every step of the walk
     computes its row from that row alone, so the report is bitwise that of
     one process.
     """
-    if model_hash(surface.model) != model_hash(model):
-        raise ValueError("evaluate_policy: surface was solved for a "
-                         "different model")
-    if n_paths < 1:
-        raise ValueError(f"evaluate_policy: need n_paths >= 1, got {n_paths}")
+    T, pi0 = surface.check_query(model, model.horizon, initial)
+    n_paths = check_count(n_paths, "n_paths: the path count", 1)
     eps = check_eps(eps)
-    task = (model, surface, eps, check_belief(initial, model.n), seed)
+    task = (model, surface, eps, pi0, seed,
+            *_flow_stop(model, surface, T, pi0, eps))
     half = n_paths // 2
     if half:
         with _forked(_run_paths, *task, half, n_paths) as join:
@@ -341,25 +338,16 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
         mean=mean, se=se, n_paths=n_paths, eps=eps,
         stop_time_mean=float(tau.mean()),
         stop_time_quantiles=qs,
-        frac_at_horizon=float(np.mean(tau >= model.horizon * (1.0 - 1e-12))),
+        frac_at_horizon=float(np.mean(tau >= T * (1.0 - 1e-12))),
     )
 
 
-def _run_paths(model, surface, eps, pi0, seed, lo, hi):
+def _run_paths(model, surface, eps, pi0, seed, tau0, act0, lo, hi):
     """(reward, tau) of paths lo .. hi - 1 under the rule of
-    evaluate_policy."""
+    evaluate_policy, the arrival-free trajectory stopping at (tau0, act0)."""
     T = model.horizon
-    n = model.n
     knots = surface.knots if surface.L else np.array([0.0, T])
     keys = np.arange(lo, hi)
-    x0 = pi0[None]
-    stop, best, _ = stop_rule(model, surface.value_at_batch(T, x0), x0, eps)
-    if stop[0]:
-        tau0, act0 = 0.0, best[0]
-    else:       # the arrival-free trajectory: one path, from knot 1
-        (tau0,), (act0,) = _walk(model, surface, eps, knots, pi0,
-                                 np.full((1, 1), np.inf),
-                                 np.ones((1, 0, n)), np.ones(1, np.int64))
     t_first = min(np.nextafter(tau0, np.inf), T)
     paths = simulate_paths(model, pi0, t_first, seed, keys)
     tau = np.full(keys.size, tau0)
@@ -369,7 +357,7 @@ def _run_paths(model, surface, eps, pi0, seed, lo, hi):
         rest = simulate_paths(model, pi0, T, seed, keys[early]) \
             if t_first < T else paths.rows(early)
         seen = rest.arrival_t[:, :-1] < np.inf
-        dens = np.ones(rest.arrival_y.shape + (n,))
+        dens = np.ones(rest.arrival_y.shape + (model.n,))
         dens[seen] = model.marks.density_at(rest.arrival_y[seen])
         # the knots before a path's first arrival did not stop it
         k = np.searchsorted(knots, rest.arrival_t[:, 0])

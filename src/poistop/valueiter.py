@@ -55,7 +55,8 @@ from scipy import sparse
 from . import model as model_mod
 from .filter import bayes_update, flow_path
 from .grid import SimplexGrid, build_grid
-from .model import check_belief, check_time, terminal_reward
+from .model import (check_belief, check_count, check_time,
+                    terminal_reward)
 
 
 class NumericalError(RuntimeError):
@@ -259,7 +260,8 @@ class ValueSurface:
     @classmethod
     def load(cls, path, model):
         """The surface saved at path for model; a ValueError naming path
-        refuses a file of another model or whose header does not fit it."""
+        refuses a file of another model, whose header does not fit it or
+        whose values are not all finite."""
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != b"PSTSURF1":
@@ -284,6 +286,9 @@ class ValueSurface:
                 or not np.array_equal(knots, np.linspace(0.0, T, nk)):
             raise ValueError(f"{path}: corrupt value-surface header (n = {n}, "
                              f"R = {R}, {N} nodes, {nk} knots) for this model")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: corrupt value-surface file (values "
+                             "that are not finite numbers)")
         grid = build_grid(model.n, R)
         return cls(model=model, grid=grid, knots=knots, values=values,
                    meta=meta)
@@ -328,6 +333,19 @@ class _Workspace:
         self.B = grid.interp_matrices(X, sv)
 
 
+def _check_solve(model, grid, tol, zero=False):
+    """tol as a float, refused with a ValueError unless a finite number
+    > 0 (>= 0 where zero), as is a grid whose n is not the model's."""
+    if grid.n != model.n:
+        raise ValueError(f"grid: a lattice for n = {grid.n} states, but the "
+                         f"model has n = {model.n}")
+    tol = float(tol)
+    if not 0.0 <= tol < np.inf or tol == 0.0 and not zero:     # also NaN
+        raise ValueError(f"tol: tolerance must be a finite number "
+                         f"{'>=' if zero else '>'} 0, got {tol}")
+    return tol
+
+
 class FiniteHorizonSolver:
     """The fixed point of the discretized J0 on the full (s, pi) lattice:
     solve marches it, iterate runs value iteration v_{m+1} = J0 v_m."""
@@ -335,12 +353,13 @@ class FiniteHorizonSolver:
     def __init__(self, model, grid, L=None, tol=1e-4):
         self.model = model
         self.grid = grid
-        self.L = default_knot_count(model) if L is None else int(L)
+        self.tol = _check_solve(model, grid, tol)
+        self.L = default_knot_count(model) if L is None \
+            else check_count(L, "L: the knot count")
         T = model.horizon
         if T <= 0:
             self.L = 0
         self.knots = np.linspace(0.0, T, self.L + 1)
-        self.tol = float(tol)
 
     @cached_property
     def ws(self):
@@ -728,7 +747,9 @@ class StationaryValue:
 def solve_infinite(model, grid, tol=1e-4, m_max=500):
     """Fixed-point iteration of the infinite-horizon operator (sup over
     t >= 0, truncated at t_max = max(20/lam_bar, 10/rho_hat), on at most
-    INF_L_CAP knots)."""
+    INF_L_CAP knots) until a step is at most tol; tol = 0 runs all m_max
+    iterations."""
+    tol = _check_solve(model, grid, tol, zero=True)
     _check_infinite_assumptions(model)
     rho_hat = _rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
@@ -760,7 +781,7 @@ def solve_infinite(model, grid, tol=1e-4, m_max=500):
     meta = {
         "iterations": m,
         "deltas": deltas,
-        "tol": float(tol),
+        "tol": tol,
         "converged": bool(deltas and deltas[-1] <= tol),
         "t_max": float(t_max),
         "err_infinity": err_infinity(model, m),

@@ -706,6 +706,25 @@ def test_evaluate_surface_with_a_wrong_grid_size_is_config_error(out, capsys,
     assert not (out / "evaluation.json").exists()
 
 
+def test_evaluate_surface_with_non_finite_values_is_config_error(out,
+                                                                 capsys):
+    # every value of a regime surface overwritten with NaN, the model hash
+    # intact: evaluate wrote mean=2.09 with every path at the horizon
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
+                "--out", str(out)]) == 0
+    surf = ValueSurface.load(out / "surface.bin", load_preset("regime")[0])
+    with open(out / "surface.bin", "r+b") as fh:
+        fh.seek(8 + 32 + 8 * len(surf.knots))
+        fh.write(np.full(surf.values.size, np.nan).astype("<f8").tobytes())
+    capsys.readouterr()
+    assert run(["evaluate", "--example", "regime", "--paths", "50",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "surface.bin: corrupt value-surface file" in err
+    assert not (out / "evaluation.json").exists()
+
+
 def test_evaluate_refuses_surface_of_other_model(out, capsys):
     assert run(["solve", "--example", "regime", "--R", "20", "--L", "20",
                 "--override", "horizon=0.5", "--out", str(out)]) == 0

@@ -53,9 +53,13 @@ def test_regions_labels_are_best_actions(regime):
 
 
 def test_regions_default_eps_from_meta(regime):
+    # regions.csv and boundary.csv share the one default tolerance
     model, surf = regime
     region = extract_regions(surf)
     assert region.eps_tol == pytest.approx(10.0 * surf.meta["tol"])
+    assert np.array_equal(boundary_curve(surf),
+                          boundary_curve(surf, region.eps_tol),
+                          equal_nan=True)
 
 
 def test_regions_action_nodes_partition(regime):

@@ -22,8 +22,9 @@ from poistop import (
     solve_finite,
 )
 from poistop import sim, valueiter
-from poistop.filter import FlowPropagator, bayes_update
+from poistop.filter import FlowPropagator, bayes_update, flow
 from poistop.model import discrete_marks, gamma_marks, terminal_reward
+from poistop.policy import _flow_stop
 from poistop.sim import (RNG_ALGORITHM, _uniform, path_to_csv,
                          philox_blocks)
 from poistop.valueiter import NumericalError
@@ -304,7 +305,7 @@ def test_evaluate_rejects_a_surface_of_other_model_numbers():
     surf = solve_finite(model, grid=build_grid(3, 4), L=10, tol=1e-2)
     evaluate_policy(model, surf, 0.01, [0.2, 0.5, 0.3], 10, seed=0)
     other = dataclasses.replace(model, rho=model.rho + 0.5)
-    with pytest.raises(ValueError, match="different model"):
+    with pytest.raises(ValueError, match="solved for another model"):
         evaluate_policy(other, surf, 0.01, [0.2, 0.5, 0.3], 10, seed=0)
 
 
@@ -316,13 +317,24 @@ def test_evaluate_rejects_fewer_than_one_path():
             evaluate_policy(m, surf, 0.0, [1.0], n_paths, seed=6)
 
 
-def replay_policy(model, surface, eps, pi0, batch):
-    """The eps-stop rule of evaluate_policy, path by path on the exact
-    filter: checked at t = 0, at every arrival and at every knot, forced at
-    T.  Returns the stop times, the rewards, where each path stopped, and
-    the smallest margin |v - eps - H| of a decision."""
+@pytest.mark.parametrize("n_paths", [10.0, 2.5, "10"])
+def test_evaluate_refuses_a_path_count_that_is_not_an_integer(n_paths):
+    # 10.0 failed deep in simulate_paths with a message about path_indices
+    m = single_state(lam=1.0, c=-1.0, rho=0.5, mu=2.0, T=1.0)
+    surf = flat_surface(m, build_grid(1, 1), 1000.0)
+    with pytest.raises(ValueError, match=f"n_paths: .* got {n_paths!r}"):
+        evaluate_policy(m, surf, 0.0, [1.0], n_paths, seed=6)
+
+
+def replay_policy(model, surface, eps_values, pi0, batch, block=8):
+    """The eps-stop rule of evaluate_policy for each eps of eps_values,
+    path by path on the exact filter: checked at t = 0, at every arrival
+    and at every knot, forced at T.  A path's check points are read once
+    for every eps, a block at a time, with one surface lookup a block.
+    Returns for each eps the stop times, the rewards, where each path
+    stopped, and the smallest margin |v - eps - H| of a decision."""
     T = model.horizon
-    taus, rewards, where, margin = [], [], [], np.inf
+    out = {eps: ([], [], [], np.inf) for eps in eps_values}
     for i in range(len(batch.path_indices)):
         path = batch.sample(i)
         traj = filter_path(model, pi0, path.arrivals, T)
@@ -330,34 +342,47 @@ def replay_policy(model, surface, eps, pi0, batch):
         points = sorted([(0.0, 0, "start")]
                         + [(e.time, 0, "arrival") for e in path.arrivals]
                         + [(float(t), 1, "knot") for t in surface.knots[1:]])
-        for t, _, kind in points:
-            x = traj.evaluate(t)
-            v = surface.value_at(T - t, x)
-            hv = model.mu @ x
-            forced = t >= T - 1e-12
-            if not forced:
-                margin = min(margin, abs(v - eps - hv.max()))
-            if forced or v - eps <= hv.max():
-                break
-        tau = t
-        where.append("horizon" if forced else kind)
-        if model.cost_mode == "running":
-            r = 0.0
-            ends = [h[0] for h in path.hidden[1:]] + [np.inf]
-            for (a, state), b in zip(path.hidden, ends):
-                a, b = min(a, tau), min(b, tau)
-                r += model.c[state] * (
-                    (np.exp(-model.rho * a) - np.exp(-model.rho * b))
-                    / model.rho if model.rho else b - a)
-        else:
-            r = sum(np.exp(-model.rho * e.time)
-                    * model.K[model.marks.mark_index(e.mark)]
-                    for e in path.arrivals if e.time <= tau)
-        state = [st for t, st in path.hidden if t <= tau][-1]
-        r += np.exp(-model.rho * tau) * model.mu[np.argmax(hv), state]
-        taus.append(tau)
-        rewards.append(r)
-    return np.array(taus), np.array(rewards), where, margin
+        ts = np.array([t for t, _, _ in points])
+        xs, vs, hs = [], [], []             # beliefs, V and H read so far
+        for eps in eps_values:
+            taus, rewards, where, margin = out[eps]
+            for j, t in enumerate(ts):
+                if j == len(xs):
+                    new = [traj.evaluate(u) for u in ts[j: j + block]]
+                    xs += new
+                    vs += surface.value_at_batch(T - ts[j: j + len(new)],
+                                                 np.array(new)).tolist()
+                    hs += [(model.mu @ x).max() for x in new]
+                forced = t >= T - 1e-12
+                if not forced:
+                    margin = min(margin, abs(vs[j] - eps - hs[j]))
+                if forced or vs[j] - eps <= hs[j]:
+                    break
+            taus.append(float(t))
+            rewards.append(replay_reward(model, path, float(t),
+                                         np.argmax(model.mu @ xs[j])))
+            where.append("horizon" if forced else points[j][2])
+            out[eps] = taus, rewards, where, margin
+    return {eps: (np.array(taus), np.array(rewards), where, margin)
+            for eps, (taus, rewards, where, margin) in out.items()}
+
+
+def replay_reward(model, path, tau, action):
+    """Reward of the PathSample path stopped at tau with action."""
+    if model.cost_mode == "running":
+        r = 0.0
+        ends = [h[0] for h in path.hidden[1:]] + [np.inf]
+        for (a, state), b in zip(path.hidden, ends):
+            a, b = min(a, tau), min(b, tau)
+            r += model.c[state] * (
+                (np.exp(-model.rho * a) - np.exp(-model.rho * b))
+                / model.rho if model.rho else b - a)
+    else:
+        r = sum(np.exp(-model.rho * e.time)
+                * model.K[model.marks.mark_index(e.mark)]
+                for e in path.arrivals if e.time <= tau)
+    state = [st for t, st in path.hidden if t <= tau][-1]
+    return r + np.exp(-model.rho * tau) * model.mu[action, state]
 
 
 # where the paths stop: at an arrival and at a knot unless listed here
@@ -378,7 +403,7 @@ def test_evaluate_follows_the_exact_filter(case, R):
     # model, discrete marks and costs (also discounted, whose sums are not
     # integers), gamma marks, hidden transitions with a running cost and no
     # marks, targeting, where every path stops at t = 0, and regime on a
-    # surface so high ("flat") that the arrival-free walk reaches T without
+    # surface so high ("flat") that the arrival-free flow reaches T without
     # stopping; between the cases, stops at the start, at an arrival, at a
     # knot and at the horizon all occur
     model, info = load_preset("regime" if case == "flat"
@@ -391,10 +416,9 @@ def test_evaluate_follows_the_exact_filter(case, R):
                           L=60 if case == "reliability2" else None)
     pi0, seed, P = info["initial"], 5, 200
     batch = simulate_paths(model, pi0, model.horizon, seed, np.arange(P))
-    for eps in (0.01, 0.1):
+    replayed = replay_policy(model, surface, (0.01, 0.1), pi0, batch)
+    for eps, (taus, rewards, where, margin) in replayed.items():
         rep = evaluate_policy(model, surface, eps, pi0, P, seed)
-        taus, rewards, where, margin = replay_policy(model, surface, eps,
-                                                     pi0, batch)
         # no decision is within rounding of the threshold
         assert margin > 1e-9
         assert STOP_KINDS.get((case, eps), {"arrival", "knot"}) \
@@ -404,6 +428,46 @@ def test_evaluate_follows_the_exact_filter(case, R):
                                               * (1.0 - 1e-12))
         assert rep.mean == pytest.approx(rewards.mean(), rel=1e-12,
                                          abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def stop_surfaces():
+    out = {}
+    for name, R in (("regime", 30), ("insurance", 8), ("reliability", 30)):
+        model, info = load_preset(name)
+        out[name] = model, np.asarray(info["initial"]), solve_finite(
+            model, grid=build_grid(model.n, R))
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.1])
+@pytest.mark.parametrize("name", ["regime", "insurance", "reliability"])
+def test_arrival_free_paths_stop_at_the_deterministic_stop_time(
+        monkeypatch, stop_surfaces, name, eps):
+    # a path with no arrival at or before its stop follows the no-arrival
+    # flow, so it stops at deterministic_stop_time and with the best action
+    # of the flow's belief there; at eps = 0 a second walk of that flow
+    # stopped these paths a knot away from it
+    model, pi0, surface = stop_surfaces[name]
+    T, P, seed = model.horizon, 400, 3
+    tau0 = deterministic_stop_time(model, surface, T, pi0, eps)
+    act0 = terminal_reward(model, flow(model, tau0, pi0))[1]
+    seen, rewards = [], sim._rewards
+
+    def recorded(model, paths, tau, act):
+        free = paths.arrival_t[:, 0] > tau
+        seen.append((tau[free], act[free]))
+        return rewards(model, paths, tau, act)
+
+    monkeypatch.setattr(sim, "_rewards", recorded)
+    # in this process: the forked half's calls would not be recorded
+    monkeypatch.setattr(valueiter, "sys",
+                        SimpleNamespace(platform="darwin"))
+    evaluate_policy(model, surface, eps, pi0, P, seed)
+    tau, act = (np.concatenate(x) for x in zip(*seen))
+    assert tau.size > 0
+    assert np.all(tau == tau0)
+    assert np.all(act == act0)
 
 
 @pytest.mark.parametrize("name, P", [("insurance", 2_000),
@@ -510,9 +574,11 @@ def small_surfaces():
 def test_evaluate_split_equals_one_process(monkeypatch, deadline,
                                            small_surfaces, case):
     model, pi0, surface = small_surfaces[case]
+    stop0 = _flow_stop(model, surface, model.horizon, pi0, 0.01)
     for seed in (1, 2):
         def run(lo, hi):
-            return sim._run_paths(model, surface, 0.01, pi0, seed, lo, hi)
+            return sim._run_paths(model, surface, 0.01, pi0, seed, *stop0,
+                                  lo, hi)
 
         # at P = 40 and seed 1 the first half pads to 6 arrivals and the
         # whole batch to 10: np.sum(axis=1) would sum those rows otherwise

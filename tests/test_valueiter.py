@@ -72,6 +72,68 @@ def test_zero_iterations_surface_is_H(monkeypatch):
     assert np.array_equal(surf.values, np.tile(H, (41, 1)))
 
 
+SOLVE_ENTRY_POINTS = {
+    "FiniteHorizonSolver": lambda m, g, L, tol, path: FiniteHorizonSolver(
+        m, grid=g, L=L, tol=tol),
+    "solve_finite": lambda m, g, L, tol, path: solve_finite(
+        m, grid=g, L=L, tol=tol),
+    "solve_to_csv": lambda m, g, L, tol, path: valueiter.solve_to_csv(
+        m, g, path, L=L, tol=tol).__enter__(),
+    "richardson_check": lambda m, g, L, tol, path: richardson_check(
+        m, grid=g, L=L),
+}
+BAD_SOLVE_INPUTS = [("grid", None, "grid: a lattice for n = 3 states"),
+                    ("L", 2.7, "L: the knot count .* got 2.7"),
+                    ("L", -3, "L: the knot count .* got -3"),
+                    ("L", "4", "L: the knot count .* got '4'"),
+                    ("tol", np.nan, "tol: .* got nan"),
+                    ("tol", -1.0, "tol: .* got -1.0"),
+                    ("tol", 0.0, "tol: .*> 0, got 0.0"),
+                    ("tol", np.inf, "tol: .* got inf")]
+
+
+# richardson_check takes no tol
+@pytest.mark.parametrize("entry, field, bad, message", [
+    (entry, *bad) for entry in sorted(SOLVE_ENTRY_POINTS)
+    for bad in BAD_SOLVE_INPUTS
+    if not (entry == "richardson_check" and bad[0] == "tol")])
+def test_solve_entry_points_refuse_bad_numbers(tmp_path, entry, field, bad,
+                                               message):
+    # numpy's matmul mismatch for a grid of another n, L = 2.7 truncated
+    # to 2, L = -3 failing in linspace, and a NaN tol running every sweep
+    # of the certificate, which then never converged nor checked the march
+    model, _ = load_preset("regime")
+    args = {"grid": build_grid(2, 4), "L": 4, "tol": 1e-4}
+    args[field] = build_grid(3, 4) if field == "grid" else bad
+    path = tmp_path / "surface.csv"
+    with pytest.raises(ValueError, match=message):
+        SOLVE_ENTRY_POINTS[entry](model, args["grid"], args["L"],
+                                  args["tol"], path)
+    assert not os.listdir(tmp_path)
+
+
+def test_solve_entry_points_keep_zero_knots():
+    model, _ = load_preset("regime")
+    surf = solve_finite(model, grid=build_grid(2, 4), L=0)
+    assert surf.L == 0
+    assert np.array_equal(surf.values[0],
+                          terminal_reward(model, surf.grid.nodes)[0])
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("grid", None, "grid: a lattice for n = 3 states"),
+    ("tol", np.nan, "tol: .*>= 0, got nan"),
+    ("tol", -1.0, "tol: .* got -1.0"),
+    ("tol", np.inf, "tol: .* got inf")])
+def test_solve_infinite_refuses_bad_numbers(field, bad, message):
+    # at tol = NaN or -1 every one of the m_max iterations ran
+    model, _ = load_preset("regime")
+    args = {"grid": build_grid(2, 4), "tol": 1e-4}
+    args[field] = build_grid(3, 4) if field == "grid" else bad
+    with pytest.raises(ValueError, match=message):
+        solve_infinite(model, **args)
+
+
 # -- surface invariants -----------------------------------------------------
 
 def test_surface_slice_zero_is_H(regime_surface):
@@ -205,6 +267,25 @@ def test_surface_load_refuses_missing_model_hash(tmp_path, regime_surface):
     assert mlen == len(blob) - head - 8
     path.write_bytes(blob[:head] + struct.pack("<q", 2) + b"{}")
     with pytest.raises(ValueError, match="model hash missing"):
+        ValueSurface.load(path, model)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["one", "all"])
+def test_surface_load_refuses_non_finite_values(tmp_path, regime_surface,
+                                                bad, where):
+    # the model hash still matches: a surface of NaN values sent every
+    # Monte Carlo path to the horizon and made recommend say "continue"
+    model, surf = regime_surface
+    values = surf.values.copy()
+    if where == "one":
+        values[7, 3] = bad
+    else:
+        values[:] = bad
+    path = tmp_path / "surface.bin"
+    dataclasses.replace(surf, values=values).save(path)
+    with pytest.raises(ValueError, match="surface.bin: corrupt "
+                                         "value-surface file .*not finite"):
         ValueSurface.load(path, model)
 
 
