@@ -367,7 +367,8 @@ def combine_rows(xt, a):
 def terminal_reward(model, beliefs):
     """(H, best) at beliefs of shape (..., n): H = max_k sum_i mu[k, i]
     pi_i, summed by combine_rows (so a belief has the same H in any batch),
-    and the action attaining it, the smallest index on ties."""
+    and the action attaining it, the smallest index on ties of those
+    rounded sums (a tie in exact arithmetic may round either way)."""
     beliefs = np.asarray(beliefs, dtype=float)
     hv = combine_rows(np.moveaxis(beliefs, -1, 0), model.mu.T)
     return hv.max(axis=0), hv.argmax(axis=0)

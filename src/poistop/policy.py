@@ -15,7 +15,7 @@ import numpy as np
 from .filter import flow, flow_path
 from .model import (check_eps, combine_rows, net_return_rate,
                     terminal_reward)
-from .valueiter import _format_nodes, _write_knots, apply_J0
+from .valueiter import _format_nodes, apply_J0
 
 CONTINUE = -1
 
@@ -35,20 +35,19 @@ class StoppingRegion:
     labels: np.ndarray           # (L+1, N); -1 = continue, else action index
 
     def to_csv(self, path):
-        """Rows (s, coordinates, label), each row's text taken from a
-        (label, node) table formatted once."""
+        """Rows (s, coordinates, label) in knot-then-node order, one where a
+        node's label differs from its label at the knot before (every node
+        at s = 0): each node's last label carried forward is its label."""
         grid = self.surface.grid
         cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
         coords = _format_nodes(grid.nodes)
-        top = int(self.labels.max(initial=CONTINUE))
-        table = np.array([[f"{c},{lab}\n" for c in coords]
-                          for lab in range(CONTINUE, top + 1)], dtype=object)
-        nodes = np.arange(grid.n_nodes)
-        lines = ((table[row - CONTINUE, nodes].tolist(), None)
-                 for row in self.labels)
+        knots = [f"{s:.17g}" for s in self.surface.knots.tolist()]
+        k, i = np.nonzero(np.diff(self.labels, axis=0, prepend=CONTINUE - 1))
         with open(path, "w") as fh:
             fh.write(f"s,{cols},label\n")
-            _write_knots(fh, self.surface.knots, lines)
+            fh.writelines(f"{knots[a]},{coords[b]},{lab}\n" for a, b, lab in
+                          zip(k.tolist(), i.tolist(),
+                              self.labels[k, i].tolist()))
 
 
 def _region_tolerance(surface, eps_tol=None):
@@ -171,16 +170,18 @@ def deterministic_stop_time(model, surface, s, pi, eps):
 
 
 def _flow_stop(model, surface, s, pi, eps):
-    """(time, action) of deterministic_stop_time on checked arguments: the
-    first knot stop_rule stops and its action, else s and the best action
-    at the flow's belief there."""
+    """(time, action, mass) of deterministic_stop_time on checked arguments:
+    the first knot stop_rule stops, its action and the flow's survival mass
+    (no arrival yet) there, else s, the best action at the flow's belief
+    there and the mass at the last knot."""
     t = surface.knots[surface.knots <= s + 1e-12]
-    X = flow_path(model, pi, surface.dt, len(t) - 1)[1][:, 0]
+    _, X, sv = (a[:, 0] for a in flow_path(model, pi, surface.dt,
+                                           len(t) - 1))
     stop, best, _ = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)
     if stop.any():
-        return float(t[stop][0]), int(best[stop][0])
+        return float(t[stop][0]), int(best[stop][0]), float(sv[stop][0])
     x = flow(model, max(s - t[-1], 0.0), X[-1])     # on to an off-knot s
-    return float(s), int(terminal_reward(model, x)[1])
+    return float(s), int(terminal_reward(model, x)[1]), float(sv[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,10 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     arrival a path follows the no-arrival flow, whose stop tau0 and action
     deterministic_stop_time's rule gives once per call; a path with no
     arrival at or before tau0 stops there, and the others are walked from
-    arrival to arrival (_walk).  Rewards use the simulated hidden state for
-    the terminal payoff.
+    arrival to arrival (_walk).  Where the flow's survival mass at tau0 is
+    below 1/2 all paths are simulated to T at once, else all just past tau0
+    and those with an arrival by then on to T.  Rewards use the simulated
+    hidden state for the terminal payoff.
 
     This process runs paths 0 .. n_paths // 2 - 1 and a forked child the
     rest.  A path reads only its own stream and every step of the walk
@@ -342,13 +344,14 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     )
 
 
-def _run_paths(model, surface, eps, pi0, seed, tau0, act0, lo, hi):
+def _run_paths(model, surface, eps, pi0, seed, tau0, act0, mass0, lo, hi):
     """(reward, tau) of paths lo .. hi - 1 under the rule of
-    evaluate_policy, the arrival-free trajectory stopping at (tau0, act0)."""
+    evaluate_policy, the arrival-free trajectory stopping at (tau0, act0),
+    where its survival mass is mass0."""
     T = model.horizon
     knots = surface.knots if surface.L else np.array([0.0, T])
     keys = np.arange(lo, hi)
-    t_first = min(np.nextafter(tau0, np.inf), T)
+    t_first = T if mass0 < 0.5 else min(np.nextafter(tau0, np.inf), T)
     paths = simulate_paths(model, pi0, t_first, seed, keys)
     tau = np.full(keys.size, tau0)
     reward = _rewards(model, paths, tau, np.full(keys.size, act0))

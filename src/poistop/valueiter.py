@@ -136,16 +136,6 @@ def _format_nodes(nodes):
     return [",".join([f"{p:.17g}" for p in node]) for node in nodes.tolist()]
 
 
-def _write_knots(fh, knots, lines):
-    """Per knot s_k, with (rows, values) the next item of lines, the node
-    rows f"{s_k:.17g}," + rows[i], their fields filled from the tuple
-    values by one % call (rows without fields come with values None)."""
-    for s, (rows, values) in zip(knots.tolist(), lines):
-        s = f"{s:.17g},"
-        text = s + s.join(rows)
-        fh.write(text if values is None else text % values)
-
-
 # the certificate problem: grid min(R, CERT_R), min(L, max(CERT_L,
 # 2 T lam_bar)) knots (FiniteHorizonSolver._certificate)
 CERT_R, CERT_L = 16, 60
@@ -219,10 +209,11 @@ class ValueSurface:
 
     def to_csv(self, path, ready=()):
         """Rows (s, coordinates, value, H, best action) per knot and node;
-        all but s and the value are formatted once, in row templates, and a
-        value with the bits of H (a stop cell) reuses H's text.  Each count
-        e that ready yields, "the slices below e are final", has the block
-        up to it written before the next is read; the rest follows."""
+        all but s and the value are formatted once, in row templates, each
+        knot's rows filled by one % call, and a value with the bits of H (a
+        stop cell) reuses H's text.  Each count e that ready yields, "the
+        slices below e are final", has the block up to it written before
+        the next is read; the rest follows."""
         H, best = terminal_reward(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
         text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
@@ -236,10 +227,11 @@ class ValueSurface:
             for e in chain(ready, [self.L + 1]):
                 # bits, not ==, so that -0.0 and 0.0 keep their own text
                 eq = self.values[a:e].view(np.int64) == H.view(np.int64)
-                lines = ((np.where(q, same, fmt).tolist(),
-                          tuple(v[~q].tolist()))
-                         for v, q in zip(self.values[a:e], eq))
-                _write_knots(fh, self.knots[a:e], lines)
+                for s, v, q in zip(self.knots[a:e].tolist(),
+                                   self.values[a:e], eq):
+                    s = f"{s:.17g},"
+                    fh.write((s + s.join(np.where(q, same, fmt).tolist()))
+                             % tuple(v[~q].tolist()))
                 a = e
 
     def save(self, path):

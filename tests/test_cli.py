@@ -16,7 +16,7 @@ from poistop import (FiniteHorizonSolver, ValueSurface, load_preset,
 from poistop.cli import main
 from poistop.model import model_hash, model_to_dict, save_model
 from test_valueiter import (assert_no_child, deadline,  # noqa: F401
-                            reference_surface_csv)
+                            in_writer_child, reference_surface_csv)
 
 
 def run(args):
@@ -318,14 +318,7 @@ def test_artifact_write_error_while_the_writer_runs_leaves_nothing(
         out, capsys, monkeypatch, deadline):
     # regions.csv fails while the surface.csv writer still sleeps: the
     # writer is killed and its .part file removed
-    parent, write = os.getpid(), valueiter._write_knots
-
-    def slow_here_only(fh, knots, lines):
-        if os.getpid() != parent:
-            time.sleep(0.5)
-        return write(fh, knots, lines)
-
-    monkeypatch.setattr(valueiter, "_write_knots", slow_here_only)
+    in_writer_child(monkeypatch, lambda: time.sleep(0.5))
     out.mkdir()
     (out / "regions.csv").symlink_to("/dev/full")
     assert run(["solve", "--example", "reliability", "--R", "8", "--L", "20",
@@ -357,14 +350,10 @@ def test_streamed_surface_csv_equals_in_memory_writer(out, deadline, name):
                     reason="off Linux the CSV is written inline")
 def test_writer_child_error_exits_one(out, capsys, monkeypatch):
     # the forked writer of surface.csv fails; its OSError reaches main
-    parent, write = os.getpid(), valueiter._write_knots
+    def no_space():
+        raise OSError(28, "No space left on device", "surface.csv.part")
 
-    def write_here_only(fh, knots, lines):
-        if os.getpid() != parent:
-            raise OSError(28, "No space left on device", "surface.csv.part")
-        return write(fh, knots, lines)
-
-    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    in_writer_child(monkeypatch, no_space)
     assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -379,14 +368,7 @@ def test_writer_child_error_exits_one(out, capsys, monkeypatch):
 def test_writer_child_without_result_exits_one(out, capsys, monkeypatch):
     # a writer that ends without a result is an output failure, not a
     # numeric one
-    parent, write = os.getpid(), valueiter._write_knots
-
-    def write_here_only(fh, knots, lines):
-        if os.getpid() != parent:
-            os._exit(9)
-        return write(fh, knots, lines)
-
-    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    in_writer_child(monkeypatch, lambda: os._exit(9))
     assert run(["solve", "--example", "regime", "--R", "10", "--L", "20",
                 "--out", str(out)]) == 1
     err = capsys.readouterr().err

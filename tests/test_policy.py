@@ -18,6 +18,7 @@ from poistop import (
     ila_boundary,
     load_preset,
     make_model,
+    preset_names,
     recommend,
     solve_finite,
     solve_infinite,
@@ -25,7 +26,8 @@ from poistop import (
     ValueSurface,
 )
 from poistop.model import terminal_reward
-from poistop.policy import CONTINUE, boundary_curve_to_csv, stop_rule
+from poistop.policy import (CONTINUE, StoppingRegion, boundary_curve_to_csv,
+                            stop_rule)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,77 @@ def test_regions_csv(tmp_path, regime):
     with open(path) as fh:
         assert fh.readline().strip() == "s,pi1,pi2,label"
         n_rows = sum(1 for _ in fh)
-    assert n_rows == (surf.L + 1) * surf.grid.n_nodes
+    # a row per node at s = 0 and one per later change of a node's label
+    changes = np.count_nonzero(region.labels[1:] != region.labels[:-1])
+    assert 0 < changes < surf.L * surf.grid.n_nodes
+    assert n_rows == surf.grid.n_nodes + changes
+
+
+def forward_filled(path, surface):
+    """The (L+1, N) labels of a regions.csv, each node's last row carried
+    forward over the knots; its rows must come in knot-then-node order."""
+    nodes = map(tuple, surface.grid.nodes.tolist())
+    node = {x: i for i, x in enumerate(nodes)}
+    knot = {s: k for k, s in enumerate(surface.knots.tolist())}
+    labels = np.full((len(knot), len(node)), CONTINUE - 1)
+    order = []
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            *fields, lab = line.split(",")
+            s, *x = map(float, fields)
+            order.append((knot[s], node[tuple(x)]))
+            labels[order[-1]] = int(lab)
+    assert order == sorted(set(order))
+    for k in range(1, len(labels)):
+        gap = labels[k] == CONTINUE - 1
+        labels[k, gap] = labels[k - 1, gap]
+    return labels
+
+
+def assert_regions_csv_round_trips(region, path):
+    region.to_csv(path)
+    changes = np.count_nonzero(region.labels[1:] != region.labels[:-1])
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == 1 + region.labels.shape[1] + changes
+    assert np.array_equal(forward_filled(path, region.surface), region.labels)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_regions_csv_forward_fills_to_the_labels(tmp_path, name):
+    model, _ = load_preset(name)
+    surf = solve_finite(model, grid=build_grid(model.n, 6), L=24)
+    assert_regions_csv_round_trips(extract_regions(surf),
+                                   tmp_path / "regions.csv")
+
+
+def test_regions_csv_forward_fills_at_one_knot(tmp_path):
+    model, _ = load_preset("insurance")
+    grid = build_grid(3, 6)
+    H = terminal_reward(model, grid.nodes)[0]
+    surf = ValueSurface(model, grid, np.zeros(1),
+                        H[None] + np.linspace(0.0, 1e-3, grid.n_nodes))
+    region = extract_regions(surf, 1e-4)
+    assert (region.labels == CONTINUE).any()
+    assert (region.labels != CONTINUE).any()
+    assert_regions_csv_round_trips(region, tmp_path / "regions.csv")
+
+
+def test_regions_csv_forward_fills_labels_that_change_twice(tmp_path):
+    # labels no solve gives: nodes that change, change back and change
+    # again, and a node whose label never changes
+    model, _ = load_preset("insurance")
+    grid = build_grid(3, 4)
+    L = 9
+    surf = ValueSurface(model, grid, np.linspace(0.0, model.horizon, L + 1),
+                        np.zeros((L + 1, grid.n_nodes)))
+    rng = np.random.default_rng(5)
+    labels = rng.integers(CONTINUE, model.n_actions, (L + 1, grid.n_nodes))
+    labels[:, 0] = CONTINUE
+    labels[:, 1] = [0, 0, -1, -1, 0, 0, 0, 1, 1, 1]
+    region = StoppingRegion(surface=surf, eps_tol=0.0, labels=labels)
+    assert (np.count_nonzero(labels[1:] != labels[:-1], axis=0) >= 2).any()
+    assert_regions_csv_round_trips(region, tmp_path / "regions.csv")
 
 
 # -- boundary curves --------------------------------------------------------

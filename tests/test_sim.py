@@ -504,6 +504,36 @@ def test_paths_are_simulated_only_as_far_as_the_policy_reads_them(
         assert rep.stop_time_mean == 0.0
 
 
+@pytest.mark.parametrize("name, mass0, plan", [("reliability", 1.0, 1),
+                                                ("insurance", 0.0, 2)])
+def test_either_simulation_plan_gives_the_same_report(
+        monkeypatch, name, mass0, plan):
+    # reliability's arrival-free mass at tau0 is below 1/2, so its paths
+    # are simulated to T in one call; insurance's is above, so in two
+    # stages.  Forcing the other plan through the mass changes no bit.
+    model, info = load_preset(name)
+    pi0, T, eps, P, seed = info["initial"], model.horizon, 0.01, 600, 1
+    surface = solve_finite(model, grid=build_grid(model.n, 12))
+    tau0, act0, mass = _flow_stop(model, surface, T, pi0, eps)
+    assert 0.0 < tau0 < T and (mass < 0.5) == (plan == 1)
+    calls, simulate, flow_stop = [], sim.simulate_paths, sim._flow_stop
+
+    def recorded(model, initial, t_end, seed, path_indices):
+        calls.append(t_end)
+        return simulate(model, initial, t_end, seed, path_indices)
+
+    monkeypatch.setattr(sim, "simulate_paths", recorded)
+    monkeypatch.setattr(valueiter, "sys",
+                        SimpleNamespace(platform="darwin"))
+    rep = evaluate_policy(model, surface, eps, pi0, P, seed)
+    assert len(calls) == 2 * plan and (calls[0] == T) == (plan == 1)
+    monkeypatch.setattr(sim, "_flow_stop", lambda *args: (
+        *flow_stop(*args)[:2], mass0))
+    other = evaluate_policy(model, surface, eps, pi0, P, seed)
+    assert len(calls) == 2 * plan + 2 * (3 - plan)
+    assert repr(other) == repr(rep)
+
+
 # -- the paths split between two processes -----------------------------------
 
 BATCHES = [slice(lo, lo + size) for lo in (0, 17, 1999)

@@ -375,12 +375,19 @@ def reference_surface_csv(surface, path):
 
 
 def reference_regions_csv(region, path):
+    """The per-row writer: a row where a node's label is not the one it
+    had at the knot before (every node at the first knot)."""
     grid = region.surface.grid
     cols = ",".join(f"pi{i + 1}" for i in range(grid.n))
+    last = [None] * grid.n_nodes
     with open(path, "w") as fh:
         fh.write(f"s,{cols},label\n")
         for k, s in enumerate(region.surface.knots):
-            for node, lab in zip(grid.nodes, region.labels[k]):
+            for i, (node, lab) in enumerate(zip(grid.nodes,
+                                                region.labels[k])):
+                if lab == last[i]:
+                    continue
+                last[i] = lab
                 coords = ",".join(f"{p:.17g}" for p in node)
                 fh.write(f"{s:.17g},{coords},{int(lab)}\n")
 
@@ -532,21 +539,35 @@ def test_streamed_surface_csv_inline_as_off_linux(tmp_path, monkeypatch):
     assert path.read_bytes() == (tmp_path / "surface_ref.csv").read_bytes()
 
 
+def in_writer_child(monkeypatch, act):
+    """ValueSurface.to_csv running act() in a forked child only, before
+    each block that ready reports final is written."""
+    parent, to_csv = os.getpid(), ValueSurface.to_csv
+
+    def acting(ready):
+        for e in ready:
+            act()
+            yield e
+
+    def patched(self, path, ready=()):
+        if os.getpid() != parent:
+            ready = acting(ready)
+        return to_csv(self, path, ready)
+
+    monkeypatch.setattr(ValueSurface, "to_csv", patched)
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="off Linux the CSV is written inline")
 def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
                                                            monkeypatch,
                                                            deadline):
-    # _write_knots fails only in the forked writer: its exception is raised
-    # when the with-block ends, the child reaped and the .part file removed
-    parent, write = os.getpid(), valueiter._write_knots
+    # to_csv fails only in the forked writer: its exception is raised when
+    # the with-block ends, the child reaped and the .part file removed
+    def no_space():
+        raise OSError(28, "No space left on device")
 
-    def write_here_only(fh, knots, lines):
-        if os.getpid() != parent:
-            raise OSError(28, "No space left on device")
-        return write(fh, knots, lines)
-
-    monkeypatch.setattr(valueiter, "_write_knots", write_here_only)
+    in_writer_child(monkeypatch, no_space)
     surf = edge_surface("all stop")
     monkeypatch.setattr(FiniteHorizonSolver, "solve", solve_as(surf))
     with pytest.raises(OSError, match="No space left on device"):
