@@ -370,7 +370,9 @@ def main(argv=None):
         sys.stderr.write(f"error: {where}{exc}\n")
         return 1
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError,
-            ValueError) as exc:          # ValueError: also a ModelError
+            ValueError, OverflowError, MemoryError) as exc:
+        # ValueError: also a ModelError; OverflowError and MemoryError: a
+        # size (a knot count, an array) beyond what the solver can hold
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 2
 

@@ -91,9 +91,11 @@ def flow_path(model, beliefs, h, n):
 
     Returns the survival weights M, shape (n+1, B, n), of the nonnegative
     beliefs stepped by one P = propagator(Q - Lambda, h) >= 0, the beliefs
-    X, and the survival mass sv = sum M, shape (n+1, B).  X is M / sv;
-    where sv is near underflow, X is instead the previous belief stepped by
-    P and renormalized, so X is the flowed belief however small M gets.
+    X, and the survival mass sv = sum M, shape (n+1, B).  At u = 0 the
+    flow has zero length: sv is exactly 1 and X the beliefs given, bit for
+    bit.  Elsewhere X is M / sv; where sv is near underflow, X is instead
+    the previous belief stepped by P and renormalized, so X is the flowed
+    belief however small M gets.
     """
     beliefs = np.atleast_2d(beliefs)
     M = np.empty((n + 1,) + beliefs.shape)
@@ -102,6 +104,7 @@ def flow_path(model, beliefs, h, n):
     for j in range(n):
         np.matmul(M[j], P, out=M[j + 1])
     sv = M.sum(axis=2)
+    sv[0] = 1.0
     low = sv < _LOW_MASS
     X = np.divide(M, sv[..., None], out=np.empty_like(M),
                   where=~low[..., None])
@@ -131,11 +134,12 @@ def flow(model, t, pi):
     one-belief call of flow_path, on the fewest equal steps h with
     h max_i(lambda_i - q_ii) <= 200, so that no step decays out of double
     range, in calls of at most FLOW_CHUNK steps, so its memory is bounded.
+    At t = 0 it takes no step and returns the checked belief itself.
     """
     if not 0.0 <= t < np.inf:
         raise FilterError(f"flow: duration {t} outside [0, inf)")
     x = check_belief(pi, model.n)
-    n = max(1, ceil(t * float(np.max(model.lam - np.diag(model.Q))) / 200.0))
+    n = ceil(t * float(np.max(model.lam - np.diag(model.Q))) / 200.0)
     for j in range(0, n, FLOW_CHUNK):
         x = flow_path(model, x, t / n, min(FLOW_CHUNK, n - j))[1][-1, 0].copy()
     return x

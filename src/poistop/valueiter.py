@@ -252,32 +252,49 @@ class ValueSurface:
     @classmethod
     def load(cls, path, model):
         """The surface saved at path for model; a ValueError naming path
-        refuses a file of another model, whose header does not fit it or
-        whose values are not all finite."""
+        refuses a file of another model, whose header does not fit it,
+        which is shorter than its header says or whose values are not all
+        finite.  The header's counts are checked before they size a read."""
+        def corrupt(what):
+            return ValueError(f"{path}: truncated or corrupt value-surface "
+                              f"file ({what})")
+
         with open(path, "rb") as fh:
             magic = fh.read(8)
             if magic != b"PSTSURF1":
                 raise ValueError(f"{path}: not a value-surface file")
             try:
                 n, R, nk, N = struct.unpack("<4q", fh.read(32))
+            except struct.error as exc:
+                raise corrupt(exc) from exc
+            header = (f"{path}: corrupt value-surface header (n = {n}, "
+                      f"R = {R}, {N} nodes, {nk} knots) for this model")
+            if n != model.n or R < 1 or nk < 1 \
+                    or N != comb(R + n - 1, n - 1):
+                raise ValueError(header)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < 8 * nk * (N + 1):
+                raise corrupt(f"{nk} knots of {N} nodes need "
+                              f"{8 * nk * (N + 1)} bytes, {left} left")
+            try:
                 knots = np.frombuffer(fh.read(8 * nk), dtype="<f8").copy()
                 values = np.frombuffer(fh.read(8 * nk * N), dtype="<f8")
                 values = values.reshape(nk, N).copy()
                 (mlen,) = struct.unpack("<q", fh.read(8))
-                meta = json.loads(fh.read(mlen).decode())
+                blob = fh.read()
+                if len(blob) != mlen:
+                    raise ValueError(f"metadata of {len(blob)} bytes, "
+                                     f"not {mlen}")
+                meta = json.loads(blob.decode())
             except (struct.error, ValueError) as exc:
-                raise ValueError(f"{path}: truncated or corrupt "
-                                 f"value-surface file ({exc})") from exc
+                raise corrupt(exc) from exc
         if not isinstance(meta, dict) \
                 or meta.get("model_hash") != model_mod.model_hash(model):
             raise ValueError(f"{path}: surface was solved for another model "
                              "(model hash missing or different); solve "
                              "again with the same model and overrides")
-        T = model.horizon
-        if n != model.n or R < 1 or N != comb(R + n - 1, n - 1) or nk < 1 \
-                or not np.array_equal(knots, np.linspace(0.0, T, nk)):
-            raise ValueError(f"{path}: corrupt value-surface header (n = {n}, "
-                             f"R = {R}, {N} nodes, {nk} knots) for this model")
+        if not np.array_equal(knots, np.linspace(0.0, model.horizon, nk)):
+            raise ValueError(header)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: corrupt value-surface file (values "
                              "that are not finite numbers)")
@@ -313,10 +330,10 @@ class _Workspace:
         M, X, sv = flow_path(model, grid.nodes, self.dt, L)
         self.sv = sv
 
-        self.Hnodes = terminal_reward(model, grid.nodes)[0]
         Hx = terminal_reward(model, X)[0]
         disc = np.exp(-model.rho * knots)
         self.Aterm = sv * disc[:, None] * Hx
+        self.Hnodes = self.Aterm[0]       # x(0, node) is the node: H there
         self.costM = M @ model.effective_cost_rates()
         self.disc = disc
 

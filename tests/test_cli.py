@@ -424,6 +424,49 @@ def test_evaluation_child_without_result_exit_code(out, capsys,
     assert_no_child()
 
 
+@pytest.fixture()
+def capped_address_space():
+    """The address space of this process (and of its children) capped 4 GiB
+    above its present size, so that a TiB request fails at once however
+    the host overcommits memory."""
+    resource = pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm for the present size")
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2 ** 32
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "--override", "horizon=1e308"),      # L = ceil(inf)
+    ("solve", "--override", "lambda=1e307,1"),     # L = ceil(inf)
+    ("solve", "--L", "1000000000000"),             # 7.28 TiB of knots
+    ("evaluate", "--paths", "1000000000000")])     # 3.64 TiB of paths
+def test_sizes_beyond_reach_exit_two(out, capsys, capped_address_space,
+                                     command, option, value):
+    # an OverflowError or a MemoryError is a numeric failure: one line, no
+    # traceback, and nothing left behind
+    if command == "evaluate":
+        assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
+                    "--out", str(out)]) == 0
+        capsys.readouterr()
+    assert run([command, "--example", "regime", option, value,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (out / "evaluation.json").exists()
+    if command == "solve":
+        assert_nothing_left(out)
+    assert_no_child()
+
+
 def test_diverging_time_grid_exit_code(out, capsys):
     # one knot on insurance: dt lam_bar / 2 = 2, so the self-term of the
     # march cannot settle; this used to exit 0 with a value of 1e58
@@ -685,6 +728,26 @@ def test_evaluate_surface_with_a_wrong_grid_size_is_config_error(out, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"surface.bin: corrupt value-surface header (n = 2, R = {R}" in err
+    assert not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize("at, count", [(24, 2 ** 58), (32, 2 ** 40)])
+def test_evaluate_surface_with_oversized_header_counts_is_config_error(
+        out, capsys, capped_address_space, at, count):
+    # the knot count (at 24) or the node count (at 32) of a regime surface
+    # rewritten far past the file: load read 8 nk and 8 nk N bytes before
+    # it checked them, a MemoryError
+    assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
+                "--out", str(out)]) == 0
+    with open(out / "surface.bin", "r+b") as fh:
+        fh.seek(at)
+        fh.write(struct.pack("<q", count))
+    capsys.readouterr()
+    assert run(["evaluate", "--example", "regime", "--paths", "50",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'surface.bin'}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (out / "evaluation.json").exists()
 
 

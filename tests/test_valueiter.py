@@ -37,6 +37,7 @@ from poistop import valueiter
 from poistop.filter import propagator
 from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
+from poistop.presets import preset_names
 from poistop.valueiter import NumericalError, default_knot_count
 from test_grid import reference_barycentric
 
@@ -1077,6 +1078,33 @@ def test_workspace_with_underflowing_survival_mass():
     assert np.all(np.isfinite(ws.G0.data))
     assert all(np.all(np.isfinite(B.data)) for B in ws.B)
     assert ws.B[-1].nnz == 0
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_workspace_row_at_zero_is_the_lattice(name):
+    # the flow of zero length is the node itself: survival mass 1, the stop
+    # floor Aterm[0] is H at the nodes bit for bit, and B_0 is the identity
+    model, _ = load_preset(name)
+    grid = build_grid(model.n, 8 if name == "targeting" else 20)
+    ws = FiniteHorizonSolver(model, grid=grid).ws
+    assert np.array_equal(ws.sv[0], np.ones(grid.n_nodes))
+    assert_bitwise_equal(ws.Aterm[0], terminal_reward(model, grid.nodes)[0])
+    assert (ws.B[0] != sparse.identity(grid.n_nodes, format="csr")).nnz == 0
+
+
+def test_no_continue_cell_within_rounding_of_H():
+    # with one H at the nodes a stop cell holds H's bits, so at eps = 0 no
+    # cell whose value is H up to rounding reads as continue (52 did when
+    # the march's stop floor was a second, flowed H)
+    model, _ = load_preset("insurance")
+    grid = build_grid(model.n, 20)
+    surf = solve_finite(model, grid, L=20)
+    H = terminal_reward(model, grid.nodes)[0]
+    gap = surf.values - H
+    assert not np.any((gap > 0) & (gap <= 4 * np.spacing(np.abs(H) + 1)))
+    # and the eps = 0 stop cells are exactly the cells with H's bits
+    stop = surf.values.view(np.int64) == H.view(np.int64)
+    assert np.array_equal(extract_regions(surf, 0.0).labels != CONTINUE, stop)
 
 
 def test_pointwise_J_with_underflowing_survival_mass():
