@@ -86,7 +86,7 @@ _LOW_MASS = 1e-250
 FLOW_CHUNK = 1000       # steps per flow_path call of flow
 
 
-def flow_path(model, beliefs, h, n):
+def flow_path(model, beliefs, h, n, P=None, x0=None):
     """The no-arrival flow of every belief at u_j = j h, j = 0..n.
 
     Returns the survival weights M, shape (n+1, B, n), of the nonnegative
@@ -95,20 +95,25 @@ def flow_path(model, beliefs, h, n):
     flow has zero length: sv is exactly 1 and X the beliefs given, bit for
     bit.  Elsewhere X is M / sv; where sv is near underflow, X is instead
     the previous belief stepped by P and renormalized, so X is the flowed
-    belief however small M gets.
+    belief however small M gets.  Given a path's P, its row k of M as
+    beliefs and of X as x0, the path is continued: the rows returned are
+    its rows k .. k + n, bit for bit.
     """
     beliefs = np.atleast_2d(beliefs)
     M = np.empty((n + 1,) + beliefs.shape)
     M[0] = beliefs
-    P = propagator(model.flow_generator(), h) if n else None
+    P = propagator(model.flow_generator(), h) if n and P is None else P
     for j in range(n):
         np.matmul(M[j], P, out=M[j + 1])
     sv = M.sum(axis=2)
-    sv[0] = 1.0
+    if x0 is None:
+        sv[0], x0 = 1.0, M[0]
     low = sv < _LOW_MASS
+    low[0] = True                                  # row 0 is x0, not M / sv
     X = np.divide(M, sv[..., None], out=np.empty_like(M),
                   where=~low[..., None])
-    for j in np.flatnonzero(low.any(axis=1)):      # j >= 1: sv[0] = 1
+    X[0] = x0
+    for j in np.flatnonzero(low[1:].any(axis=1)) + 1:
         x = X[j - 1, low[j]] @ P
         X[j, low[j]] = x / x.sum(axis=1, keepdims=True)
     return M, X, sv

@@ -53,7 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from . import model as model_mod
-from .filter import bayes_update, flow_path
+from .filter import bayes_update, flow_path, propagator
 from .grid import SimplexGrid, build_grid
 from .model import (check_belief, check_count, check_time,
                     terminal_reward)
@@ -145,9 +145,15 @@ PICARD_CAP, SWEEP_CAP, INF_L_CAP = 1000, 200, 6000
 
 
 def default_knot_count(model, T=None):
-    """L = ceil(T * max(lam_bar, rho, 1) * 20) uniform steps."""
+    """L = ceil(T * max(lam_bar, rho, 1) * 20) uniform steps, < sys.maxsize."""
     T = model.horizon if T is None else T
-    return max(1, ceil(T * max(model.lam_bar, model.rho, 1.0) * 20.0))
+    L = T * max(model.lam_bar, model.rho, 1.0) * 20.0
+    if not L < sys.maxsize:                         # also inf and NaN
+        raise ValueError(
+            f"the default knot count 20 T max(lam_bar, rho, 1) = {L:.4g} "
+            f"exceeds {sys.maxsize} (T = {T:.4g}, lam_bar = "
+            f"{model.lam_bar:.4g}, rho = {model.rho:.4g}): set L (--L)")
+    return max(1, ceil(L))
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +328,35 @@ def _jump_operator(model, grid):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
+    """Built in blocks of the march's b knots, each flowed on from the last
+    row of the block before: the build holds the flowed beliefs M and X of
+    one block besides what the workspace keeps."""
+
     def __init__(self, model, grid, knots):
         L = len(knots) - 1
         self.L, self.dt = L, float(knots[1] - knots[0]) if L else 0.0
-
-        # survival-weight paths m(u_j, node) for every node, stepped once
-        M, X, sv = flow_path(model, grid.nodes, self.dt, L)
-        self.sv = sv
-
-        Hx = terminal_reward(model, X)[0]
-        disc = np.exp(-model.rho * knots)
-        self.Aterm = sv * disc[:, None] * Hx
-        self.Hnodes = self.Aterm[0]       # x(0, node) is the node: H there
-        self.costM = M @ model.effective_cost_rates()
-        self.disc = disc
-
+        # march blocks: b^2 / 2 single-slice products against L block ones
+        self.b = b = max(1, ceil(sqrt(2 * L)))
         # jump term at u_j: sv_j F(X_j), G0 w = F at the nodes, B_j F at X_j
         self.G0 = _jump_operator(model, grid)
-        self.B = grid.interp_matrices(X, sv)
+        self.disc = disc = np.exp(-model.rho * knots)
+        self.Aterm, self.costM = np.empty((2, L + 1, grid.n_nodes))
+        self.B = []
+        P = propagator(model.flow_generator(), self.dt) if L else None
+        for a in range(0, L + 1, b):
+            e = min(a + b, L + 1)
+            # survival-weight paths m(u_j, node), j = a .. e - 1
+            if a:
+                M, X, sv = (r[1:] for r in flow_path(
+                    model, M[-1], self.dt, e - a, P, X[-1]))
+            else:
+                M, X, sv = flow_path(model, grid.nodes, self.dt, e - 1, P)
+            Hx = terminal_reward(model, X)[0]
+            self.Aterm[a:e] = sv * disc[a:e, None] * Hx
+            self.costM[a:e] = M @ model.effective_cost_rates()
+            self.B += grid.interp_matrices(X, sv)
+        self.Hnodes = self.Aterm[0]       # x(0, node) is the node: H there
+        self.sv_end = sv[-1].copy()       # survival mass at the last knot
 
 
 def _check_solve(model, grid, tol, zero=False):
@@ -430,9 +447,7 @@ class FiniteHorizonSolver:
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
         P, mx = np.empty((2, L + 1, N))
-        # b^2 / 2 single-slice products per block against L block products
-        b = max(1, ceil(sqrt(2 * L)))
-        h, S_buf, D_buf = np.empty((3, b, N))
+        h, S_buf, D_buf = np.empty((3, ws.b, N))
 
         def arrive(t, h, A):              # rows h reach the targets t
             S = np.add(P[t], h, out=S_buf[: len(h)])
@@ -444,8 +459,8 @@ class FiniteHorizonSolver:
         for j in range(1, L + 1):
             P[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
         mx[1:] = ws.Aterm[1:]
-        for a in range(1, L + 1, b):
-            e = min(a + b, L + 1)
+        for a in range(1, L + 1, ws.b):
+            e = min(a + ws.b, L + 1)
             for d in range(a, e):
                 v[d], steps[d] = self._picard(
                     v[d - 1], F[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
@@ -785,7 +800,7 @@ def solve_infinite(model, grid, tol=1e-4, m_max=500):
             break
     # truncation tail: survival mass still alive at t_max times the value
     # scale ||H|| + ||C|| / rho_hat
-    sv_end = float(np.max(ws.sv[-1]))
+    sv_end = float(np.max(ws.sv_end))
     tail = sv_end * (model.norm_H() + model.norm_C() / rho_hat)
     meta = {
         "iterations": m,

@@ -444,14 +444,15 @@ def capped_address_space():
 
 
 @pytest.mark.parametrize("command, option, value", [
-    ("solve", "--override", "horizon=1e308"),      # L = ceil(inf)
-    ("solve", "--override", "lambda=1e307,1"),     # L = ceil(inf)
+    ("solve", "--override", "horizon=1e308"),      # 20 T lam_bar = inf
+    ("solve", "--override", "lambda=1e307,1"),     # 20 T lam_bar = inf
     ("solve", "--L", "1000000000000"),             # 7.28 TiB of knots
     ("evaluate", "--paths", "1000000000000")])     # 3.64 TiB of paths
 def test_sizes_beyond_reach_exit_two(out, capsys, capped_address_space,
                                      command, option, value):
-    # an OverflowError or a MemoryError is a numeric failure: one line, no
-    # traceback, and nothing left behind
+    # a default knot count refused as too large, an OverflowError or a
+    # MemoryError is a numeric failure: one line, no traceback, and
+    # nothing left behind
     if command == "evaluate":
         assert run(["solve", "--example", "regime", "--R", "10", "--L", "10",
                     "--out", str(out)]) == 0
@@ -465,6 +466,20 @@ def test_sizes_beyond_reach_exit_two(out, capsys, capped_address_space,
     if command == "solve":
         assert_nothing_left(out)
     assert_no_child()
+
+
+@pytest.mark.parametrize("override", ["horizon=1e308", "lambda=1e307,1",
+                                      "horizon=1e20"])
+def test_default_knot_count_beyond_reach_is_named(out, capsys, override):
+    # 20 T lam_bar is inf or past sys.maxsize: refused before any array is
+    # sized, in one line naming the count and what sets it
+    assert run(["solve", "--example", "regime", "--override", override,
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: the default knot count ")
+    assert "T = " in err and "lam_bar = " in err and "rho = " in err
+    assert err.endswith("set L (--L)\n") and len(err.splitlines()) == 1
+    assert_nothing_left(out)
 
 
 def test_diverging_time_grid_exit_code(out, capsys):

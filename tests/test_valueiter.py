@@ -8,6 +8,7 @@ import signal
 import struct
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +35,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop import valueiter
-from poistop.filter import propagator
+from poistop.filter import flow_path, propagator
 from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
 from poistop.presets import preset_names
@@ -1070,10 +1071,10 @@ def underflow_model():
 def test_workspace_with_underflowing_survival_mass():
     # the workspace only: a full solve at L = 600 is unstable
     # (dt lam_bar = 1.67); the default L for this model is 20,000
-    solver = FiniteHorizonSolver(underflow_model(), grid=build_grid(2, 4),
-                                 L=600)
+    model = underflow_model()
+    solver = FiniteHorizonSolver(model, grid=build_grid(2, 4), L=600)
     ws = solver.ws
-    assert np.any(ws.sv == 0.0)
+    assert np.any(flow_path(model, solver.grid.nodes, ws.dt, 600)[2] == 0.0)
     assert np.all(np.isfinite(ws.Aterm))
     assert np.all(np.isfinite(ws.G0.data))
     assert all(np.all(np.isfinite(B.data)) for B in ws.B)
@@ -1087,9 +1088,74 @@ def test_workspace_row_at_zero_is_the_lattice(name):
     model, _ = load_preset(name)
     grid = build_grid(model.n, 8 if name == "targeting" else 20)
     ws = FiniteHorizonSolver(model, grid=grid).ws
-    assert np.array_equal(ws.sv[0], np.ones(grid.n_nodes))
+    sv = flow_path(model, grid.nodes, ws.dt, ws.L)[2]
+    assert np.array_equal(sv[0], np.ones(grid.n_nodes))
     assert_bitwise_equal(ws.Aterm[0], terminal_reward(model, grid.nodes)[0])
     assert (ws.B[0] != sparse.identity(grid.n_nodes, format="csr")).nnz == 0
+
+
+def one_shot_workspace(model, grid, knots):
+    """The workspace arrays from one pass over every knot: one flow_path,
+    one terminal_reward and one interp_matrices call, the reference for
+    _Workspace's build in march blocks."""
+    L = len(knots) - 1
+    M, X, sv = flow_path(model, grid.nodes, knots[1] - knots[0] if L else 0.0,
+                         L)
+    Aterm = sv * np.exp(-model.rho * knots)[:, None] \
+        * terminal_reward(model, X)[0]
+    return SimpleNamespace(Aterm=Aterm, Hnodes=Aterm[0], sv_end=sv[-1],
+                           costM=M @ model.effective_cost_rates(),
+                           G0=valueiter._jump_operator(model, grid),
+                           B=grid.interp_matrices(X, sv))
+
+
+def assert_csr_bitwise_equal(A, B):
+    assert A.shape == B.shape
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert_bitwise_equal(A.data, B.data)
+
+
+@pytest.mark.parametrize("name, R, L", [(name, 8, None) for name in
+                                        preset_names()]
+                         + [("regime", 8, 0), ("insurance", 8, 0),
+                            ("underflow", 400, 600)])
+def test_workspace_in_blocks_is_the_one_shot_workspace(name, R, L):
+    # each block is stepped on from the last row of the one before: every
+    # array bitwise the one-pass build, also where blocks end inside the
+    # knots whose survival mass underflows (underflow, past u = 0.93)
+    model = underflow_model() if name == "underflow" else load_preset(name)[0]
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L)
+    ws, ref = solver.ws, one_shot_workspace(model, solver.grid, solver.knots)
+    assert solver.L == 0 or (solver.L + 1) % ws.b    # a short last block
+    for key in ("Aterm", "Hnodes", "costM", "sv_end"):
+        assert_bitwise_equal(getattr(ws, key), getattr(ref, key))
+    assert len(ws.B) == len(ref.B) == solver.L + 1
+    for A, B in zip([ws.G0] + ws.B, [ref.G0] + ref.B):
+        assert_csr_bitwise_equal(A, B)
+
+
+def test_workspace_build_holds_one_block():
+    # the build holds one block of flowed beliefs besides what it keeps
+    # (2.56 times what it keeps when every knot was flowed at once), and
+    # the march adds its surface v, P, mx and F plus (b, N) block buffers
+    model, _ = load_preset("reliability")
+    solver = FiniteHorizonSolver(model, grid=build_grid(model.n, 30))
+    tracemalloc.start()
+    try:
+        ws = solver.ws
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solver.march()
+        march = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(B.data.nbytes + B.indices.nbytes + B.indptr.nbytes
+               for B in [ws.G0] + ws.B) \
+        + ws.Aterm.nbytes + ws.costM.nbytes + ws.disc.nbytes
+    surface = ws.Aterm.nbytes                     # one (L + 1, N) array
+    assert build <= 1.75 * kept
+    assert march <= kept + 4 * surface + 12 * ws.b * solver.grid.n_nodes * 8
 
 
 def test_no_continue_cell_within_rounding_of_H():
