@@ -194,8 +194,8 @@ class ModelSpec:
         return float(np.max(np.abs(self.effective_cost_rates())))
 
     def norm_H(self):
-        # H is a max of linear forms: |H| is at most its largest corner value
-        return float(np.max(np.abs(terminal_reward(self, np.eye(self.n))[0])))
+        # |mu_k . pi| <= max |mu| on the simplex; corners miss H's dips
+        return float(np.max(np.abs(self.mu)))
 
 
 def make_model(n, Q, lam, marks=None, c=None, rho=0.0, mu=None, horizon=1.0,

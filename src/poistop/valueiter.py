@@ -26,12 +26,13 @@ The discretized J0 is causal in time-to-maturity: slice ell reads slices
 ell - j, j >= 1, and itself only through the trapezoid's half-weight
 self-term, a contraction of modulus dt lam_bar / 2.  FiniteHorizonSolver
 therefore reaches the fixed point in one march over ell
-(FiniteHorizonSolver.march).  Value iteration (FiniteHorizonSolver.iterate)
-stays as the reference and as the certificate: it runs on a coarse problem
-and its m gives the bound b(m) on V - v_m, which also bounds V minus the
-marched surface, since that surface lies above every iterate.  The march
-of the coarse problem is checked against it and serves as the coarse
-solve of the Richardson check.
+(FiniteHorizonSolver.march).  Value iteration (_iterate, the one loop of
+FiniteHorizonSolver.iterate and solve_infinite) stays as the reference
+and as the certificate: it runs on a coarse problem and its m gives the
+bound b(m) on V - v_m, which also bounds V minus the marched surface,
+since that surface lies above every iterate.  The march of the coarse
+problem is checked against it and serves as the coarse solve of the
+Richardson check.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ CERT_R, CERT_L = 16, 60
 PICARD_CAP, SWEEP_CAP, INF_L_CAP = 1000, 200, 6000
 
 
-def default_knot_count(model, T=None):
+def default_knot_count(model):
     """L = ceil(T * max(lam_bar, rho, 1) * 20) uniform steps, < sys.maxsize."""
-    T = model.horizon if T is None else T
+    T = model.horizon
     L = T * max(model.lam_bar, model.rho, 1.0) * 20.0
     if not L < sys.maxsize:                         # also inf and NaN
         raise ValueError(
@@ -154,6 +155,32 @@ def default_knot_count(model, T=None):
             f"exceeds {sys.maxsize} (T = {T:.4g}, lam_bar = "
             f"{model.lam_bar:.4g}, rho = {model.rho:.4g}): set L (--L)")
     return max(1, ceil(L))
+
+
+def _iterate(step, v0, tol, cap, scale):
+    """v_{m+1} = step(v_m) from v0 until a step moves v by at most tol, or
+    cap steps: the last v and meta iterations, deltas, tol, converged.  A
+    step falling by over 10 tol (the iterates rise from H) or an iterate
+    beyond twice the value scale is a NumericalError."""
+    v, deltas = v0, []
+    while len(deltas) < cap:
+        vnew = step(v)
+        worst = float(np.min(vnew - v))
+        if worst < -10.0 * tol:
+            raise NumericalError(f"value iteration lost monotonicity (min "
+                                 f"step {worst}); discretization bug")
+        sup = float(np.max(np.abs(vnew)))
+        if not sup <= 2.0 * scale:                  # also NaN
+            raise NumericalError(
+                f"value iteration diverged: step {len(deltas) + 1} reached "
+                f"sup |v| = {sup:.4g}, beyond twice the value scale "
+                f"{scale:.4g}; the discretization is too coarse")
+        deltas.append(float(np.max(np.abs(vnew - v))))
+        v = vnew
+        if deltas[-1] <= tol:
+            break
+    return v, {"iterations": len(deltas), "deltas": deltas, "tol": tol,
+               "converged": bool(deltas and deltas[-1] <= tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +342,7 @@ def _jump_operator(model, grid):
     node's Rm post-jump beliefs, weighted by the rates of their marks (0
     for a mark impossible there)."""
     M, w = grid.nodes, model.marks.weights
-    X = M / M.sum(axis=1, keepdims=True)
-    Z, dead = bayes_update(model, X[:, None, :], w.T)
+    Z, dead = bayes_update(model, M[:, None, :], w.T)
     omega = M @ (model.lam[:, None] * w)
     omega[dead] = 0.0
     return grid.interp_matrix(Z.reshape(-1, model.n), omega.ravel(),
@@ -504,36 +530,17 @@ class FiniteHorizonSolver:
             f"knots; it is < 1 from L = {L_min}")
 
     def iterate(self):
-        """Value iteration v_0 = H, v_{m+1} = sweep(v_m) until the step is
-        at most tol (or SWEEP_CAP sweeps): the reference for march and the
-        certificate of solve."""
-        v = np.tile(self.ws.Hnodes, (self.L + 1, 1))
-        deltas = []
-        m = 0
-        while m < SWEEP_CAP:
-            vnew = self.sweep(v)
-            worst = float(np.min(vnew - v))
-            if worst < -10.0 * self.tol:
-                raise NumericalError(
-                    f"value iteration lost monotonicity (min step {worst}); "
-                    "discretization bug"
-                )
-            delta = float(np.max(np.abs(vnew - v)))
-            deltas.append(delta)
-            v = vnew
-            m += 1
-            if delta <= self.tol:
-                break
-        bound = uniform_error_bound(self.model, m) if m >= 2 else float("inf")
-        meta = {
-            "iterations": m,
-            "deltas": deltas,
-            "tol": self.tol,
-            "converged": bool(deltas and deltas[-1] <= self.tol),
-            "uniform_error_bound": bound,
-        }
-        return ValueSurface(model=self.model, grid=self.grid,
-                            knots=self.knots, values=v, meta=meta)
+        """_iterate of sweep from H, at most SWEEP_CAP sweeps, meta with b(m):
+        the reference for march and the certificate of solve."""
+        model = self.model
+        v0 = np.tile(self.ws.Hnodes, (self.L + 1, 1))
+        v, meta = _iterate(self.sweep, v0, self.tol, SWEEP_CAP,
+                           model.norm_H() + model.horizon * model.norm_C())
+        m = meta["iterations"]
+        meta["uniform_error_bound"] = uniform_error_bound(model, m) \
+            if m >= 2 else float("inf")
+        return ValueSurface(model=model, grid=self.grid, knots=self.knots,
+                            values=v, meta=meta)
 
     def _certificate(self):
         """The solver of the certificate problem: grid min(R, CERT_R) and
@@ -769,46 +776,37 @@ class StationaryValue:
 
 
 def solve_infinite(model, grid, tol=1e-4, m_max=500):
-    """Fixed-point iteration of the infinite-horizon operator (sup over
-    t >= 0, truncated at t_max = max(20/lam_bar, 10/rho_hat), on at most
-    INF_L_CAP knots) until a step is at most tol; tol = 0 runs all m_max
-    iterations."""
+    """_iterate of the infinite-horizon operator (sup over t >= 0 up to
+    t_max = max(20/lam_bar, 10/rho_hat), on at most INF_L_CAP knots, each
+    short enough for one flow step) to tol; tol = 0 runs m_max steps."""
     tol = _check_solve(model, grid, tol, zero=True)
     _check_infinite_assumptions(model)
     rho_hat = _rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
-    L = min(default_knot_count(model, t_max), INF_L_CAP)
+    L = ceil(min(t_max * max(model.lam_bar, model.rho, 1.0) * 20.0,
+                 INF_L_CAP))
+    q = t_max / L * float(np.max(model.lam - np.diag(model.Q)))
+    if not q <= 200.0:
+        raise ValueError(
+            f"solve_infinite: t_max = {t_max:.4g} (rho_hat = {rho_hat:.4g}) "
+            f"on {L} knots (INF_L_CAP = {INF_L_CAP}) has dt max_i(lambda_i "
+            f"- q_ii) = {q:.4g} > 200: a flow step decays out of range")
     knots = np.linspace(0.0, t_max, L + 1)
     ws = _Workspace(model, grid, knots)
     B = sparse.vstack(ws.B, format="csr")     # every B_j F in one product
-    dt = ws.dt
-    v = ws.Hnodes.copy()
-    deltas = []
-    m = 0
-    while m < m_max:
+
+    def step(v):
         W = (B @ (ws.G0 @ v)).reshape(L + 1, grid.n_nodes)
         phi = ws.disc[:, None] * (ws.costM + W)
-        inc = 0.5 * dt * (phi[:-1] + phi[1:])
+        inc = 0.5 * ws.dt * (phi[:-1] + phi[1:])
         I = np.concatenate([np.zeros((1, grid.n_nodes)),
                             np.cumsum(inc, axis=0)])
-        vnew = np.max(ws.Aterm + I, axis=0)
-        delta = float(np.max(np.abs(vnew - v)))
-        deltas.append(delta)
-        v = vnew
-        m += 1
-        if delta <= tol:
-            break
-    # truncation tail: survival mass still alive at t_max times the value
-    # scale ||H|| + ||C|| / rho_hat
-    sv_end = float(np.max(ws.sv_end))
-    tail = sv_end * (model.norm_H() + model.norm_C() / rho_hat)
-    meta = {
-        "iterations": m,
-        "deltas": deltas,
-        "tol": tol,
-        "converged": bool(deltas and deltas[-1] <= tol),
-        "t_max": float(t_max),
-        "err_infinity": err_infinity(model, m),
-        "truncation_tail_bound": tail,
-    }
+        return np.max(ws.Aterm + I, axis=0)
+
+    # the value scale; times the survival mass left at t_max, the tail
+    scale = model.norm_H() + model.norm_C() / rho_hat
+    v, meta = _iterate(step, ws.Hnodes.copy(), tol, m_max, scale)
+    meta.update(t_max=float(t_max),
+                err_infinity=err_infinity(model, meta["iterations"]),
+                truncation_tail_bound=float(np.max(ws.sv_end)) * scale)
     return StationaryValue(model=model, grid=grid, values=v, meta=meta)

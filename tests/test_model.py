@@ -28,6 +28,7 @@ from poistop.model import (
     no_marks,
     save_model,
 )
+from poistop.presets import preset_names
 
 
 def two_state(**kw):
@@ -180,6 +181,16 @@ def test_terminal_reward_tie_breaks_smallest_index():
         assert np.array_equal(np.rint(60 * nodes[i]) @ [6, 1, -3], 0.0)
         assert terminal_reward(model, nodes[i])[1] == 0
         assert terminal_reward(model, nodes)[1][i] == 0
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_norm_H_bounds_H_on_the_lattice(name):
+    # on regime H dips to -1 at (1/2, 1/2) below both corner values 0: the
+    # largest corner |H| was 0 there
+    model, info = load_preset(name)
+    H = terminal_reward(model, build_grid(model.n, info["R"]).nodes)[0]
+    assert model.norm_H() >= np.max(np.abs(H))
+    assert model.norm_H() == np.max(np.abs(model.mu))
 
 
 def test_best_action_invariant_under_common_shift():

@@ -596,6 +596,7 @@ def reference_flow(solver):
             M[j + 1] = M[j] @ P
     sv = M.sum(axis=2)
     X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
+    sv[0], X[0] = 1.0, grid.nodes      # a flow of zero length: the nodes
     return M, sv, X
 
 
@@ -847,6 +848,17 @@ def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
                             *march(self, *args)))
     with pytest.raises(NumericalError, match="certificate problem"):
         solver.solve()
+
+
+@pytest.mark.parametrize("L, step", [(1, 9), (2, 34)])
+def test_iterate_refuses_a_diverging_iteration(L, step):
+    # one or two knots on insurance: the sweeps left the value scale
+    # ||H|| + T ||C|| and reached 4.1e58 after SWEEP_CAP sweeps at L = 1
+    model, _ = load_preset("insurance")
+    solver = FiniteHorizonSolver(model, grid=build_grid(3, 6), L=L)
+    with pytest.raises(NumericalError, match=f"diverged: step {step} .*"
+                       "twice the value scale 6.24"):
+        solver.iterate()
 
 
 # -- the certificate in a forked child ---------------------------------------
@@ -1436,6 +1448,13 @@ def test_horizon_error_vanishes_for_long_horizons():
     assert horizon_error(model, 500.0) < 1e-12
 
 
+def test_horizon_error_regime_is_positive():
+    # 2 ||H|| / T (min mu - max mu) / max c = 2 * 2 / 2 * (-2) / (-1); it
+    # read 0 while norm_H took the largest corner |H|, which is 0 on regime
+    model, _ = load_preset("regime")
+    assert horizon_error(model) == 4.0
+
+
 def test_horizon_error_rho_zero_scales_inverse_T():
     model, _ = load_preset("regime")  # rho = 0, c = -1 < 0
     assert horizon_error(model, 4.0) == pytest.approx(
@@ -1472,7 +1491,8 @@ def per_knot_infinite(model, grid, tol):
     sup change of each iteration."""
     rho_hat = valueiter._rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)
-    L = min(default_knot_count(model, t_max), valueiter.INF_L_CAP)
+    L = min(int(np.ceil(t_max * max(model.lam_bar, model.rho, 1.0) * 20.0)),
+            valueiter.INF_L_CAP)
     ws = valueiter._Workspace(model, grid, np.linspace(0.0, t_max, L + 1))
     v, deltas = ws.Hnodes.copy(), []
     while len(deltas) < 500:
@@ -1500,6 +1520,29 @@ def test_infinite_stacked_product_matches_per_knot_loop(name, R):
     assert np.array_equal(stat.values, v)
     assert stat.meta["deltas"] == deltas
     assert stat.meta["iterations"] == len(deltas)
+
+
+@pytest.mark.parametrize("rho, step", [(0.01, 161), (0.001, 14)])
+def test_infinite_refuses_a_diverging_iteration(rho, step):
+    # too few knots for the truncation time: the iterates left the value
+    # scale ||H|| + ||C|| / rho and reached 3.1e8 (rho = 0.01, 500
+    # iterations, not converged) and 3.5e303 (rho = 0.001)
+    model = dataclasses.replace(load_preset("insurance")[0], rho=rho)
+    scale = model.norm_H() + model.norm_C() / rho
+    with pytest.raises(NumericalError, match=f"diverged: step {step} .*"
+                       f"twice the value scale {scale:.4g}"):
+        solve_infinite(model, grid=build_grid(3, 4), tol=1e-4)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1e-15, 1e-306])
+def test_infinite_refuses_knots_too_coarse_for_the_flow(rho):
+    # 1e-6 and 1e-15 ended in a non-finite belief [nan nan nan], 1e-306 in
+    # the knot count's message, which named --L
+    model = dataclasses.replace(load_preset("insurance")[0], rho=rho)
+    with pytest.raises(ValueError, match=r"t_max = .*rho_hat = .*INF_L_CAP "
+                       r"= 6000\) .*> 200") as info:
+        solve_infinite(model, grid=build_grid(3, 4), tol=1e-4)
+    assert "--L" not in str(info.value)
 
 
 def test_infinite_dominates_finite():
