@@ -455,10 +455,10 @@ class FiniteHorizonSolver:
         dt/2 e^{-rho u_j} (costM_j + B_j F[d]), F = G0 v, and C_ell reading
         only the slices below ell.  Slice d is found by Picard iteration
         from v[d - 1] (a contraction of modulus dt lam_bar / 2), then pushed
-        forward: h_j[d] reaches target d + j.  A target keeps P, the suffix
-        sum S of its trapezoid increments plus the last h, and
-        mx = max_k (Aterm_k - S_k), so C = P + mx once the slices below it
-        have arrived in increasing d.  Slices go in blocks of b: a slice is
+        forward: h_j[d] reaches target d + j.  A target keeps one row, the
+        max C over its open waits j of Aterm_j plus the trapezoid sum to
+        u_j: h opens wait j (end weight h) and adds 2h to the others, so
+        C' = h + max(C + h, Aterm_j).  Slices go in blocks of b: a slice is
         pushed at once within its block, and the block to later targets by
         one multi-column product per j, in decreasing j.  Returns the
         (L+1, N) values, written into v if given, and the Picard steps of
@@ -466,30 +466,29 @@ class FiniteHorizonSolver:
         are final: after slice 0 and after each block, ending at L + 1."""
         ws, L, N = self.ws, self.L, self.grid.n_nodes
         v = np.empty((L + 1, N)) if v is None else v
-        F = np.empty((L + 1, N))
+        F, C = np.empty((2, L + 1, N))
         v[0] = ws.Hnodes
         final(1)
         F[0] = ws.G0 @ v[0]
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
-        P, mx = np.empty((2, L + 1, N))
-        h, S_buf, D_buf = np.empty((3, ws.b, N))
+        h = np.empty((ws.b, N))
 
         def arrive(t, h, A):              # rows h reach the targets t
-            S = np.add(P[t], h, out=S_buf[: len(h)])
-            D = np.subtract(A, S, out=D_buf[: len(h)])
-            np.maximum(mx[t], D, out=mx[t])
-            np.add(S, h, out=P[t])
+            Ct = C[t]
+            Ct += h
+            np.maximum(Ct, A, out=Ct)
+            Ct += h
 
-        # slice 0 arrives first everywhere: S_ell = 0, nothing past u_ell
+        # slice 0 arrives first everywhere, opening wait ell at target ell
         for j in range(1, L + 1):
-            P[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
-        mx[1:] = ws.Aterm[1:]
+            C[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
+        C[1:] += ws.Aterm[1:]
         for a in range(1, L + 1, ws.b):
             e = min(a + ws.b, L + 1)
             for d in range(a, e):
                 v[d], steps[d] = self._picard(
-                    v[d - 1], F[d - 1], hd[0] * ws.costM[0] + P[d] + mx[d])
+                    v[d - 1], F[d - 1], hd[0] * ws.costM[0] + C[d])
                 F[d] = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
