@@ -371,8 +371,7 @@ def terminal_reward(model, beliefs):
     rounded sums (a tie in exact arithmetic may round either way)."""
     beliefs = np.asarray(beliefs, dtype=float)
     hv = combine_rows(np.moveaxis(beliefs, -1, 0), model.mu.T)
-    return (hv[0], np.zeros(hv.shape[1:], np.intp)[()]) if len(hv) == 1 \
-        else (hv.max(axis=0), hv.argmax(axis=0))
+    return hv.max(axis=0), hv.argmax(axis=0)
 
 
 def net_return_rate(model, i, k):

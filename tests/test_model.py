@@ -13,13 +13,11 @@ from poistop import (
     net_return_rate,
     terminal_reward,
 )
-from poistop.filter import flow_path
 from poistop.model import (
     N_QUAD_CAP,
     ModelError,
     check_belief,
     check_time,
-    combine_rows,
     discrete_marks,
     gamma_marks,
     gamma_pdf,
@@ -183,24 +181,6 @@ def test_terminal_reward_tie_breaks_smallest_index():
         assert np.array_equal(np.rint(60 * nodes[i]) @ [6, 1, -3], 0.0)
         assert terminal_reward(model, nodes[i])[1] == 0
         assert terminal_reward(model, nodes)[1][i] == 0
-
-
-@pytest.mark.parametrize("name", ["reliability", "targeting"])
-def test_terminal_reward_of_one_action_is_its_row(name):
-    # one action: H and best are those of max and argmax over the length-1
-    # action axis, bit for bit and of the same types, on flowed lattice
-    # beliefs and on one belief
-    model, _ = load_preset(name)
-    assert model.n_actions == 1
-    _, X, _ = flow_path(model, build_grid(model.n, 12).nodes, 0.05, 20)
-    for x in (X, X[3, 7]):
-        hv = combine_rows(np.moveaxis(x, -1, 0), model.mu.T)
-        got = terminal_reward(model, x)
-        for a, b in zip(got, (hv.max(axis=0), hv.argmax(axis=0))):
-            assert type(a) is type(b)
-            a, b = np.asarray(a), np.asarray(b)
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", preset_names())

@@ -1166,10 +1166,9 @@ def test_workspace_build_holds_one_block():
     # (2.56 times what it keeps when every knot was flowed at once), and
     # the march adds, to what is held when it starts, its surface v, C
     # and F plus (b, N) block buffers (measured: 3 surfaces and 4.3 b N
-    # doubles; 4 surfaces when each target kept two rows).  What is held
-    # is the kept arrays and the Python objects around them, whose size
-    # depends on what earlier calls left cached, so the march is not
-    # bounded against the kept bytes alone
+    # doubles).  What is held is the kept arrays and the Python objects
+    # around them, whose size depends on what earlier calls left cached,
+    # so the march is not bounded against the kept bytes alone
     model, _ = load_preset("reliability")
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, 30))
     tracemalloc.start()
