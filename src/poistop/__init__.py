@@ -19,6 +19,6 @@ from .policy import (Recommendation, StoppingRegion, boundary_curve,
                      continuation_interval, corner_diagnostics,
                      deterministic_stop_time, extract_regions, ila_boundary,
                      recommend, stop_rule, two_hypothesis_diagnostics)
-from .sim import (EvalReport, PathSample, evaluate_policy, oracle_value,
-                  simulate_path, simulate_paths)
+from .sim import (EvalReport, PathSample, evaluate_policy, simulate_path,
+                  simulate_paths)
 from .presets import load_preset, preset_names

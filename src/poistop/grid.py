@@ -119,14 +119,13 @@ class SimplexGrid:
         out = np.sum(np.asarray(values)[idx] * w, axis=1)
         return float(out[0]) if single else out
 
-    def interp_matrix(self, points, weights=None, group=1):
+    def interp_matrix(self, points, weights, group=1):
         """Sparse (M / group, N) operator mapping nodal values to weighted
         point values: row i sums weight times interpolant over the points
-        i group .. (i + 1) group - 1 (weights None: 1).  Built straight
-        into CSR; the copy drops the buffers that pruning leaves behind."""
+        i group .. (i + 1) group - 1.  Built straight into CSR; the copy
+        drops the buffers that pruning leaves behind."""
         idx, w = self.barycentric(points)
-        if weights is not None:
-            w = w * np.reshape(weights, (-1, 1))
+        w = w * np.reshape(weights, (-1, 1))
         m = idx.shape[0] // group
         B = sparse.csr_matrix((w.ravel(), idx.ravel(),
                                np.arange(m + 1) * (group * self.n)),

@@ -1,4 +1,4 @@
-"""Ground truth: path simulation, Monte Carlo policy evaluation, oracles.
+"""Ground truth: path simulation and Monte Carlo policy evaluation.
 
 Paths are simulated in batches, one event of a rate-(q_bar + lam_bar)
 Poisson stream at a time for all of them, with q_bar = max_i |q_ii|.  An
@@ -20,9 +20,8 @@ from math import ceil, sqrt
 
 import numpy as np
 
-from .filter import (ArrivalEvent, FlowPropagator, bayes_update,
-                     events_to_csv, propagator)
-from .model import check_belief, check_count, check_eps, terminal_reward
+from .filter import ArrivalEvent, FlowPropagator, bayes_update, events_to_csv
+from .model import check_belief, check_count, check_eps
 from .policy import _flow_stop, stop_rule
 from .valueiter import NumericalError, _forked
 
@@ -464,74 +463,6 @@ def _rewards(model, paths, tau, act):
     j_at = np.sum(hid_t[:, :-1] <= tau[:, None], axis=1) - 1
     reward += np.exp(-rho * tau) * model.mu[act, hid_s[np.arange(P), j_at]]
     return reward
-
-
-# ---------------------------------------------------------------------------
-# discrete-time oracles
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleSurface:
-    grid: object
-    times: np.ndarray          # snapshot horizons, ascending
-    values: np.ndarray         # (len(times), N)
-    dt: float
-
-
-def oracle_value(model, dt, grid, T=None, snapshot_times=None):
-    """Discrete-time DP approximation of the value function.
-
-    Backward induction value = max(H, cost + e^{-rho dt} E[next]) with a
-    first-order one-step belief kernel (predict with exp(dt Q), then branch
-    on no arrival / an arrival with each mark).  Returns snapshots of the
-    value for the requested horizons (all multiples of dt are available).
-    """
-    if model.n > 3:
-        raise ValueError("oracle_value: n <= 3 only (resource cap)")
-    if model.lam_bar * dt >= 0.05:
-        raise ValueError("oracle_value: need lam_bar * dt < 0.05")
-    T = model.horizon if T is None else T
-    steps = int(round(T / dt))
-    if snapshot_times is None:
-        snapshot_times = np.array([T])
-    snapshot_times = np.asarray(snapshot_times, dtype=float)
-    snap_steps = np.rint(snapshot_times / dt).astype(int)
-
-    nodes = grid.nodes
-    pred = nodes @ propagator(model.Q, dt)
-    surv = np.exp(-model.lam * dt)
-    w0 = pred * surv[None, :]
-    p0 = w0.sum(axis=1)
-    B0 = grid.interp_matrix(w0 / p0[:, None])
-    marks = model.marks
-    branches = []
-    for r in range(marks.n_marks):
-        wr = pred * ((1.0 - surv) * marks.weights[:, r])[None, :]
-        pr = wr.sum(axis=1)
-        ok = pr > 0
-        post = np.where(ok[:, None], wr / np.where(pr[:, None] > 0,
-                                                   pr[:, None], 1.0), nodes)
-        branches.append((pr, grid.interp_matrix(post)))
-    H = terminal_reward(model, nodes)[0]
-    if model.cost_mode == "running":
-        step_cost = (nodes @ model.c) * dt
-    else:
-        step_cost = sum(pr * float(model.K[r])
-                        for r, (pr, _) in enumerate(branches))
-    disc = np.exp(-model.rho * dt)
-
-    v = H.copy()
-    snaps = {0: v.copy()} if 0 in snap_steps else {}
-    for k in range(1, steps + 1):
-        ev = p0 * (B0 @ v)
-        for pr, Br in branches:
-            ev = ev + pr * (Br @ v)
-        v = np.maximum(H, step_cost + disc * ev)
-        if k in snap_steps:
-            snaps[k] = v.copy()
-    times = np.array(sorted(snaps)) * dt
-    values = np.stack([snaps[k] for k in sorted(snaps)])
-    return OracleSurface(grid=grid, times=times, values=values, dt=dt)
 
 
 # ---------------------------------------------------------------------------

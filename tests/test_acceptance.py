@@ -27,7 +27,6 @@ from poistop import (
     flow,
     load_preset,
     net_return_rate,
-    oracle_value,
     richardson_check,
     simulate_paths,
     solve_finite,
@@ -37,6 +36,7 @@ from poistop import (
 )
 from poistop.policy import CONTINUE
 from poistop.model import terminal_reward
+from oracles import oracle_value
 
 
 @pytest.fixture(scope="module")

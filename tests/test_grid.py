@@ -153,7 +153,7 @@ def test_interp_matrix_matches_interpolate():
     rng = np.random.default_rng(21)
     pts = random_simplex_points(rng, 50, 3)
     vals = rng.normal(size=g.n_nodes)
-    B = g.interp_matrix(pts)
+    B = g.interp_matrix(pts, np.ones(len(pts)))
     direct = np.array([g.interpolate(vals, p) for p in pts])
     assert np.allclose(B @ vals, direct, atol=1e-12)
 

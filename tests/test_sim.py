@@ -15,7 +15,6 @@ from poistop import (
     filter_path,
     load_preset,
     make_model,
-    oracle_value,
     preset_names,
     simulate_path,
     simulate_paths,
@@ -28,6 +27,7 @@ from poistop.policy import _flow_stop
 from poistop.sim import (RNG_ALGORITHM, _uniform, path_to_csv,
                          philox_blocks)
 from poistop.valueiter import NumericalError
+from oracles import oracle_value
 from test_valueiter import (assert_bitwise_equal, assert_no_child,
                             deadline, forked)
 
