@@ -62,7 +62,7 @@ def extract_regions(surface, eps_tol=None):
     eps_tol = _region_tolerance(surface, eps_tol)
     stop, best, _ = stop_rule(surface.model, surface.values,
                               surface.grid.nodes, eps_tol)
-    labels = np.where(stop, best, CONTINUE).astype(np.int64)
+    labels = np.where(stop, best, CONTINUE).astype(np.int64, copy=False)
     return StoppingRegion(surface=surface, eps_tol=eps_tol,
                           labels=labels)
 

@@ -460,39 +460,45 @@ class FiniteHorizonSolver:
         u_j: h opens wait j (end weight h) and adds 2h to the others, so
         C' = h + max(C + h, Aterm_j).  Slices go in blocks of b: a slice is
         pushed at once within its block, and the block to later targets by
-        one multi-column product per j, in decreasing j.  Returns the
-        (L+1, N) values, written into v if given, and the Picard steps of
-        each slice.  final(e), if given, is called once the slices below e
-        are final: after slice 0 and after each block, ending at L + 1."""
-        ws, L, N = self.ws, self.L, self.grid.n_nodes
+        one multi-column product per j, in decreasing j.
+
+        The march works inside the surface it fills: row t of v holds
+        target t's C until slice t is solved, and F holds the slice before
+        the current block (row 0) and the block's slices (row 1 + d - a).
+        Returns the (L+1, N) values, written into v if given, and the
+        Picard steps of each slice.  final(e), if given, is called once the
+        slices below e are final: after slice 0 and after each block,
+        ending at L + 1.  Rows at or above e are scratch until then."""
+        ws, L, N, b = self.ws, self.L, self.grid.n_nodes, self.ws.b
         v = np.empty((L + 1, N)) if v is None else v
-        F, C = np.empty((2, L + 1, N))
+        F = np.empty((b + 1, N))
         v[0] = ws.Hnodes
         final(1)
         F[0] = ws.G0 @ v[0]
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
-        h = np.empty((ws.b, N))
+        h0 = hd[0] * ws.costM[0]          # the cost term of u_0
+        h = np.empty((b, N))
 
         def arrive(t, h, A):              # rows h reach the targets t
-            Ct = C[t]
+            Ct = v[t]
             Ct += h
             np.maximum(Ct, A, out=Ct)
             Ct += h
 
         # slice 0 arrives first everywhere, opening wait ell at target ell
         for j in range(1, L + 1):
-            C[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
-        C[1:] += ws.Aterm[1:]
-        for a in range(1, L + 1, ws.b):
-            e = min(a + ws.b, L + 1)
+            v[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
+        v[1:] += ws.Aterm[1:]
+        for a in range(1, L + 1, b):
+            e = min(a + b, L + 1)
             for d in range(a, e):
-                v[d], steps[d] = self._picard(
-                    v[d - 1], F[d - 1], hd[0] * ws.costM[0] + C[d])
-                F[d] = ws.G0 @ v[d]
+                k = 1 + d - a             # slice d's row of F
+                v[d], steps[d] = self._picard(v[d - 1], F[k - 1], h0 + v[d])
+                F[k] = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
-                    h[j - 1] = ws.B[j] @ F[d]
+                    h[j - 1] = ws.B[j] @ F[k]
                 hj = h[:m]
                 hj += ws.costM[1: m + 1]
                 hj *= hd[1: m + 1, None]
@@ -500,10 +506,12 @@ class FiniteHorizonSolver:
             for j in range(L - a, 0, -1):
                 lo, hi = max(a, e - j), min(e, L + 1 - j)
                 if lo < hi:               # targets lo + j .. hi + j - 1 >= e
-                    hj = (ws.B[j] @ F[lo:hi].T).T.copy()   # C order
+                    hj = h[: hi - lo]     # C order, as arrive's rows
+                    np.copyto(hj, (ws.B[j] @ F[1 + lo - a: 1 + hi - a].T).T)
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
+            F[0] = F[e - a]               # slice e - 1, before the next block
             final(e)
         return v, steps
 
@@ -574,9 +582,10 @@ class FiniteHorizonSolver:
                                                L=cert.L, coarse=coarse)
 
     def solve(self, v=None, final=lambda e: None):
-        """The marched surface (v and final as in march), certified by
-        _certify in a forked child while this process builds the workspace
-        and marches.  meta carries the value iteration's iterations, deltas,
+        """The marched surface (v and final as in march: rows of v at or
+        above e are scratch until final(e)), certified by _certify in a
+        forked child while this process builds the workspace and marches.
+        meta carries the value iteration's iterations, deltas,
         uniform_error_bound b(m) (which bounds V minus the marched surface
         too) and its convergence (certificate_converged); march_gap;
         richardson_delta."""
@@ -606,7 +615,8 @@ def solve_to_csv(model, grid, path, L=None, tol=1e-4):
     ".part", each block once the march sends its count through a pipe.  A
     with-block that ends normally joins the writer (off Linux the join
     writes) and renames the file to path; else the writer is killed.  No
-    .part file outlives the call."""
+    .part file outlives the call.  The solver, and with it the workspace,
+    is dropped before the surface is yielded."""
     solver = FiniteHorizonSolver(model, grid=grid, L=L, tol=tol)
     size = 8 * (solver.L + 1) * grid.n_nodes
     values = np.frombuffer(mmap.mmap(-1, size)).reshape(solver.L + 1, -1)
@@ -618,8 +628,10 @@ def solve_to_csv(model, grid, path, L=None, tol=1e-4):
         writer = ValueSurface(model, grid, solver.knots, values).to_csv
         # the writer drops w, so a parent killed from outside ends it too
         with _forked(writer, part, counts, close=(w,)) as join:
-            yield solver.solve(values, lambda e: os.write(
+            surface = solver.solve(values, lambda e: os.write(
                 w, struct.pack("<q", e)))
+            del solver
+            yield surface
             join()
         os.replace(part, path)
     finally:

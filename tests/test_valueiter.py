@@ -1,6 +1,7 @@
 """Value iteration: operators, surfaces, error bounds, infinite horizon."""
 
 import dataclasses
+import gc
 import json
 import mmap
 import os
@@ -485,39 +486,77 @@ def test_streamed_surface_csv_byte_equal_reference_at_the_edges(
     assert len(text.splitlines()) == 1 + (surf.L + 1) * surf.grid.n_nodes
 
 
+def snapshotting(final, v, kept):
+    """final(e) that first appends e and a copy of v's rows below e to
+    kept."""
+    def snap(e):
+        kept.append((e, v[:e].copy()))
+        final(e)
+    return snap
+
+
 @pytest.mark.parametrize("L", [0, 1, 2, 12, 40, 121])
 def test_march_reports_final_slices_once_per_block(L):
     # counts 1, then one per block of ceil(sqrt(2 L)) slices, ending at
     # L + 1: a few 8-byte messages, far below a pipe's buffer, and the
-    # last one the writer's sentinel
+    # last one the writer's sentinel.  Rows of v at or above e are scratch
+    # until final(e), the rows below are the surface's: a row reported
+    # final is never written again
     model, _ = load_preset("regime")
     solver = FiniteHorizonSolver(model, grid=build_grid(2, 8), L=L)
-    counts = []
-    v, _ = solver.march(final=counts.append)
+    v, kept = np.full((L + 1, 9), np.nan), []
+    solver.march(v, snapshotting(lambda e: None, v, kept))
+    counts = [e for e, _ in kept]
     b = max(1, int(np.ceil(np.sqrt(2 * L))))
     assert counts == [1] + [min(a + b, L + 1) for a in range(1, L + 1, b)]
     assert len(counts) <= 2 + np.sqrt(L)
+    for e, rows in kept:
+        assert_bitwise_equal(rows, v[:e])
     assert_bitwise_equal(v, FiniteHorizonSolver(
         model, grid=build_grid(2, 8), L=L).march()[0])
 
 
+def test_solve_to_csv_frees_the_workspace_before_it_yields(tmp_path,
+                                                           deadline):
+    # the artifacts are written while the surface is yielded: no workspace
+    # made by the solve is reachable then
+    def workspaces():
+        gc.collect()
+        return [o for o in gc.get_objects()
+                if isinstance(o, valueiter._Workspace)]
+
+    model, _ = load_preset("reliability")
+    before = workspaces()                 # left alive by earlier callers
+    with valueiter.solve_to_csv(model, build_grid(3, 8),
+                                tmp_path / "surface.csv", L=20) as surf:
+        held = [ws for ws in workspaces()
+                if all(ws is not old for old in before)]
+        assert held == []
+    assert surf.values.shape == (21, 45)
+
+
 def test_slow_march_streams_the_same_bytes(tmp_path, monkeypatch, deadline):
-    # each block is reported late, so the writer waits on the pipe
+    # each block is reported late, so the writer waits on the pipe, and
+    # the shared mapping's rows below each count are the surface's already
     model, _ = load_preset("reliability")
     grid = build_grid(3, 8)
-    march = FiniteHorizonSolver.march
+    march, kept = FiniteHorizonSolver.march, []
 
     def slow_march(self, v=None, final=lambda e: None):
         def late(e):
             time.sleep(0.05)
             final(e)
-        return march(self, v, late)
+        return march(self, v, late if v is None
+                     else snapshotting(late, v, kept))
 
     monkeypatch.setattr(FiniteHorizonSolver, "march", slow_march)
     path = tmp_path / "surface.csv"
     with valueiter.solve_to_csv(model, grid, path, L=40) as surf:
         pass
     assert_no_child()
+    assert kept[-1][0] == 41
+    for e, rows in kept:
+        assert_bitwise_equal(rows, surf.values[:e])
     ref = solve_finite(model, grid=grid, L=40)
     assert_bitwise_equal(surf.values, ref.values)
     ref.to_csv(tmp_path / "in_memory.csv")
@@ -1164,11 +1203,12 @@ def test_workspace_in_blocks_is_the_one_shot_workspace(name, R, L):
 def test_workspace_build_holds_one_block():
     # the build holds one block of flowed beliefs besides what it keeps
     # (2.56 times what it keeps when every knot was flowed at once), and
-    # the march adds, to what is held when it starts, its surface v, C
-    # and F plus (b, N) block buffers (measured: 3 surfaces and 4.3 b N
-    # doubles).  What is held is the kept arrays and the Python objects
-    # around them, whose size depends on what earlier calls left cached,
-    # so the march is not bounded against the kept bytes alone
+    # the march adds, to what is held when it starts, its surface v (which
+    # holds C too) plus F's b + 1 rows and (b, N) block buffers (measured:
+    # 1 surface and 4.2 b N doubles).  What is held is the kept arrays and
+    # the Python objects around them, whose size depends on what earlier
+    # calls left cached, so the march is not bounded against the kept
+    # bytes alone
     model, _ = load_preset("reliability")
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, 30))
     tracemalloc.start()
@@ -1185,7 +1225,7 @@ def test_workspace_build_holds_one_block():
         + ws.Aterm.nbytes + ws.costM.nbytes + ws.disc.nbytes
     surface = ws.Aterm.nbytes                     # one (L + 1, N) array
     assert build <= 1.75 * kept
-    assert march <= held + 3 * surface + 6 * ws.b * solver.grid.n_nodes * 8
+    assert march <= held + surface + 6 * ws.b * solver.grid.n_nodes * 8
 
 
 def test_no_continue_cell_within_rounding_of_H():
