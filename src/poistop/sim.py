@@ -205,6 +205,8 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
     numbers do not depend on the chunking or on the other paths.
     Returns a PathBatch.
     """
+    if not 0.0 <= float(t_end) < np.inf:                # also NaN
+        raise ValueError(f"t_end: must be a finite number >= 0, got {t_end}")
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")

@@ -277,8 +277,8 @@ class ValueSurface:
             fh.write(b"PSTSURF1")
             fh.write(struct.pack("<4q", self.model.n, self.grid.R,
                                  len(self.knots), self.grid.n_nodes))
-            fh.write(self.knots.astype("<f8").tobytes())
-            fh.write(self.values.astype("<f8").tobytes())
+            for a in (self.knots, self.values):    # their own buffers
+                fh.write(np.ascontiguousarray(a, dtype="<f8"))
             fh.write(struct.pack("<q", len(meta_blob)))
             fh.write(meta_blob)
 
@@ -309,10 +309,11 @@ class ValueSurface:
             if left < 8 * nk * (N + 1):
                 raise corrupt(f"{nk} knots of {N} nodes need "
                               f"{8 * nk * (N + 1)} bytes, {left} left")
+            knots, values = np.empty(nk, "<f8"), np.empty((nk, N), "<f8")
             try:
-                knots = np.frombuffer(fh.read(8 * nk), dtype="<f8").copy()
-                values = np.frombuffer(fh.read(8 * nk * N), dtype="<f8")
-                values = values.reshape(nk, N).copy()
+                for a in (knots, values):          # read into place
+                    if fh.readinto(a) != a.nbytes:
+                        raise ValueError(f"short read of {a.nbytes} bytes")
                 (mlen,) = struct.unpack("<q", fh.read(8))
                 blob = fh.read()
                 if len(blob) != mlen:
@@ -368,7 +369,7 @@ class _Workspace:
         self.disc = disc = np.exp(-model.rho * knots)
         self.Aterm, self.costM = np.empty((2, L + 1, grid.n_nodes))
         self.B = []
-        P = propagator(model.flow_generator(), self.dt) if L else None
+        P = propagator(model.flow_generator(), self.dt)
         for a in range(0, L + 1, b):
             e = min(a + b, L + 1)
             # survival-weight paths m(u_j, node), j = a .. e - 1
@@ -428,8 +429,6 @@ class FiniteHorizonSolver:
         the order of a per-slice cumulative sum (so bitwise the same).  The
         jump term of row k is B_k F, with F = G0 v formed once."""
         ws, L = self.ws, self.L
-        if L == 0:
-            return v.copy()
         F = (ws.G0 @ v.T).T
         half_dt = 0.5 * ws.dt
         vnew = np.empty_like(v)
@@ -453,28 +452,29 @@ class FiniteHorizonSolver:
 
         Slice ell of J0 v is max(H, h_0[ell] + C_ell), with h_j[d] =
         dt/2 e^{-rho u_j} (costM_j + B_j F[d]), F = G0 v, and C_ell reading
-        only the slices below ell.  Slice d is found by Picard iteration
-        from v[d - 1] (a contraction of modulus dt lam_bar / 2), then pushed
+        only the slices below ell.  Slice 0 is H, slice d > 0 the Picard
+        iteration from v[d - 1] (modulus dt lam_bar / 2); each is pushed
         forward: h_j[d] reaches target d + j.  A target keeps one row, the
         max C over its open waits j of Aterm_j plus the trapezoid sum to
         u_j: h opens wait j (end weight h) and adds 2h to the others, so
-        C' = h + max(C + h, Aterm_j).  Slices go in blocks of b: a slice is
-        pushed at once within its block, and the block to later targets by
-        one multi-column product per j, in decreasing j.
+        C' = h + max(C + h, Aterm_j), from C = -inf.  Slices go in the
+        workspace's blocks of b from slice 0: a slice is pushed at once
+        within its block, and the block to later targets by one product
+        per j, in decreasing j.
 
         The march works inside the surface it fills: row t of v holds
-        target t's C until slice t is solved, and F holds the slice before
-        the current block (row 0) and the block's slices (row 1 + d - a).
+        target t's C until slice t is solved, and F is a ring of b rows:
+        slice d of the block at a in row d - a, and in row -1, while a
+        block's first slice is solved, the last slice of the block before.
         Returns the (L+1, N) values, written into v if given, and the
         Picard steps of each slice.  final(e), if given, is called once the
-        slices below e are final: after slice 0 and after each block,
-        ending at L + 1.  Rows at or above e are scratch until then."""
+        slices below e are final: after each block, ending at L + 1.  Rows
+        at or above e are scratch until then."""
         ws, L, N, b = self.ws, self.L, self.grid.n_nodes, self.ws.b
         v = np.empty((L + 1, N)) if v is None else v
-        F = np.empty((b + 1, N))
+        F = np.empty((b, N))
         v[0] = ws.Hnodes
-        final(1)
-        F[0] = ws.G0 @ v[0]
+        v[1:] = -np.inf
         steps = np.zeros(L + 1, dtype=np.int64)
         hd = 0.5 * ws.dt * ws.disc        # trapezoid half-weight of u_j
         h0 = hd[0] * ws.costM[0]          # the cost term of u_0
@@ -486,15 +486,12 @@ class FiniteHorizonSolver:
             np.maximum(Ct, A, out=Ct)
             Ct += h
 
-        # slice 0 arrives first everywhere, opening wait ell at target ell
-        for j in range(1, L + 1):
-            v[j] = hd[j] * (ws.costM[j] + ws.B[j] @ F[0])
-        v[1:] += ws.Aterm[1:]
-        for a in range(1, L + 1, b):
+        for a in range(0, L + 1, b):
             e = min(a + b, L + 1)
-            for d in range(a, e):
-                k = 1 + d - a             # slice d's row of F
-                v[d], steps[d] = self._picard(v[d - 1], F[k - 1], h0 + v[d])
+            for k, d in enumerate(range(a, e)):   # slice d is F's row k
+                if d:
+                    v[d], steps[d] = self._picard(v[d - 1], F[k - 1],
+                                                  h0 + v[d])
                 F[k] = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
@@ -507,11 +504,10 @@ class FiniteHorizonSolver:
                 lo, hi = max(a, e - j), min(e, L + 1 - j)
                 if lo < hi:               # targets lo + j .. hi + j - 1 >= e
                     hj = h[: hi - lo]     # C order, as arrive's rows
-                    np.copyto(hj, (ws.B[j] @ F[1 + lo - a: 1 + hi - a].T).T)
+                    np.copyto(hj, (ws.B[j] @ F[lo - a: hi - a].T).T)
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
-            F[0] = F[e - a]               # slice e - 1, before the next block
             final(e)
         return v, steps
 
@@ -791,6 +787,7 @@ def solve_infinite(model, grid, tol=1e-4, m_max=500):
     t_max = max(20/lam_bar, 10/rho_hat), on at most INF_L_CAP knots, each
     short enough for one flow step) to tol; tol = 0 runs m_max steps."""
     tol = _check_solve(model, grid, tol, zero=True)
+    m_max = check_count(m_max, "m_max: the iteration cap", least=1)
     _check_infinite_assumptions(model)
     rho_hat = _rho_hat(model)
     t_max = max(20.0 / model.lam_bar, 10.0 / rho_hat)

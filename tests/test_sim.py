@@ -177,6 +177,13 @@ def test_simulate_paths_rejects_bad_keys():
         simulate_paths(m, np.eye(2)[0], 1.0, 0, [-1])
     with pytest.raises(ValueError):
         simulate_path(m, np.eye(2)[0], 1.0, 0, 2 ** 64)
+    # the horizon, which sized the event chunks ("cannot convert float NaN
+    # to integer" after a RuntimeWarning)
+    for t_end in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="t_end: .* got"):
+            simulate_paths(m, np.eye(2)[0], t_end, 0, [0])
+        with pytest.raises(ValueError, match="t_end: .* got"):
+            simulate_path(m, np.eye(2)[0], t_end, 0)
     # a start state is not a belief
     with pytest.raises(ValueError):
         simulate_paths(m, 2, 1.0, 0, [0])

@@ -127,11 +127,16 @@ def test_solve_entry_points_keep_zero_knots():
     ("grid", None, "grid: a lattice for n = 3 states"),
     ("tol", np.nan, "tol: .*>= 0, got nan"),
     ("tol", -1.0, "tol: .* got -1.0"),
-    ("tol", np.inf, "tol: .* got inf")])
+    ("tol", np.inf, "tol: .* got inf"),
+    ("m_max", np.nan, "m_max: .* integer >= 1, got nan"),
+    ("m_max", 0, "m_max: .* got 0"),
+    ("m_max", -3, "m_max: .* got -3"),
+    ("m_max", 2.5, "m_max: .* got 2.5")])
 def test_solve_infinite_refuses_bad_numbers(field, bad, message):
-    # at tol = NaN or -1 every one of the m_max iterations ran
+    # at tol = NaN or -1 every one of the m_max iterations ran; m_max = NaN,
+    # 0 or -3 returned H after no iteration and 2.5 ran 3
     model, _ = load_preset("regime")
-    args = {"grid": build_grid(2, 4), "tol": 1e-4}
+    args = {"grid": build_grid(2, 4), "tol": 1e-4, "m_max": 500}
     args[field] = build_grid(3, 4) if field == "grid" else bad
     with pytest.raises(ValueError, match=message):
         solve_infinite(model, **args)
@@ -208,6 +213,29 @@ def test_surface_save_load_round_trip(tmp_path, regime_surface):
     assert np.array_equal(back.values, surf.values)
     assert np.array_equal(back.knots, surf.knots)
     assert back.meta["iterations"] == surf.meta["iterations"]
+
+
+def test_surface_save_and_load_copy_no_surface(tmp_path, regime_surface):
+    # save writes the arrays' own buffers and load reads the values into
+    # the array it returns: traced peaks of about 0 and 1 surfaces (a
+    # whole-surface copy each way was 2 and 2)
+    model, surf = regime_surface
+    path = tmp_path / "surface.bin"
+    surf.save(path)
+    ValueSurface.load(path, model)        # the grid it builds is cached
+    tracemalloc.start()
+    try:
+        surf.save(path)
+        save = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        back = ValueSurface.load(path, model)
+        load = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert_bitwise_equal(back.values, surf.values)
+    assert save <= 0.25 * surf.values.nbytes
+    assert load <= 1.5 * surf.values.nbytes
 
 
 @pytest.mark.parametrize("part", ["header", "values", "metadata"])
@@ -310,8 +338,6 @@ def reference_sweep(solver, v):
     column and takes a cumulative trapezoid sum and a max over the wait.
     The jump term of row j is B_j (G0 v)."""
     ws, L = solver.ws, solver.L
-    if L == 0:
-        return v.copy()
     N = solver.grid.n_nodes
     dt = ws.dt
     F = (ws.G0 @ v.T).T
@@ -352,7 +378,8 @@ def test_sweep_bitwise_equals_reference(name, R, L):
         v = vnew
 
 
-def test_sweep_zero_knots_is_identity():
+def test_sweep_zero_knots_is_H():
+    # J0 of any v at s = 0 is H: no wait, so no integral
     model, _ = load_preset("regime")
     solver = FiniteHorizonSolver(dataclasses.replace(model, horizon=0.0),
                                  grid=build_grid(2, 20))
@@ -360,6 +387,7 @@ def test_sweep_zero_knots_is_identity():
     v = solver.ws.Hnodes[None, :] + 0.25
     out = solver.sweep(v)
     assert out is not v
+    assert_bitwise_equal(out, solver.ws.Hnodes[None, :])
     assert_bitwise_equal(out, reference_sweep(solver, v))
 
 
@@ -444,12 +472,10 @@ def edge_surface(kind):
 
 def solve_as(surf, block=5):
     """A FiniteHorizonSolver.solve that writes surf's values into the
-    march's v and reports them final as the march does: slice 0, then
-    blocks of up to block slices, ending at L + 1."""
+    march's v and reports them final as the march does: after each block
+    of up to block slices from slice 0, ending at L + 1."""
     def solve(self, v, final):
-        v[0] = surf.values[0]
-        final(1)
-        for a in range(1, self.L + 1, block):
+        for a in range(0, self.L + 1, block):
             e = min(a + block, self.L + 1)
             v[a:e] = surf.values[a:e]
             final(e)
@@ -495,21 +521,21 @@ def snapshotting(final, v, kept):
     return snap
 
 
-@pytest.mark.parametrize("L", [0, 1, 2, 12, 40, 121])
+@pytest.mark.parametrize("L", [0, 1, 2, 7, 12, 40, 121])
 def test_march_reports_final_slices_once_per_block(L):
-    # counts 1, then one per block of ceil(sqrt(2 L)) slices, ending at
-    # L + 1: a few 8-byte messages, far below a pipe's buffer, and the
-    # last one the writer's sentinel.  Rows of v at or above e are scratch
-    # until final(e), the rows below are the surface's: a row reported
-    # final is never written again
+    # one count per block of ceil(sqrt(2 L)) slices from slice 0 (L = 7:
+    # two full blocks of 4), ending at L + 1: a few 8-byte messages, far
+    # below a pipe's buffer, and the last one the writer's sentinel.  Rows
+    # of v at or above e are scratch until final(e), the rows below are
+    # the surface's: a row reported final is never written again
     model, _ = load_preset("regime")
     solver = FiniteHorizonSolver(model, grid=build_grid(2, 8), L=L)
     v, kept = np.full((L + 1, 9), np.nan), []
     solver.march(v, snapshotting(lambda e: None, v, kept))
     counts = [e for e, _ in kept]
     b = max(1, int(np.ceil(np.sqrt(2 * L))))
-    assert counts == [1] + [min(a + b, L + 1) for a in range(1, L + 1, b)]
-    assert len(counts) <= 2 + np.sqrt(L)
+    assert counts == [min(a + b, L + 1) for a in range(0, L + 1, b)]
+    assert len(counts) <= 1 + np.sqrt(L)
     for e, rows in kept:
         assert_bitwise_equal(rows, v[:e])
     assert_bitwise_equal(v, FiniteHorizonSolver(
@@ -1204,7 +1230,7 @@ def test_workspace_build_holds_one_block():
     # the build holds one block of flowed beliefs besides what it keeps
     # (2.56 times what it keeps when every knot was flowed at once), and
     # the march adds, to what is held when it starts, its surface v (which
-    # holds C too) plus F's b + 1 rows and (b, N) block buffers (measured:
+    # holds C too) plus F's b rows and (b, N) block buffers (measured:
     # 1 surface and 4.2 b N doubles).  What is held is the kept arrays and
     # the Python objects around them, whose size depends on what earlier
     # calls left cached, so the march is not bounded against the kept
@@ -1536,6 +1562,11 @@ def test_infinite_fixed_point_residual():
     tol = 1e-4
     stat = solve_infinite(model, grid=grid, tol=tol)
     assert stat.meta["converged"]
+    # a lattice node reads its own value; a NaN belief is refused
+    for i in (0, 17, grid.n_nodes - 1):
+        assert stat.value_at(grid.nodes[i]) == stat.values[i]
+    with pytest.raises(ValueError, match="belief"):
+        stat.value_at([np.nan, 0.5])
     # one extra application of the operator moves the surface by at most
     # a small multiple of the tolerance
     again = solve_infinite(model, grid=grid, tol=0.0,
