@@ -244,9 +244,11 @@ class ValueSurface:
         """Rows (s, coordinates, value, H, best action) per knot and node;
         all but s and the value are formatted once, in row templates, each
         knot's rows filled by one % call, and a value with the bits of H (a
-        stop cell) reuses H's text.  Each count e that ready yields, "the
-        slices below e are final", has the block up to it written before
-        the next is read; the rest follows."""
+        stop cell) reuses H's text.  A knot whose values all have the bits
+        of the knot before (the surface gone stationary in s) is that
+        knot's text with only s changed.  Each count e that ready yields,
+        "the slices below e are final", has the block up to it written
+        before the next is read; the rest follows."""
         H, best = terminal_reward(self.model, self.grid.nodes)
         cols = ",".join(f"pi{i + 1}" for i in range(self.model.n))
         text = [(f"{c},%.17g,{h},{b}\n", f"{c},{h},{h},{b}\n")
@@ -254,17 +256,24 @@ class ValueSurface:
                                    [f"{h:.17g}" for h in H.tolist()],
                                    best.tolist())]
         fmt, same = np.array(text, dtype=object).T
+        # bits, not ==, so that -0.0 and 0.0 keep their own text
+        bits, hbits = self.values.view(np.int64), H.view(np.int64)
         with open(path, "w") as fh:
             fh.write(f"s,{cols},value,H,best_action\n")
-            a = 0
+            a, cut = 0, None
             for e in chain(ready, [self.L + 1]):
-                # bits, not ==, so that -0.0 and 0.0 keep their own text
-                eq = self.values[a:e].view(np.int64) == H.view(np.int64)
-                for s, v, q in zip(self.knots[a:e].tolist(),
-                                   self.values[a:e], eq):
-                    s = f"{s:.17g},"
-                    fh.write((s + s.join(np.where(q, same, fmt).tolist()))
-                             % tuple(v[~q].tolist()))
+                for d, s in zip(range(a, e), self.knots[a:e].tolist()):
+                    s = f"{s:.17g},"      # every row starts with it
+                    if d and np.array_equal(bits[d], bits[d - 1]):
+                        # the last formatted knot's rows, cut at its s once
+                        cut = cut or rows[len(p):].split("\n" + p)
+                        rows = s + ("\n" + s).join(cut)
+                    else:
+                        cut, q = None, bits[d] == hbits
+                        rows = (s + s.join(np.where(q, same, fmt).tolist())
+                                ) % tuple(self.values[d][~q].tolist())
+                    fh.write(rows)
+                    p = s
                 a = e
 
     def save(self, path):
@@ -785,7 +794,9 @@ class StationaryValue:
 def solve_infinite(model, grid, tol=1e-4, m_max=500):
     """_iterate of the infinite-horizon operator (sup over t >= 0 up to
     t_max = max(20/lam_bar, 10/rho_hat), on at most INF_L_CAP knots, each
-    short enough for one flow step) to tol; tol = 0 runs m_max steps."""
+    short enough for one flow step) to tol; tol = 0 runs m_max steps.
+    meta's converged is that iteration's test only: the truncation at
+    t_max shows in truncation_tail_bound alone."""
     tol = _check_solve(model, grid, tol, zero=True)
     m_max = check_count(m_max, "m_max: the iteration cap", least=1)
     _check_infinite_assumptions(model)

@@ -510,6 +510,76 @@ def test_streamed_surface_csv_byte_equal_reference_at_the_edges(
     assert text == (tmp_path / "surface_ref.csv").read_bytes()
     assert (out / "streamed.csv").read_bytes() == text
     assert len(text.splitlines()) == 1 + (surf.L + 1) * surf.grid.n_nodes
+    # "all stop": every knot after the first repeats the knot before
+    assert len(repeated_knots(surf)) == (12 if kind == "all stop" else 0)
+
+
+def repeated_knots(surf):
+    """The knots whose values all have the bits of the knot before."""
+    bits = surf.values.view(np.int64)
+    return [k for k in range(1, surf.L + 1)
+            if np.array_equal(bits[k], bits[k - 1])]
+
+
+def test_surface_csv_of_a_stationary_surface_byte_equal_reference(
+        tmp_path, deadline):
+    # reliability's optimal wait is bounded, so its surface goes bitwise
+    # stationary in s: knots 28 .. 40 repeat the knot before.  Blocks of
+    # b = 9 end at 36, inside that run, so the streamed writer carries the
+    # last knot's text across a count
+    model, _ = load_preset("reliability")
+    grid = build_grid(3, 20)
+    path = tmp_path / "streamed.csv"
+    with valueiter.solve_to_csv(model, grid, path, L=40) as surf:
+        pass
+    assert_no_child()
+    assert repeated_knots(surf) == list(range(28, 41))
+    assert FiniteHorizonSolver(model, grid=grid, L=40).ws.b == 9
+    surf.to_csv(tmp_path / "surface.csv")
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    text = (tmp_path / "surface_ref.csv").read_bytes()
+    assert (tmp_path / "surface.csv").read_bytes() == text
+    assert path.read_bytes() == text
+
+
+def test_surface_csv_does_not_reuse_a_knot_that_differs_by_a_signed_zero(
+        tmp_path):
+    # knot 5 differs from knot 4 only by -0.0 against 0.0 at one node: its
+    # rows are formatted afresh, and knot 6 repeats knot 5's "-0"
+    surf = edge_surface("all stop")
+    H = terminal_reward(surf.model, surf.grid.nodes)[0]
+    zero = int(np.flatnonzero(H.view(np.int64) == 0)[0])
+    surf.values[5:, zero] = -0.0
+    assert repeated_knots(surf) == [1, 2, 3, 4] + list(range(6, 13))
+    surf.to_csv(tmp_path / "surface.csv")
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    text = (tmp_path / "surface.csv").read_bytes()
+    assert text == (tmp_path / "surface_ref.csv").read_bytes()
+    rows, N = text.splitlines()[1:], surf.grid.n_nodes
+    for k, value in [(4, b"0"), (5, b"-0"), (6, b"-0")]:
+        assert rows[k * N + zero].split(b",")[-3:-1] == [value, b"0"]
+
+
+def test_surface_csv_reuse_keeps_each_rows_own_s(tmp_path):
+    # s texts that are prefixes of one another, and of the coordinate
+    # fields (0.5 is a node coordinate at R = 6): each reused knot has
+    # every row start with its own s, and nowhere else changed
+    surf = edge_surface("all stop")
+    half = np.nextafter(0.5, 1.0)
+    surf.knots = np.array([0.05, 0.5, half, 0.5, 0.05, 5.0, 0.50000000001,
+                           half, 1.0, 0.0, 0.5, 0.05, 0.5])
+    surf.values[:] = surf.values[0] + np.linspace(-1.0, 1.0, 28)
+    assert f"{half:.17g}" == "0.50000000000000011"
+    assert len(repeated_knots(surf)) == 12
+    surf.to_csv(tmp_path / "surface.csv")
+    reference_surface_csv(surf, tmp_path / "surface_ref.csv")
+    text = (tmp_path / "surface.csv").read_bytes()
+    assert text == (tmp_path / "surface_ref.csv").read_bytes()
+    rows, N = text.splitlines()[1:], surf.grid.n_nodes
+    assert any(b",0.5," in r for r in rows[:N])
+    for k, s in enumerate(surf.knots):
+        assert {r.split(b",")[0] for r in rows[k * N: (k + 1) * N]} \
+            == {f"{s:.17g}".encode()}
 
 
 def snapshotting(final, v, kept):
