@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import check_belief, combine_rows
+from .model import check_belief, check_nonneg, combine_rows
 
 
 class ArrivalEvent(NamedTuple):
@@ -197,12 +197,13 @@ class BeliefTrajectory:
 def filter_path(model, pi0, events, t_end):
     """Run the exact filter along an observed arrival record."""
     pi0 = check_belief(pi0, model.n)
+    t_end = check_nonneg(t_end, "t_end: the horizon")
     times = [e.time for e in events]
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise FilterError("arrival times must be strictly increasing")
     if times and (times[0] < 0 or times[-1] > t_end):
         raise FilterError("arrival times must lie in [0, t_end]")
-    traj = BeliefTrajectory(model=model, t_end=float(t_end))
+    traj = BeliefTrajectory(model=model, t_end=t_end)
     traj.segments.append((0.0, pi0))
     cur_t, cur = 0.0, pi0
     for k, ev in enumerate(events):

@@ -334,12 +334,12 @@ def check_time(s, horizon, name="s"):
     return min(max(float(s), 0.0), horizon)
 
 
-def check_eps(eps):
-    """Validate and return a stopping tolerance (a finite number >= 0)."""
-    if not 0.0 <= float(eps) < np.inf:                 # also NaN
-        raise ValueError(f"eps: tolerance must be a finite number >= 0, "
-                         f"got {eps}")
-    return float(eps)
+def check_nonneg(x, name):
+    """Validate and return a finite number >= 0 (a tolerance, a horizon),
+    refused with a ValueError naming it."""
+    if not 0.0 <= float(x) < np.inf:                   # also NaN
+        raise ValueError(f"{name} must be a finite number >= 0, got {x}")
+    return float(x)
 
 
 def check_count(k, name, least=0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import flow, flow_path
-from .model import (check_eps, combine_rows, net_return_rate,
+from .model import (check_nonneg, combine_rows, net_return_rate,
                     terminal_reward)
 from .valueiter import _format_nodes, apply_J0
 
@@ -53,8 +53,8 @@ class StoppingRegion:
 def _region_tolerance(surface, eps_tol=None):
     """eps_tol checked, or by default 10 times the tolerance the surface was
     solved to: the one default of extract_regions and boundary_curve."""
-    return check_eps(10.0 * surface.meta.get("tol", 1e-4)
-                     if eps_tol is None else eps_tol)
+    return check_nonneg(10.0 * surface.meta.get("tol", 1e-4)
+                        if eps_tol is None else eps_tol, "eps: tolerance")
 
 
 def extract_regions(surface, eps_tol=None):
@@ -92,7 +92,7 @@ def _continuation_intervals(model, grid, V, eps_tol):
     t = max {g_k(a) / (g_k(a) - g_k(b)) : g_k(a) <= 0}."""
     if model.n != 2:
         raise ValueError("continuation_interval is defined for n = 2 only")
-    eps_tol = check_eps(eps_tol)
+    eps_tol = check_nonneg(eps_tol, "eps: tolerance")
     order = np.argsort(grid.nodes[:, 1])
     nodes, V = grid.nodes[order], V[:, order]
     p2s = nodes[:, 1]
@@ -151,8 +151,9 @@ class Recommendation:
 def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
     """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
     s_remaining, pi = surface.check_query(model, s_remaining, pi)
+    eps = check_nonneg(eps, "eps: tolerance")
     v = surface.value_at(s_remaining, pi)
-    stop, best, h = stop_rule(model, v, pi, check_eps(eps))
+    stop, best, h = stop_rule(model, v, pi, eps)
     h = float(h)
     if stop:
         return Recommendation("stop", int(best), v, h, v - h, wait=0.0)
@@ -166,7 +167,8 @@ def deterministic_stop_time(model, surface, s, pi, eps):
     """First grid time at which the no-arrival flow enters the eps-stop set;
     s if it never does before the deadline."""
     s, pi = surface.check_query(model, s, pi)
-    return _flow_stop(model, surface, s, pi, check_eps(eps))[0]
+    eps = check_nonneg(eps, "eps: tolerance")
+    return _flow_stop(model, surface, s, pi, eps)[0]
 
 
 def _flow_stop(model, surface, s, pi, eps):
@@ -177,7 +179,8 @@ def _flow_stop(model, surface, s, pi, eps):
     t = surface.knots[surface.knots <= s + 1e-12]
     _, X, sv = (a[:, 0] for a in flow_path(model, pi, surface.dt,
                                            len(t) - 1))
-    stop, best, _ = stop_rule(model, surface.value_at_batch(s - t, X), X, eps)
+    v = surface.value_at_batch(np.maximum(s - t, 0.0), X)   # see _j_path
+    stop, best, _ = stop_rule(model, v, X, eps)
     if stop.any():
         return float(t[stop][0]), int(best[stop][0]), float(sv[stop][0])
     x = flow(model, max(s - t[-1], 0.0), X[-1])     # on to an off-knot s

@@ -21,7 +21,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from .filter import ArrivalEvent, FlowPropagator, bayes_update, events_to_csv
-from .model import check_belief, check_count, check_eps
+from .model import check_belief, check_count, check_nonneg
 from .policy import _flow_stop, stop_rule
 from .valueiter import NumericalError, _forked
 
@@ -205,8 +205,7 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
     numbers do not depend on the chunking or on the other paths.
     Returns a PathBatch.
     """
-    if not 0.0 <= float(t_end) < np.inf:                # also NaN
-        raise ValueError(f"t_end: must be a finite number >= 0, got {t_end}")
+    t_end = check_nonneg(t_end, "t_end: the horizon")
     seed = operator.index(seed)
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
@@ -269,7 +268,7 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
     arr_t, arr_y = _pad(a_rows, a_t, _draw_marks(model.marks, a_s, a_u), P,
                         0.0)
     return PathBatch(hidden_t=hid_t, hidden_s=hid_s, arrival_t=arr_t,
-                     arrival_y=arr_y, t_end=float(t_end), seed=seed,
+                     arrival_y=arr_y, t_end=t_end, seed=seed,
                      path_indices=keys)
 
 
@@ -319,7 +318,7 @@ def evaluate_policy(model, surface, eps, initial, n_paths, seed):
     """
     T, pi0 = surface.check_query(model, model.horizon, initial)
     n_paths = check_count(n_paths, "n_paths: the path count", 1)
-    eps = check_eps(eps)
+    eps = check_nonneg(eps, "eps: tolerance")
     task = (model, surface, eps, pi0, seed,
             *_flow_stop(model, surface, T, pi0, eps))
     half = n_paths // 2

@@ -56,7 +56,7 @@ from scipy import sparse
 from . import model as model_mod
 from .filter import bayes_update, flow_path, propagator
 from .grid import SimplexGrid, build_grid
-from .model import (check_belief, check_count, check_time,
+from .model import (check_belief, check_count, check_nonneg, check_time,
                     terminal_reward)
 
 
@@ -64,40 +64,22 @@ class NumericalError(RuntimeError):
     pass
 
 
-def _current_cpu():
-    """The CPU this process runs on (field 39 of /proc/self/stat), or None
-    where it cannot be read."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            # fields 3 on follow the ")" that closes the command name
-            return int(fh.read().rpartition(b")")[2].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
 @contextmanager
 def _forked(fn, *args, close=()):
     """Runs fn(*args) in a forked child, which first closes the fds close,
     while the with-block runs, and yields join(): fn's result, its exception
     raised here, or for a child that sent neither a ChildProcessError naming
-    its exit status.  The child leaves the parent's current CPU to the
-    parent when it may (setting its own mask).  A child not joined when the
-    block ends is killed; every child is reaped.  Off Linux, join runs fn."""
+    its exit status.  A child not joined when the block ends is killed;
+    every child is reaped.  Off Linux, join runs fn."""
     if sys.platform != "linux":
         yield lambda: fn(*args)
         return
-    cpu = _current_cpu()
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:                          # compute, send, leave by _exit
         try:
             for fd in (r, *close):
                 os.close(fd)
-            if cpu is not None:           # a hint: a refusal is no error
-                with suppress(OSError):
-                    others = os.sched_getaffinity(0) - {cpu}
-                    if others:
-                        os.sched_setaffinity(0, others)
             try:
                 out = fn(*args), None
             except Exception as exc:
@@ -218,9 +200,13 @@ class ValueSurface:
         return check_time(s, model.horizon), check_belief(pi, model.n)
 
     def value_at_batch(self, s, pts):
-        """Vectorized evaluation for arrays of horizons and beliefs."""
+        """Vectorized evaluation for arrays of horizons and beliefs; every
+        horizon is refused as check_time refuses it."""
         pts = np.atleast_2d(pts)
         s = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),))
+        bad = ~((s >= -1e-12) & (s <= self.model.horizon + 1e-12))  # NaN too
+        if bad.any():
+            check_time(s[bad][0], self.model.horizon)
         idx, w = self.grid.barycentric(pts)
         if self.L == 0:
             return np.sum(self.values[0][idx] * w, axis=1)
@@ -669,7 +655,8 @@ def _j_path(model, surface, s, pi, h, n):
     """
     M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n))
     u = h * np.arange(n + 1)
-    jump = surface.jump_surface.value_at_batch(s - u, X)
+    # s - u may fall an ulp past the 1e-12 slack below 0 at s's last knot
+    jump = surface.jump_surface.value_at_batch(np.maximum(s - u, 0.0), X)
     disc = np.exp(-model.rho * u)
     phi = disc * (M @ model.effective_cost_rates() + sv * jump)
     head = sv * disc * terminal_reward(model, X)[0]
@@ -721,8 +708,7 @@ def uniform_error_bound(model, m):
         (T ||C|| + 2 ||H||) (lam_bar T / (m-1))^{1/2}
                             (lam_bar / (2 rho + lam_bar))^{m/2}
     """
-    if m < 2:
-        raise ValueError(f"uniform_error_bound: need m >= 2, got {m}")
+    m = check_count(m, "uniform_error_bound: m", least=2)
     T, lb = model.horizon, model.lam_bar
     amp = T * model.norm_C() + 2.0 * model.norm_H()
     return float(amp * np.sqrt(lb * T / (m - 1))
@@ -751,6 +737,7 @@ def err_infinity(model, m):
     """Err_inf(m): gap between the m-arrival-truncated and the full
     infinite-horizon value; inf where no bound is known (m < 2 at rho = 0,
     or max mu / max c not positive there)."""
+    m = check_count(m, "err_infinity: m")
     _check_infinite_assumptions(model)
     lb = model.lam_bar
     if model.rho > 0:
@@ -763,8 +750,8 @@ def err_infinity(model, m):
 
 def horizon_error(model, T=None):
     """Err(T): gap between the finite- and infinite-horizon values."""
+    T = model.horizon if T is None else check_nonneg(T, "T: the horizon")
     _check_infinite_assumptions(model)
-    T = model.horizon if T is None else T
     if model.rho > 0:
         return float(np.exp(-model.rho * T)
                      * (model.norm_C() + 2.0 * model.norm_H()))

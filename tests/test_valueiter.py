@@ -36,7 +36,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop import valueiter
-from poistop.filter import flow_path, propagator
+from poistop.filter import filter_path, flow_path, propagator
 from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
 from poistop.presets import preset_names
@@ -203,6 +203,32 @@ def test_value_at_batch_matches_scalar(regime_surface):
     batch1 = surf.value_at_batch(1.0, pts)
     direct1 = np.array([surf.value_at(1.0, p) for p in pts])
     assert np.allclose(batch1, direct1, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0, -2e-12,
+                                 2.0 + 2e-12, 3.0])
+def test_value_at_batch_refuses_what_check_time_refuses(regime_surface, bad):
+    # every entry is checked: one bad horizon among good ones is refused; it
+    # raised an IndexError at NaN and read V(0) at s = -5
+    model, surf = regime_surface
+    pts = np.array([[0.3, 0.7]] * 3)
+    with pytest.raises(ValueError, match=f"^s: .*got {bad}"):
+        surf.value_at_batch([0.5, bad, 1.0], pts)
+    edge = surf.value_at_batch([-1e-12, 2.0 + 1e-12], pts[:2])
+    assert np.array_equal(edge, surf.value_at_batch([0.0, 2.0], pts[:2]))
+
+
+def test_pointwise_queries_read_the_surface_within_its_horizon(
+        regime_surface):
+    # s one slack below a knot: a knot read 1e-12 above s may put s - u an
+    # ulp past -1e-12, which value_at_batch refuses; apply_J0 and the flow
+    # stop read it as 0
+    model, surf = regime_surface
+    pi = [0.3, 0.7]
+    for s in surf.knots[1:].tolist():
+        for q in (s - 1e-12, s):
+            apply_J0(model, surf, q, pi)
+            deterministic_stop_time(model, surf, q, pi, 1e-3)
 
 
 def test_surface_save_load_round_trip(tmp_path, regime_surface):
@@ -1091,29 +1117,13 @@ def test_failed_certificate_reaches_the_caller(monkeypatch, deadline,
 
 
 @forked
-def test_current_cpu_is_the_cpu_the_process_is_pinned_to():
+def test_forked_child_keeps_the_parents_mask(deadline):
+    # the kernel places the child: its mask is the parent's, the parent's
+    # CPU included (a mask of two or more CPUs shows it), and the parent's
+    # is unchanged
     mask = os.sched_getaffinity(0)
-    try:
-        for cpu in sorted(mask):
-            os.sched_setaffinity(0, {cpu})    # this process moves to cpu
-            assert valueiter._current_cpu() == cpu
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
-@forked
-@pytest.mark.parametrize("readable", [True, False])
-def test_forked_child_leaves_the_parents_cpu(monkeypatch, deadline,
-                                             readable):
-    # the child's mask lacks the parent's CPU when another CPU is left, is
-    # the whole mask when the CPU cannot be read; the parent's is unchanged
-    mask = os.sched_getaffinity(0)
-    cpu = min(mask)
-    monkeypatch.setattr(valueiter, "_current_cpu",
-                        lambda: cpu if readable else None)
     with valueiter._forked(os.sched_getaffinity, 0) as join:
-        child = join()
-    assert child == (mask - {cpu} if readable and len(mask) >= 2 else mask)
+        assert join() == mask
     assert os.sched_getaffinity(0) == mask
     assert_no_child()
 
@@ -1613,6 +1623,27 @@ def test_horizon_error_rho_zero_scales_inverse_T():
     model, _ = load_preset("regime")  # rho = 0, c = -1 < 0
     assert horizon_error(model, 4.0) == pytest.approx(
         0.5 * horizon_error(model, 2.0), rel=1e-12)
+
+
+REFUSING = {"horizon_error": horizon_error, "err_infinity": err_infinity,
+            "uniform_error_bound": uniform_error_bound,
+            "filter_path": lambda m, t: filter_path(m, [1 / 3] * 3, [], t)}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("horizon_error", -1.0), ("horizon_error", np.nan),
+    ("horizon_error", np.inf), ("err_infinity", -1), ("err_infinity", 2.5),
+    ("err_infinity", np.nan), ("uniform_error_bound", np.inf),
+    ("uniform_error_bound", np.nan), ("filter_path", -1.0),
+    ("filter_path", np.nan), ("filter_path", np.inf)])
+def test_error_bounds_and_filter_path_refuse_bad_numbers(name, bad):
+    # a horizon T or t_end that is not a finite number >= 0 and an
+    # iteration count m that is not an integer (>= 2 for b(m)) are refused;
+    # horizon_error read 13.59 at T = -1, err_infinity 1.02 at m = -1,
+    # uniform_error_bound 0.0 at m = inf, and filter_path took t_end = NaN
+    model, _ = load_preset("insurance")
+    with pytest.raises(ValueError, match=f"got {bad}"):
+        REFUSING[name](model, bad)
 
 
 def test_infinite_requires_discount_or_strict_cost():
