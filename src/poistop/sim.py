@@ -185,9 +185,7 @@ def _pad(rows, times, values, P, fill):
 
 def _draw_marks(marks, states, u):
     """Inverse-CDF mark draws, one per (state, uniform) pair."""
-    if marks.kind == "none":
-        return np.zeros(states.size)
-    if marks.kind == "discrete":
+    if marks.kind != "gamma":
         return marks.support[_categorical(_cdf(marks.weights)[states], u)]
     from scipy import special
     return special.gammaincinv(marks.gamma_shape[states], u) \
@@ -241,16 +239,13 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
         inside = times < t_end
         step = (_uniform(w[1]) * rate < q_bar) & inside
         u2 = _uniform(w[2])
-        # hist[:, k]: the state after the first k columns with a chain step
-        cols = np.flatnonzero(step.any(axis=0))
-        hist = np.empty((live.size, cols.size + 1), dtype=np.int64)
-        hist[:, 0] = s = state[live]
-        for k, j in enumerate(cols, 1):
+        # hist[:, j]: the state after the first j columns
+        hist = np.repeat(state[live, None], chunk + 1, axis=1)
+        s = hist[:, 0]
+        for j in range(chunk if q_bar > 0 else 0):
             s = np.where(step[:, j], _categorical(step_cdf[s], u2[:, j]), s)
-            hist[:, k] = s
-        j = np.arange(chunk)
-        before = hist[:, np.searchsorted(cols, j, side="left")]
-        after = hist[:, np.searchsorted(cols, j, side="right")]
+            hist[:, j + 1] = s
+        before, after = hist[:, :-1], hist[:, 1:]
         r, c = np.nonzero(after != before)
         hid.append((live[r], times[r, c], after[r, c]))
         kept = inside & ~step & (u2 < accept[before])
@@ -258,7 +253,7 @@ def simulate_paths(model, initial, t_end, seed, path_indices):
         arr.append((live[r], times[r, c], before[r, c],
                     _uniform(w[3][r, c])))
         t[live] = times[:, -1]
-        state[live] = s
+        state[live] = hist[:, -1]
         live = live[inside[:, -1]]
         first += chunk
 
@@ -356,17 +351,16 @@ def _run_paths(model, surface, eps, pi0, seed, tau0, act0, mass0, lo, hi):
     tau = np.full(keys.size, tau0)
     reward = _rewards(model, paths, tau, np.full(keys.size, act0))
     early = paths.arrival_t[:, 0] <= tau0
-    if early.any():
-        rest = simulate_paths(model, pi0, T, seed, keys[early]) \
-            if t_first < T else paths.rows(early)
-        seen = rest.arrival_t[:, :-1] < np.inf
-        dens = np.ones(rest.arrival_y.shape + (model.n,))
-        dens[seen] = model.marks.density_at(rest.arrival_y[seen])
-        # the knots before a path's first arrival did not stop it
-        k = np.searchsorted(knots, rest.arrival_t[:, 0])
-        tau[early], act = _walk(model, surface, eps, knots, pi0,
-                                rest.arrival_t, dens, k)
-        reward[early] = _rewards(model, rest, tau[early], act)
+    rest = simulate_paths(model, pi0, T, seed, keys[early]) \
+        if t_first < T else paths.rows(early)
+    seen = rest.arrival_t[:, :-1] < np.inf
+    dens = np.ones(rest.arrival_y.shape + (model.n,))
+    dens[seen] = model.marks.density_at(rest.arrival_y[seen])
+    # the knots before a path's first arrival did not stop it
+    k = np.searchsorted(knots, rest.arrival_t[:, 0])
+    tau[early], act = _walk(model, surface, eps, knots, pi0,
+                            rest.arrival_t, dens, k)
+    reward[early] = _rewards(model, rest, tau[early], act)
     return reward, tau
 
 

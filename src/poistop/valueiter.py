@@ -322,7 +322,9 @@ class ValueSurface:
             raise ValueError(f"{path}: surface was solved for another model "
                              "(model hash missing or different); solve "
                              "again with the same model and overrides")
-        if not np.array_equal(knots, np.linspace(0.0, model.horizon, nk)):
+        # at T = 0 every knot is 0: only one of them makes a time grid
+        if not np.array_equal(knots, np.linspace(0.0, model.horizon, nk)) \
+                or nk > 1 and not model.horizon > 0:
             raise ValueError(header)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: corrupt value-surface file (values "
@@ -402,9 +404,10 @@ class FiniteHorizonSolver:
         self.model = model
         self.grid = grid
         self.tol = _check_solve(model, grid, tol)
-        self.L = default_knot_count(model) if L is None \
-            else check_count(L, "L: the knot count")
         T = model.horizon
+        # one knot at T = 0, at least one step at T > 0
+        self.L = default_knot_count(model) if L is None \
+            else check_count(L, "L: the knot count", int(T > 0))
         if T <= 0:
             self.L = 0
         self.knots = np.linspace(0.0, T, self.L + 1)
@@ -541,14 +544,12 @@ class FiniteHorizonSolver:
                             values=v, meta=meta)
 
     def _certificate(self):
-        """The solver of the certificate problem: grid min(R, CERT_R) and
+        """A new solver of the certificate problem: grid min(R, CERT_R) and
         min(L, max(CERT_L, 2 T lam_bar)) knots, so its self-term modulus
         dt lam_bar / 2 is at most 1/4 or that of this problem."""
         model = self.model
         L = min(self.L, max(CERT_L, ceil(2.0 * model.horizon
                                          * model.lam_bar)))
-        if self.grid.R <= CERT_R and L == self.L:
-            return self
         grid = self.grid if self.grid.R <= CERT_R \
             else build_grid(model.n, CERT_R)
         return FiniteHorizonSolver(model, grid=grid, L=L, tol=self.tol)

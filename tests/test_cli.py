@@ -785,6 +785,28 @@ def test_evaluate_surface_with_non_finite_values_is_config_error(out,
     assert not (out / "evaluation.json").exists()
 
 
+def test_evaluate_zero_horizon_surface_with_many_knots_is_config_error(
+        out, capsys):
+    # a T = 0 surface rewritten with three knots, all 0 (linspace(0, 0, 3)),
+    # the model hash intact: evaluate divided by dt = 0, an IndexError
+    T0 = ["--example", "regime", "--override", "horizon=0", "--out", str(out)]
+    assert run(["solve", "--R", "10", *T0]) == 0
+    blob = (out / "surface.bin").read_bytes()
+    n, R, nk, N = struct.unpack("<4q", blob[8:40])
+    assert nk == 1
+    values, meta = blob[48: 48 + 8 * N], blob[48 + 8 * N:]
+    (out / "surface.bin").write_bytes(
+        blob[:8] + struct.pack("<4q", n, R, 3, N) + bytes(24) + 3 * values
+        + meta)
+    capsys.readouterr()
+    assert run(["evaluate", "--paths", "50", *T0]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "surface.bin: corrupt value-surface header (n = 2, R = 10, 11 " \
+           "nodes, 3 knots)" in err
+    assert not (out / "evaluation.json").exists()
+
+
 def test_evaluate_refuses_surface_of_other_model(out, capsys):
     assert run(["solve", "--example", "regime", "--R", "20", "--L", "20",
                 "--override", "horizon=0.5", "--out", str(out)]) == 0

@@ -421,6 +421,20 @@ def test_filter_absorbing_one_shot_likelihood():
         assert np.max(np.abs(traj.evaluate(t_eval) - w)) < 1e-8
 
 
+@pytest.mark.parametrize("where", ["before 0", "after t_end"])
+def test_filter_path_refuses_times_outside_the_horizon(where):
+    # an arrival outside [0, t_end], and a trajectory read there
+    m = ergodic_three_state()
+    t = {"before 0": -0.1, "after t_end": 1.5}[where]
+    with pytest.raises(FilterError, match=r"arrival times must lie in "
+                                          r"\[0, t_end\]"):
+        filter_path(m, [1 / 3, 1 / 3, 1 / 3], [ArrivalEvent(t, 0.0)], 1.0)
+    traj = filter_path(m, [1 / 3, 1 / 3, 1 / 3], [], 1.0)
+    with pytest.raises(FilterError, match=rf"evaluation time {t} outside "
+                                          r"\[0, 1.0\]"):
+        traj.evaluate(t)
+
+
 def test_filter_rejects_unsorted_events():
     m = ergodic_three_state()
     with pytest.raises(FilterError):

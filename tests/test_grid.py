@@ -116,6 +116,13 @@ def test_boundary_points_covered():
     assert np.max(np.abs(rec - edges)) < 1e-9
 
 
+@pytest.mark.parametrize("n, R", [(0, 4), (-1, 4), (2, 0), (3, -2)])
+def test_build_grid_refuses_an_empty_lattice(n, R):
+    with pytest.raises(ValueError, match=f"need n >= 1 and R >= 1, got "
+                                         f"{n}, {R}"):
+        build_grid(n, R)
+
+
 def test_point_outside_simplex_rejected():
     g = build_grid(2, 4)
     with pytest.raises(ValueError):

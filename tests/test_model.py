@@ -352,6 +352,29 @@ def test_check_belief_rejects_non_finite(bad):
         check_belief(bad, 2)
 
 
+TWO_MARKS = ([1.0, 2.0], [[0.5, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"lam": [1.0, 2.0, 3.0]}, "lambda: expected 2 rates, got shape (3,)"),
+    ({"mu": [[1.0, 0.0, 0.0]]}, "mu: expected at least one action row of "
+                                "width 2, got shape (1, 3)"),
+    ({"mu": np.zeros((0, 2))}, "mu: expected at least one action row of "
+                               "width 2, got shape (0, 2)"),
+    ({"cost_mode": "lump"}, "cost_mode: unknown mode 'lump'"),
+    ({"marks": discrete_marks(*TWO_MARKS), "cost_mode": "discrete",
+      "K": [1.0]}, "K: expected one value per mark (2), got shape (1,)"),
+    ({"marks": discrete_marks([1.0, 2.0], [[1.5, -0.5], [0.5, 0.5]])},
+     "marks: negative probability weight"),
+    ({"marks": discrete_marks([1.0, 2.0], [[0.5, 0.5], [0.25, 0.5]])},
+     "marks: state 1 weights sum to 0.75, not 1 (within 1e-8)"),
+])
+def test_model_violations_name_the_field_and_the_shape(kw, message):
+    with pytest.raises(ModelError) as exc:
+        two_state(**kw)
+    assert exc.value.violations == [message]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, kw", [
     ("Q", {"Q": [[-np.inf, np.inf], [1.0, -1.0]]}),

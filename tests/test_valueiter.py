@@ -89,6 +89,7 @@ BAD_SOLVE_INPUTS = [("grid", None, "grid: a lattice for n = 3 states"),
                     ("L", 2.7, "L: the knot count .* got 2.7"),
                     ("L", -3, "L: the knot count .* got -3"),
                     ("L", "4", "L: the knot count .* got '4'"),
+                    ("L", 0, "L: the knot count .*>= 1, got 0"),
                     ("tol", np.nan, "tol: .* got nan"),
                     ("tol", -1.0, "tol: .* got -1.0"),
                     ("tol", 0.0, "tol: .*> 0, got 0.0"),
@@ -116,7 +117,8 @@ def test_solve_entry_points_refuse_bad_numbers(tmp_path, entry, field, bad,
 
 
 def test_solve_entry_points_keep_zero_knots():
-    model, _ = load_preset("regime")
+    # one knot, and no step, at T = 0 only (L = 0 at T > 0 is refused above)
+    model = dataclasses.replace(load_preset("regime")[0], horizon=0.0)
     surf = solve_finite(model, grid=build_grid(2, 4), L=0)
     assert surf.L == 0
     assert np.array_equal(surf.values[0],
@@ -279,7 +281,7 @@ def test_surface_load_truncated(tmp_path, regime_surface, part):
         ValueSurface.load(path, model)
 
 
-@pytest.mark.parametrize("field", ["n", "R up", "R down", "knot"])
+@pytest.mark.parametrize("field", ["n", "R up", "R down", "knot", "magic"])
 def test_surface_load_refuses_a_header_that_does_not_fit(tmp_path,
                                                          regime_surface,
                                                          field):
@@ -294,11 +296,13 @@ def test_surface_load_refuses_a_header_that_does_not_fit(tmp_path,
                 "R up": (16, struct.pack("<q", surf.grid.R + 5)),
                 "R down": (16, struct.pack("<q", surf.grid.R - 5)),
                 "knot": (8 + 32 + 8, struct.pack(
-                    "<d", np.nextafter(surf.knots[1], 1.0)))}[field]
+                    "<d", np.nextafter(surf.knots[1], 1.0))),
+                "magic": (0, b"PSTSURF2")}[field]
     blob[at: at + 8] = word
     path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match="surface.bin: corrupt "
-                                         "value-surface header"):
+    message = ("not a value-surface file" if field == "magic"
+               else "corrupt value-surface header")
+    with pytest.raises(ValueError, match=f"surface.bin: {message}"):
         ValueSurface.load(path, model)
 
 
@@ -483,9 +487,12 @@ def test_csv_writers_byte_equal_reference(tmp_path, name, R):
 
 
 def edge_surface(kind):
-    """Insurance surfaces at the edges of the writer's blocks: one knot,
-    two knots, and every cell a stop cell (each knot one %.17g field)."""
+    """Insurance surfaces at the edges of the writer's blocks: one knot (at
+    T = 0), two knots, and every cell a stop cell (each knot one %.17g
+    field)."""
     model, _ = load_preset("insurance")
+    if kind == "L = 0":
+        model = dataclasses.replace(model, horizon=0.0)
     grid = build_grid(3, 6)
     H = terminal_reward(model, grid.nodes)[0]
     L = {"L = 0": 0, "L = 1": 1, "all stop": 12}[kind]
@@ -623,8 +630,11 @@ def test_march_reports_final_slices_once_per_block(L):
     # two full blocks of 4), ending at L + 1: a few 8-byte messages, far
     # below a pipe's buffer, and the last one the writer's sentinel.  Rows
     # of v at or above e are scratch until final(e), the rows below are
-    # the surface's: a row reported final is never written again
+    # the surface's: a row reported final is never written again.  One
+    # knot is a T = 0 problem
     model, _ = load_preset("regime")
+    if L == 0:
+        model = dataclasses.replace(model, horizon=0.0)
     solver = FiniteHorizonSolver(model, grid=build_grid(2, 8), L=L)
     v, kept = np.full((L + 1, 9), np.nan), []
     solver.march(v, snapshotting(lambda e: None, v, kept))
@@ -1025,6 +1035,13 @@ def test_solve_unconverged_certificate_is_reported_and_checked(monkeypatch):
         solver.solve()
 
 
+def test_iterate_refuses_a_step_that_falls():
+    # the iterates rise from H: a step falling by over 10 tol is a bug
+    with pytest.raises(NumericalError, match=r"lost monotonicity \(min step "
+                                             r"-0.002\)"):
+        valueiter._iterate(lambda v: v - 2e-3, np.zeros(4), 1e-4, 10, 1.0)
+
+
 @pytest.mark.parametrize("L, step", [(1, 9), (2, 34)])
 def test_iterate_refuses_a_diverging_iteration(L, step):
     # one or two knots on insurance: the sweeps left the value scale
@@ -1067,7 +1084,10 @@ def test_forked_certificate_equals_inline(monkeypatch, deadline, name, R, L,
                                           is_main):
     model, _ = load_preset(name)
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L)
-    assert (solver._certificate() is solver) == is_main
+    # the child builds and marches its own solver in either case
+    cert = solver._certificate()
+    assert cert is not solver
+    assert (cert.grid is solver.grid and cert.L == solver.L) == is_main
     surf = solver.solve()
     assert_no_child()
     # the helper's own inline path, as off Linux
@@ -1192,6 +1212,12 @@ def test_pointwise_operators_refuse_a_bad_time_to_maturity(regime_surface,
             call()
 
 
+def test_apply_J_refuses_a_wait_past_the_time_to_maturity(regime_surface):
+    model, surf = regime_surface
+    with pytest.raises(ValueError, match=r"need t <= s, got t=1.5, s=1.0"):
+        apply_J(model, surf, 1.5, 1.0, [0.5, 0.5])
+
+
 def test_pointwise_calls_refuse_a_surface_of_another_model():
     # insurance with rho raised by 0.5 once read the insurance surface
     # silently: apply_J0 returned 0.985 against 1.058 under its own model
@@ -1296,6 +1322,8 @@ def test_workspace_in_blocks_is_the_one_shot_workspace(name, R, L):
     # array bitwise the one-pass build, also where blocks end inside the
     # knots whose survival mass underflows (underflow, past u = 0.93)
     model = underflow_model() if name == "underflow" else load_preset(name)[0]
+    if L == 0:                                    # one knot: T = 0
+        model = dataclasses.replace(model, horizon=0.0)
     solver = FiniteHorizonSolver(model, grid=build_grid(model.n, R), L=L)
     ws, ref = solver.ws, one_shot_workspace(model, solver.grid, solver.knots)
     assert solver.L == 0 or (solver.L + 1) % ws.b    # a short last block
@@ -1601,6 +1629,17 @@ def test_err_infinity_claims_no_exact_truncation_at_rho_zero(name):
         assert err_infinity(model, m) == np.inf
 
 
+def test_err_infinity_rho_zero_formula():
+    # max mu = -1 and max c = -0.5 < 0: sqrt(ratio lam_bar / (m - 1)) with
+    # ratio = max mu / max c = 2 and lam_bar = 2, inf below m = 2
+    model = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[2.0, 0.5],
+                       c=[-0.5, -2.0], rho=0.0, mu=[[-1.0, -3.0]],
+                       horizon=1.0)
+    assert err_infinity(model, 5) == np.sqrt(2.0 * 2.0 / 4)
+    assert err_infinity(model, 17) == 0.5
+    assert err_infinity(model, 1) == np.inf
+
+
 def test_horizon_error_hand_value():
     model, _ = load_preset("insurance")
     # e^{-0.08} * (0.3 + 12)
@@ -1623,6 +1662,8 @@ def test_horizon_error_rho_zero_scales_inverse_T():
     model, _ = load_preset("regime")  # rho = 0, c = -1 < 0
     assert horizon_error(model, 4.0) == pytest.approx(
         0.5 * horizon_error(model, 2.0), rel=1e-12)
+    # 2 ||H|| / T at T = 0: no bound
+    assert horizon_error(model, 0.0) == np.inf
 
 
 REFUSING = {"horizon_error": horizon_error, "err_infinity": err_infinity,
