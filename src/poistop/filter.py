@@ -5,10 +5,10 @@ flow x(t, pi): the survival-weight vector m(t, pi) = pi . exp(t(Q - Lambda))
 normalized by its sum.  At an arrival with mark y the belief jumps to the
 Bayes update with per-state likelihoods lambda_i f_i(y): bayes_update, the
 one update of every arrival, batched or not.
-flow_path steps beliefs on a uniform time grid by the nonnegative one-step
-matrix of propagator, and flow is its one-belief call; FlowPropagator flows
-many beliefs, each over its own duration, in the eigenbasis of Q - Lambda,
-with flow as its fallback and its oracle.
+flow_path flows beliefs on a uniform time grid by the step_powers of the
+one-step matrix of propagator, and flow is its one-belief call;
+FlowPropagator flows many beliefs, each over its own duration, in the
+eigenbasis of Q - Lambda, with flow as its fallback and its oracle.
 """
 
 from __future__ import annotations
@@ -66,18 +66,22 @@ def propagator(A, h):
         term *= x / d
     K = A / q
     K.flat[:: n + 1] += 1.0
-    # the powers K^0 .. K^d, the stack doubled by one product a round
-    pw, Kp = np.eye(n)[None], K
-    while len(pw) <= d:
-        pw = np.concatenate((pw, pw @ Kp))
-        Kp = Kp @ Kp
     c = [exp(-x)]
     for k in range(1, d + 1):
         c.append(c[-1] * x / k)
-    P = (np.array(c) @ pw[: d + 1].reshape(d + 1, n * n)).reshape(n, n)
+    P = (np.array(c) @ step_powers(K, d).reshape(d + 1, n * n)).reshape(n, n)
     for _ in range(s):
         P = P @ P
     return P
+
+
+def step_powers(K, d):
+    """K^0 .. K^d, shape (d + 1, n, n): the stack doubled by one stacked
+    product a round, no row rewritten, so row j has the same bits for any d."""
+    pw = np.eye(len(K))[None]
+    while len(pw) <= d:
+        pw, K = np.concatenate((pw, pw @ K)), K @ K
+    return pw[: d + 1]
 
 
 # survival mass below which the raw weights near the subnormal range: the
@@ -86,35 +90,28 @@ _LOW_MASS = 1e-250
 FLOW_CHUNK = 1000       # steps per flow_path call of flow
 
 
-def flow_path(model, beliefs, h, n, P=None, x0=None):
-    """The no-arrival flow of every belief at u_j = j h, j = 0..n.
-
-    Returns the survival weights M, shape (n+1, B, n), of the nonnegative
-    beliefs stepped by one P = propagator(Q - Lambda, h) >= 0, the beliefs
-    X, and the survival mass sv = sum M, shape (n+1, B).  At u = 0 the
-    flow has zero length: sv is exactly 1 and X the beliefs given, bit for
-    bit.  Elsewhere X is M / sv; where sv is near underflow, X is instead
-    the previous belief stepped by P and renormalized, so X is the flowed
-    belief however small M gets.  Given a path's P, its row k of M as
-    beliefs and of X as x0, the path is continued: the rows returned are
-    its rows k .. k + n, bit for bit.
+def flow_path(model, beliefs, h, n, P=None, powers=None, x0=None):
+    """The no-arrival flow of every belief at u_j = j h, j = 0..n: the
+    survival weights M_j = beliefs . P^j, shape (n+1, B, n), one product
+    with step_powers(P, n) of P = propagator(Q - Lambda, h) >= 0, the
+    beliefs X and the survival mass sv = sum M, shape (n+1, B).  At u = 0
+    sv is exactly 1 and X the beliefs given, bit for bit.  Elsewhere X is
+    M / sv, or where sv is near underflow the belief of the row before
+    stepped by P and renormalized, so X is the flowed belief however small
+    M gets.  Given rows k .. k + n (k > 0) of a longer path's stack as
+    powers and its X at row k - 1 as x0, it returns that path's rows.
     """
     beliefs = np.atleast_2d(beliefs)
-    M = np.empty((n + 1,) + beliefs.shape)
-    M[0] = beliefs
-    P = propagator(model.flow_generator(), h) if n and P is None else P
-    for j in range(n):
-        np.matmul(M[j], P, out=M[j + 1])
+    P = propagator(model.flow_generator(), h) if P is None else P
+    M = beliefs @ (step_powers(P, n) if powers is None else powers)
     sv = M.sum(axis=2)
-    if x0 is None:
-        sv[0], x0 = 1.0, M[0]
     low = sv < _LOW_MASS
-    low[0] = True                                  # row 0 is x0, not M / sv
     X = np.divide(M, sv[..., None], out=np.empty_like(M),
                   where=~low[..., None])
-    X[0] = x0
-    for j in np.flatnonzero(low[1:].any(axis=1)) + 1:
-        x = X[j - 1, low[j]] @ P
+    if x0 is None:                   # row 0 is P^0: the beliefs themselves
+        sv[0], low[0], X[0] = 1.0, False, beliefs
+    for j in np.flatnonzero(low.any(axis=1)):
+        x = (X[j - 1] if j else x0)[low[j]] @ P
         X[j, low[j]] = x / x.sum(axis=1, keepdims=True)
     return M, X, sv
 

@@ -178,7 +178,7 @@ def _flow_stop(model, surface, s, pi, eps):
     there and the mass at the last knot."""
     t = surface.knots[surface.knots <= s + 1e-12]
     _, X, sv = (a[:, 0] for a in flow_path(model, pi, surface.dt,
-                                           len(t) - 1))
+                                           len(t) - 1, surface.flow_step))
     v = surface.value_at_batch(np.maximum(s - t, 0.0), X)   # see _j_path
     stop, best, _ = stop_rule(model, v, X, eps)
     if stop.any():

@@ -13,14 +13,14 @@ converges uniformly to the value function, with a closed-form error bound.
 
 Discretization: uniform time knots shared by the s-grid, the t-sup and the
 inner u-integral (composite trapezoid); the survival weights m(u, .) and
-the flowed beliefs x come from filter.flow_path, stepped with exp(dt (Q -
-Lambda)); beliefs live on a SimplexGrid with barycentric-linear
-interpolation.  The jump term factors as sum(m) F(x), F(y) = sum_r
-(y . lambda w_r) w(post_r(y)) with the marks' Bayes updates post_r from
-filter.bayes_update: F is formed at the nodes (G0, once per slice) and
-interpolated at the flowed beliefs (B_j), exact for linear w and of the
-lattice's own order otherwise.  For cost_mode="discrete" the running term
-C is replaced by sum_i m_i lambda_i (nu_i K).
+the flowed beliefs x come from filter.flow_path, the nodes times powers
+of P = exp(dt (Q - Lambda)); beliefs live on a SimplexGrid with
+barycentric-linear interpolation.  The jump term factors as sum(m) F(x),
+F(y) = sum_r (y . lambda w_r) w(post_r(y)) with the marks' Bayes updates
+post_r from filter.bayes_update: F is formed at the nodes (G0, once per
+slice) and interpolated at the flowed beliefs (B_j), exact for linear w
+and of the lattice's own order otherwise.  For cost_mode="discrete" the
+running term C is replaced by sum_i m_i lambda_i (nu_i K).
 
 The discretized J0 is causal in time-to-maturity: slice ell reads slices
 ell - j, j >= 1, and itself only through the trapezoid's half-weight
@@ -54,7 +54,7 @@ import numpy as np
 from scipy import sparse
 
 from . import model as model_mod
-from .filter import bayes_update, flow_path, propagator
+from .filter import bayes_update, flow_path, propagator, step_powers
 from .grid import SimplexGrid, build_grid
 from .model import (check_belief, check_count, check_nonneg, check_time,
                     terminal_reward)
@@ -224,6 +224,11 @@ class ValueSurface:
         F = _jump_operator(self.model, self.grid) @ self.values.T
         return ValueSurface(self.model, self.grid, self.knots, F.T)
 
+    @cached_property
+    def flow_step(self):
+        """propagator(Q - Lambda, dt), built on first use, never stored."""
+        return propagator(self.model.flow_generator(), self.dt)
+
     # -- persistence ------------------------------------------------------
 
     def to_csv(self, path, ready=()):
@@ -352,9 +357,9 @@ def _jump_operator(model, grid):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Built in blocks of the march's b knots, each flowed on from the last
-    row of the block before: the build holds the flowed beliefs M and X of
-    one block besides what the workspace keeps."""
+    """Built in blocks of the march's b knots from one table of L + 1 step
+    powers: the build holds the flowed beliefs M and X of one block besides
+    what the workspace keeps."""
 
     def __init__(self, model, grid, knots):
         L = len(knots) - 1
@@ -367,14 +372,12 @@ class _Workspace:
         self.Aterm, self.costM = np.empty((2, L + 1, grid.n_nodes))
         self.B = []
         P = propagator(model.flow_generator(), self.dt)
+        powers, x0 = step_powers(P, L), None
         for a in range(0, L + 1, b):
-            e = min(a + b, L + 1)
-            # survival-weight paths m(u_j, node), j = a .. e - 1
-            if a:
-                M, X, sv = (r[1:] for r in flow_path(
-                    model, M[-1], self.dt, e - a, P, X[-1]))
-            else:
-                M, X, sv = flow_path(model, grid.nodes, self.dt, e - 1, P)
+            e = min(a + b, L + 1)         # m(u_j, node), j = a .. e - 1
+            M, X, sv = flow_path(model, grid.nodes, self.dt, e - 1 - a, P,
+                                 powers[a:e], x0)
+            x0 = X[-1].copy()
             Hx = terminal_reward(model, X)[0]
             self.Aterm[a:e] = sv * disc[a:e, None] * Hx
             self.costM[a:e] = M @ model.effective_cost_rates()
@@ -461,16 +464,16 @@ class FiniteHorizonSolver:
         per j, in decreasing j.
 
         The march works inside the surface it fills: row t of v holds
-        target t's C until slice t is solved, and F is a ring of b rows:
-        slice d of the block at a in row d - a, and in row -1, while a
-        block's first slice is solved, the last slice of the block before.
+        target t's C until slice t is solved, and F holds the block's
+        slices as b columns, slice d of the block at a in column d - a, so
+        that a full block's push reads one C-ordered (N, b) operand.
         Returns the (L+1, N) values, written into v if given, and the
         Picard steps of each slice.  final(e), if given, is called once the
         slices below e are final: after each block, ending at L + 1.  Rows
         at or above e are scratch until then."""
         ws, L, N, b = self.ws, self.L, self.grid.n_nodes, self.ws.b
         v = np.empty((L + 1, N)) if v is None else v
-        F = np.empty((b, N))
+        F = np.empty((N, b))
         v[0] = ws.Hnodes
         v[1:] = -np.inf
         steps = np.zeros(L + 1, dtype=np.int64)
@@ -486,14 +489,13 @@ class FiniteHorizonSolver:
 
         for a in range(0, L + 1, b):
             e = min(a + b, L + 1)
-            for k, d in enumerate(range(a, e)):   # slice d is F's row k
+            for k, d in enumerate(range(a, e)):   # slice d is F's column k
                 if d:
-                    v[d], steps[d] = self._picard(v[d - 1], F[k - 1],
-                                                  h0 + v[d])
-                F[k] = ws.G0 @ v[d]
+                    v[d], steps[d] = self._picard(v[d - 1], f, h0 + v[d])
+                F[:, k] = f = ws.G0 @ v[d]
                 m = e - 1 - d             # targets d + 1 .. e - 1, j = 1 .. m
                 for j in range(1, m + 1):
-                    h[j - 1] = ws.B[j] @ F[k]
+                    h[j - 1] = ws.B[j] @ f
                 hj = h[:m]
                 hj += ws.costM[1: m + 1]
                 hj *= hd[1: m + 1, None]
@@ -502,7 +504,7 @@ class FiniteHorizonSolver:
                 lo, hi = max(a, e - j), min(e, L + 1 - j)
                 if lo < hi:               # targets lo + j .. hi + j - 1 >= e
                     hj = h[: hi - lo]     # C order, as arrive's rows
-                    np.copyto(hj, (ws.B[j] @ F[lo - a: hi - a].T).T)
+                    np.copyto(hj, (ws.B[j] @ F[:, lo - a: hi - a]).T)
                     hj += ws.costM[j]
                     hj *= hd[j]
                     arrive(slice(lo + j, hi + j), hj, ws.Aterm[j])
@@ -654,7 +656,8 @@ def _j_path(model, surface, s, pi, h, n):
     J(k h) is its head term plus a cumulative trapezoid of the same phi, whose
     jump term sv_j F(s - u_j, X_j) is one lookup in the surface's jump values.
     """
-    M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n))
+    P = surface.flow_step if h == surface.dt else None
+    M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n, P))
     u = h * np.arange(n + 1)
     # s - u may fall an ulp past the 1e-12 slack below 0 at s's last knot
     jump = surface.jump_surface.value_at_batch(np.maximum(s - u, 0.0), X)
@@ -690,13 +693,13 @@ def apply_J0(model, surface, s, pi):
     an off-knot t = s adds one apply_J.
     """
     s, pi = surface.check_query(model, s, pi)
-    ts = [float(t) for t in surface.knots if t <= s + 1e-12]
+    ts = surface.knots[:np.searchsorted(surface.knots, s + 1e-12, "right")]
     vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1))
     if abs(ts[-1] - s) > 1e-12:
-        ts.append(float(s))
+        ts = np.append(ts, s)
         vals.append(apply_J(model, surface, s, s, pi))
     best = int(np.argmax(vals))
-    return float(vals[best]), ts[best]
+    return float(vals[best]), float(ts[best])
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from poistop.filter import (
 from poistop.grid import build_grid
 from poistop.model import check_belief, discrete_marks, gamma_marks
 from poistop.presets import load_preset
+from poistop.valueiter import default_knot_count
 
 
 def absorbing_two_state(lam=(1.0, 2.0), **kw):
@@ -239,6 +240,63 @@ def test_flow_in_chunks_matches_one_flow_path():
         <= 1e-12
     assert np.array_equal(flow(m3, 2e4, pi3),
                           flow_path(m3, pi3, 2e4 / 700, 700)[1][-1, 0])
+
+
+PRESETS = ["insurance", "regime", "reliability", "reliability2", "techadopt",
+           "targeting"]
+
+
+def preset_flow(name):
+    """A preset, the corners and the centre of its simplex, and the
+    solver's step T / L at the default knot count."""
+    m, _ = load_preset(name)
+    beliefs = np.vstack([np.eye(m.n), np.full(m.n, 1.0 / m.n)])
+    return m, beliefs, m.horizon / default_knot_count(m)
+
+
+@pytest.mark.parametrize("name", PRESETS + ["underflow"])
+def test_flow_path_rows_do_not_depend_on_the_path_length(name):
+    # the stack of step powers grows by doubling and never rewrites a row,
+    # so the first m + 1 rows of an n-step path are the m-step path, bit
+    # for bit; on underflow the rows past u = 0.93 are the stepped ones
+    if name == "underflow":
+        m = make_model(n=2, Q=[[-1.0, 1.0], [1.0, -1.0]], lam=[800.0, 1000.0],
+                       mu=[[1.0, 0.0]], horizon=1.0)
+        beliefs, h, n = np.array([[0.5, 0.5], [0.0, 1.0]]), 1.0 / 600, 600
+    else:
+        (m, beliefs, h), n = preset_flow(name), 300
+    full = flow_path(m, beliefs, h, n)
+    for k in (0, 1, 2, 3, 63, 64, 65, 128, 257, 561, n - 1):
+        for part, whole in zip(flow_path(m, beliefs, h, min(k, n)), full):
+            assert np.array_equal(part.view(np.int64),
+                                  whole[: k + 1].view(np.int64)), k
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_flow_path_weights_are_nonnegative(name):
+    m, beliefs, h = preset_flow(name)
+    M, X, sv = flow_path(m, beliefs, h, 6000)
+    assert M.min() >= 0.0 and X.min() >= 0.0 and sv.min() >= 0.0
+
+
+@pytest.mark.parametrize("name", [p for p in PRESETS if p != "regime"])
+def test_long_flow_paths_match_expm(name):
+    # each row against scipy's expm of the whole duration j h (Q - Lambda),
+    # every row to n = 1000, every 7th and the last to n = 6000: the
+    # survival weights relative to their mass and the beliefs.  Measured
+    # (both n, numpy 2.4 and scipy 1.17): at most 6.4e-13 and 1.0e-13, as
+    # for the path stepped one product a knot; the weights' error is the
+    # one-step matrix's, accumulated over the steps
+    from scipy.linalg import expm
+    m, beliefs, h = preset_flow(name)
+    A = m.flow_generator()
+    for n, every in ((1000, 1), (6000, 7)):
+        M, X, sv = flow_path(m, beliefs, h, n)
+        for j in list(range(0, n, every)) + [n]:
+            E = beliefs @ expm(j * h * A)
+            s = E.sum(axis=1, keepdims=True)
+            assert np.max(np.abs(M[j] - E) / s) <= 7.5e-13, (n, j)
+            assert np.max(np.abs(X[j] - E / s)) <= 1.25e-13, (n, j)
 
 
 def test_flow_memory_does_not_grow_with_duration():

@@ -36,7 +36,7 @@ from poistop import (
     uniform_error_bound,
 )
 from poistop import valueiter
-from poistop.filter import filter_path, flow_path, propagator
+from poistop.filter import filter_path, flow_path, propagator, step_powers
 from poistop.model import discrete_marks, terminal_reward
 from poistop.policy import CONTINUE
 from poistop.presets import preset_names
@@ -754,17 +754,14 @@ def test_surface_csv_writer_child_error_reaches_the_caller(tmp_path,
 # -- jump operators against the sparse-product assembly ----------------------
 
 def reference_flow(solver):
-    """Survival weights M of every node at every knot, stepped in a Python
-    loop, their sums sv and the flowed beliefs X.  The one-step matrix is
-    filter.propagator's, which test_filter checks against expm: this checks
-    the stepping and the assembly of the B_j."""
+    """Survival weights M of every node at every knot, one product of the
+    nodes with each power of the one-step matrix, their sums sv and the
+    flowed beliefs X.  The powers are filter.step_powers' of
+    filter.propagator's step, which test_filter checks against expm: this
+    checks the assembly of the B_j."""
     model, grid = solver.model, solver.grid
-    M = np.empty((solver.L + 1, grid.n_nodes, model.n))
-    M[0] = grid.nodes
-    if solver.L:
-        P = propagator(model.flow_generator(), solver.ws.dt)
-        for j in range(solver.L):
-            M[j + 1] = M[j] @ P
+    P = propagator(model.flow_generator(), solver.ws.dt)
+    M = np.array([grid.nodes @ Pj for Pj in step_powers(P, solver.L)])
     sv = M.sum(axis=2)
     X = M / np.where(sv[:, :, None] > 0, sv[:, :, None], 1.0)
     sv[0], X[0] = 1.0, grid.nodes      # a flow of zero length: the nodes
