@@ -152,7 +152,7 @@ def recommend(model, surface, s_remaining, pi, eps, compute_wait=False):
     """stop_rule at one belief: stop iff V(s_remaining, pi) - H(pi) <= eps."""
     s_remaining, pi = surface.check_query(model, s_remaining, pi)
     eps = check_nonneg(eps, "eps: tolerance")
-    v = surface.value_at(s_remaining, pi)
+    v = float(surface.value_at_batch(s_remaining, pi)[0])
     stop, best, h = stop_rule(model, v, pi, eps)
     h = float(h)
     if stop:

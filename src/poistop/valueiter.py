@@ -649,57 +649,61 @@ def richardson_check(model, grid, L, coarse=None):
 # pointwise operators for arbitrary beliefs
 # ---------------------------------------------------------------------------
 
-def _j_path(model, surface, s, pi, h, n):
-    """Jw(k h, s, pi) for k = 0..n from one no-arrival flow path of step h.
+def _j_path(model, surface, s, pi, t):
+    """(waits, J): Jw(u, s, pi) at every knot u <= t and, at an off-knot t,
+    at t too, from one no-arrival flow path.
 
-    The integrand at u_j = j h does not depend on the waiting time, so every
-    J(k h) is its head term plus a cumulative trapezoid of the same phi, whose
-    jump term sv_j F(s - u_j, X_j) is one lookup in the surface's jump values.
+    The knots keep the surface's step dt: the march's, so at a knot and a
+    lattice node this is the J of the solved lattice.  An off-knot t adds
+    one trapezoid panel of width t - t_K past the last knot t_K, its belief
+    and survival mass a one-step flow_path from the belief at t_K, the mass
+    scaled by sv(t_K) (a mass that underflows stays finite).  The integrand
+    at u does not depend on the wait, so every J(u) is its head term plus a
+    cumulative trapezoid of the same phi, whose jump term sv(u) F(s - u,
+    X(u)) is one batched lookup in the surface's jump values.
     """
-    P = surface.flow_step if h == surface.dt else None
-    M, X, sv = (a[:, 0] for a in flow_path(model, pi, h, n, P))
-    u = h * np.arange(n + 1)
+    waits = surface.knots[:np.searchsorted(surface.knots, t + 1e-12, "right")]
+    K = len(waits) - 1
+    M, X, sv = (a[:, 0] for a in flow_path(model, pi, surface.dt, K,
+                                           surface.flow_step))
+    u = surface.dt * np.arange(K + 1)
+    width = np.full(K, surface.dt)
+    if t - waits[-1] > 1e-12:                     # the panel to an off-knot t
+        tail = t - waits[-1]
+        Mt, Xt, svt = (a[-1] for a in flow_path(model, X[-1], tail, 1))
+        M, X = np.vstack((M, sv[-1] * Mt)), np.vstack((X, Xt))
+        sv, u = np.append(sv, sv[-1] * svt), np.append(u, t)
+        width, waits = np.append(width, tail), np.append(waits, t)
     # s - u may fall an ulp past the 1e-12 slack below 0 at s's last knot
     jump = surface.jump_surface.value_at_batch(np.maximum(s - u, 0.0), X)
     disc = np.exp(-model.rho * u)
     phi = disc * (M @ model.effective_cost_rates() + sv * jump)
     head = sv * disc * terminal_reward(model, X)[0]
-    return head + np.concatenate(
-        [[0.0], np.cumsum(0.5 * h * (phi[:-1] + phi[1:]))])
+    return waits, head + np.concatenate(
+        [[0.0], np.cumsum(0.5 * width * (phi[:-1] + phi[1:]))])
 
 
 def apply_J(model, surface, t, s, pi):
-    """Jw(t, s, pi) against the stored surface w, for arbitrary pi.
-
-    The inner integral is the composite trapezoid on max(1, round(t / dt))
-    uniform substeps of [0, t], dt the surface's time step (one step on an
-    L = 0 surface): the march's step, so at a knot t and a lattice node
-    this is the J of the solved lattice.
+    """Jw(t, s, pi) against the stored surface w, for arbitrary pi: the
+    last entry of _j_path's path to t (knots at the surface's step dt, then
+    one panel to an off-knot t; on an L = 0 surface one panel of width t).
     """
     s, pi = surface.check_query(model, s, pi)
     t = check_time(t, model.horizon, "t")
     if t > s + 1e-12:
         raise ValueError(f"apply_J: need t <= s, got t={t}, s={s}")
-    if t <= 0:
-        return float(terminal_reward(model, pi)[0])
-    n_sub = max(1, int(round(t / surface.dt))) if surface.L else 1
-    return float(_j_path(model, surface, s, pi, t / n_sub, n_sub)[-1])
+    return float(_j_path(model, surface, s, pi, t)[1][-1])
 
 
 def apply_J0(model, surface, s, pi):
-    """sup over grid times t in [0, s] of apply_J; returns (value, argmax t).
-
-    One flow path at the surface's step gives J at every knot in [0, s];
-    an off-knot t = s adds one apply_J.
+    """max of apply_J over the waits t in [0, s] that are knots, and s;
+    returns (value, argmax t).  One _j_path to s gives every candidate, each
+    with the bits apply_J gives it.
     """
     s, pi = surface.check_query(model, s, pi)
-    ts = surface.knots[:np.searchsorted(surface.knots, s + 1e-12, "right")]
-    vals = list(_j_path(model, surface, s, pi, surface.dt, len(ts) - 1))
-    if abs(ts[-1] - s) > 1e-12:
-        ts = np.append(ts, s)
-        vals.append(apply_J(model, surface, s, s, pi))
+    waits, vals = _j_path(model, surface, s, pi, s)
     best = int(np.argmax(vals))
-    return float(vals[best]), float(ts[best])
+    return float(vals[best]), float(waits[best])
 
 
 # ---------------------------------------------------------------------------

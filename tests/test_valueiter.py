@@ -1246,12 +1246,17 @@ def test_apply_J0_decreasing_integrand_stops_at_zero():
 
 
 def test_apply_J0_dominates_apply_J(regime_surface):
+    # one path gives every candidate wait the bits apply_J gives it, so J0
+    # is exactly their max; at the off-knot s = 0.2345 (a reference case
+    # below) the max is the panel to s itself
     model, surf = regime_surface
     pi = np.array([0.45, 0.55])
-    s = 1.0
-    v0, _ = apply_J0(model, surf, s, pi)
-    for t in (0.0, 0.25, 0.5, 1.0):
-        assert v0 >= apply_J(model, surf, t, s, pi) - 1e-12
+    for s in (1.0, 0.2345):
+        ts = reference_waits(surf, s)
+        vals = [apply_J(model, surf, t, s, pi) for t in ts]
+        best = int(np.argmax(vals))
+        assert apply_J0(model, surf, s, pi) == (vals[best], ts[best])
+    assert ts[best] == s
 
 
 # -- survival mass that underflows to 0 --------------------------------------
@@ -1412,36 +1417,39 @@ def reference_jump_surface(model, surface):
 
 def reference_J(model, jump, t, s, pi):
     """Slow oracle: Jw(t, s, pi) with one scalar interpolation of the jump
-    surface (reference_jump_surface of w) per substep, stepping the survival
-    weights in a Python loop, on the march's max(1, round(t / dt))
-    substeps (one on an L = 0 surface)."""
+    surface (reference_jump_surface of w) per quadrature node, stepping the
+    survival weights by expm in a Python loop: the knots u <= t at the
+    surface's step dt, then, at an off-knot t, one panel of width t - t_K
+    past the last knot t_K (on an L = 0 surface one panel of width t)."""
     pi = np.asarray(pi, dtype=float)
     H = lambda q: terminal_reward(model, q)[0]
-    if t <= 0:
-        return H(pi)
-    dt_surface = jump.dt if jump.L else t
-    n_sub = max(1, int(round(t / dt_surface)) if dt_surface else 1)
-    h = t / n_sub
-    P = expm(h * model.flow_generator())
-    cost_rates = model.effective_cost_rates()
+    A, cost_rates = model.flow_generator(), model.effective_cost_rates()
+    knots = [float(k) for k in jump.knots if k <= t + 1e-12]
+    steps = [jump.dt] * (len(knots) - 1)
+    us = [j * jump.dt for j in range(len(knots))]
+    if t - knots[-1] > 1e-12:
+        steps.append(t - knots[-1])
+        us.append(t)
+    P = expm(jump.dt * A)
     m = pi.copy()
-    phi = np.empty(n_sub + 1)
-    for j in range(n_sub + 1):
-        u = j * h
+    phi = []
+    for j, u in enumerate(us):
         sv = m.sum()
         g = sv * jump.value_at(s - u, m / sv)
-        phi[j] = np.exp(-model.rho * u) * (float(cost_rates @ m) + g)
-        if j < n_sub:
-            m = np.clip(m @ P, 0.0, None)
+        phi.append(np.exp(-model.rho * u) * (float(cost_rates @ m) + g))
+        if j < len(steps):
+            step = P if steps[j] == jump.dt else expm(steps[j] * A)
+            m = np.clip(m @ step, 0.0, None)
     sv_t = m.sum()
-    head = sv_t * np.exp(-model.rho * t) * H(m / sv_t)
-    return float(head + h * (0.5 * phi[0] + phi[1:-1].sum() + 0.5 * phi[-1]))
+    head = sv_t * np.exp(-model.rho * us[-1]) * H(m / sv_t)
+    return float(head + sum(0.5 * h * (phi[j] + phi[j + 1])
+                            for j, h in enumerate(steps)))
 
 
 def reference_waits(surface, s):
     """The candidate waits of J0: knots in [0, s], plus s if off-knot."""
     ts = [float(t) for t in surface.knots if t <= s + 1e-12]
-    if not ts or abs(ts[-1] - s) > 1e-12:
+    if s - ts[-1] > 1e-12:
         ts.append(float(s))
     return ts
 
@@ -1472,6 +1480,7 @@ def regime_flat():
     ("insurance", 0.437, None),           # off-knot s
     ("insurance", 0.1, None),             # s < 8 dt
     ("flat", 0.3, [0.45, 0.55]),          # L = 0 surface
+    ("regime", 0.2345, [0.45, 0.55]),     # off-knot s, the argmax
 ])
 def test_apply_J_and_J0_match_reference(case, s, pi, regime_surface,
                                         insurance_small, regime_flat):
@@ -1528,6 +1537,43 @@ def test_apply_J0_on_a_loaded_surface(tmp_path, case, regime_surface,
     for s, pi in zip(ss, rng.dirichlet(np.ones(model.n), size=len(ss))):
         assert_bitwise_equal(np.array(apply_J0(model, back, s, pi)),
                              np.array(apply_J0(model, surf, s, pi)))
+
+
+@pytest.mark.parametrize("case, frac", [("regime", 0.61725),
+                                        ("insurance", 0.437)])
+def test_apply_J0_at_an_off_knot_s_flows_once(monkeypatch, case, frac,
+                                              regime_surface,
+                                              insurance_small):
+    # the panel to s is one step from the last knot's belief: no apply_J and
+    # one flow_path of more than one step (the knots) per call
+    model, surf = {"regime": regime_surface,
+                   "insurance": insurance_small}[case]
+    s = frac * model.horizon
+    assert np.min(np.abs(surf.knots - s)) > 1e-3 and s > 2 * surf.dt
+    calls, J, flow = [], valueiter.apply_J, valueiter.flow_path
+    monkeypatch.setattr(valueiter, "apply_J",
+                        lambda *a: calls.append("J") or J(*a))
+    monkeypatch.setattr(valueiter, "flow_path", lambda model, x, h, n, *a:
+                        calls.append(n) or flow(model, x, h, n, *a))
+    apply_J0(model, surf, s, [0.3] + [0.7 / (model.n - 1)] * (model.n - 1))
+    assert "J" not in calls
+    assert [n for n in calls if n > 1] == [np.searchsorted(surf.knots, s) - 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [0.96, 0.987])
+def test_pointwise_J_at_an_off_knot_s_with_underflowing_survival_mass(s):
+    # past u = 0.93 the survival mass underflows: the panel's mass is the
+    # last knot's times a one-step flow's, finite where M / sv is not
+    model = underflow_model()
+    grid = build_grid(2, 4)
+    knots = np.linspace(0.0, 1.0, 41)
+    H = terminal_reward(model, grid.nodes)[0]
+    surf = ValueSurface(model=model, grid=grid, knots=knots,
+                        values=np.tile(H, (41, 1)), meta={})
+    assert np.min(np.abs(knots - s)) > 1e-3
+    assert np.isfinite(apply_J(model, surf, s, s, [0.5, 0.5]))
+    assert np.isfinite(apply_J0(model, surf, s, [0.5, 0.5])[0])
 
 
 def test_apply_J0_interior_wait(regime_surface):
